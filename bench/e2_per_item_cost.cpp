@@ -19,8 +19,7 @@
 //     path must be >= 2x on SIMD-capable hardware;
 //   * fisher-yates: seq::fisher_yates with scalar vs batched engine at a
 //     RAM-resident size (arithmetic win diluted by the memory-bound half);
-//   * scatter: the split kernel's cursor scatter with and without software
-//     prefetch (the memory half).
+//   * scatter: the split kernel's cursor scatter (the memory half).
 //
 // Output: a table on stdout plus BENCH_simd.json (one record per kernel:
 // seconds, ns_per_item, cycles_per_item; one summary record with the
@@ -54,18 +53,11 @@ struct result {
 };
 
 /// The split kernel's scatter loop (smp/parallel_split.hpp), isolated:
-/// stream items to per-label cursors.  `prefetch` toggles the software
-/// prefetch this PR added to the real kernel.
+/// stream items to per-label cursors.
 void scatter_once(const std::vector<std::uint8_t>& label, const std::vector<std::uint64_t>& items,
-                  std::vector<std::uint64_t>& cursor_init, std::vector<std::uint64_t>& scratch,
-                  bool prefetch) {
+                  std::vector<std::uint64_t>& cursor_init, std::vector<std::uint64_t>& scratch) {
   std::vector<std::uint64_t> cursor = cursor_init;
-  const std::size_t n = items.size();
-  constexpr std::size_t kDist = 8;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (prefetch && i + kDist < n) {
-      __builtin_prefetch(&scratch[static_cast<std::size_t>(cursor[label[i + kDist]])], 1, 1);
-    }
+  for (std::size_t i = 0; i < items.size(); ++i) {
     scratch[static_cast<std::size_t>(cursor[label[i]]++)] = items[i];
   }
 }
@@ -141,7 +133,7 @@ int main(int argc, char** argv) {
                                   seq::fisher_yates(e, std::span<std::uint64_t>(data));
                                 }));
 
-  // --- scatter: split-kernel cursor scatter, +- software prefetch --------
+  // --- scatter: split-kernel cursor scatter ------------------------------
   std::vector<std::uint8_t> label(static_cast<std::size_t>(n_items));
   {
     rng::batched_philox e(0xE2B);
@@ -152,12 +144,8 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> cursor_init(kFan, 0);
   for (std::uint32_t j = 1; j < kFan; ++j) cursor_init[j] = cursor_init[j - 1] + counts[j - 1];
   std::vector<std::uint64_t> scratch(static_cast<std::size_t>(n_items));
-  const double sc_plain =
-      add("scatter", n_items,
-          best_of(reps, [&](int) { scatter_once(label, data, cursor_init, scratch, false); }));
-  const double sc_prefetch =
-      add("scatter + prefetch", n_items,
-          best_of(reps, [&](int) { scatter_once(label, data, cursor_init, scratch, true); }));
+  add("scatter", n_items,
+      best_of(reps, [&](int) { scatter_once(label, data, cursor_init, scratch); }));
 
   // --- report ------------------------------------------------------------
   const double hz = estimated_cpu_hz();
@@ -182,14 +170,12 @@ int main(int argc, char** argv) {
   const double keystream_speedup = key_vector > 0.0 ? key_scalar / key_vector : 0.0;
   const double label_speedup = lab_batched > 0.0 ? lab_scalar / lab_batched : 0.0;
   const double fy_speedup = fy_batched > 0.0 ? fy_scalar / fy_batched : 0.0;
-  const double scatter_speedup = sc_prefetch > 0.0 ? sc_plain / sc_prefetch : 0.0;
   const bool scalar_only = hw == rng::simd_path::scalar || active == rng::simd_path::scalar;
   const bool pass = !scalar_only && label_speedup >= kMinSpeedup;
 
   std::cout << "\nspeedups: keystream x" << fmt(keystream_speedup, 2) << ", batched labels x"
             << fmt(label_speedup, 2) << " (gate: >= x" << fmt(kMinSpeedup, 1)
-            << "), fisher-yates x" << fmt(fy_speedup, 2) << ", scatter prefetch x"
-            << fmt(scatter_speedup, 2) << "\n";
+            << "), fisher-yates x" << fmt(fy_speedup, 2) << "\n";
   if (scalar_only) {
     std::cout << "scalar-only configuration (no vector kernel for this host / CGP_SIMD=off): "
                  "speedup gate not applicable, exiting 2\n";
@@ -206,7 +192,6 @@ int main(int argc, char** argv) {
       .add("keystream_speedup", keystream_speedup)
       .add("batched_label_speedup", label_speedup)
       .add("fisher_yates_speedup", fy_speedup)
-      .add("scatter_prefetch_speedup", scatter_speedup)
       .add("min_speedup", kMinSpeedup)
       .add("scalar_only", scalar_only)
       .add("pass", pass);

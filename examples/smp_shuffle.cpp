@@ -1,5 +1,5 @@
 // smp_shuffle: the native shared-memory engine in 30 seconds, and the
-// backend dispatch that picks between it and the model-faithful simulator.
+// backend dispatch that picks between it and the sequential reference.
 //
 //   $ ./smp_shuffle
 //
@@ -41,14 +41,14 @@ int main() {
   std::cout << "bit-identical at p=1 and p=4: "
             << (single.permute(data, 2026) == shuffled ? "yes" : "NO (bug!)") << "\n\n";
 
-  // Backend dispatch: one entry point, three engines plus the planner.
-  // The CGM simulator counts the paper's resource bounds; the SMP engine
-  // just goes fast; `automatic` lets the cost model pick.  Repeated calls
-  // share warm thread pools through the process-wide registry.
+  // Backend dispatch: one entry point, two engines plus the planner.
+  // The SMP engine just goes fast; `automatic` lets the cost model pick.
+  // Repeated calls share warm thread pools through the process-wide
+  // registry.
   const std::uint64_t n = 2'000'000;
   cgp::table t({"backend", "T [ms]", "note"});
-  for (const auto which : {cgp::core::backend::sequential, cgp::core::backend::cgm_simulator,
-                           cgp::core::backend::smp, cgp::core::backend::automatic}) {
+  for (const auto which : {cgp::core::backend::sequential, cgp::core::backend::smp,
+                           cgp::core::backend::automatic}) {
     cgp::core::backend_options bopt;
     bopt.which = which;
     bopt.parallelism = 4;
@@ -58,8 +58,7 @@ int main() {
     cgp::stopwatch sw;
     const auto pi = cgp::core::random_permutation(n, bopt);
     t.add_row({cgp::core::backend_name(which), cgp::fmt(sw.millis(), 1),
-               which == cgp::core::backend::cgm_simulator ? "counts model resources"
-               : which == cgp::core::backend::smp         ? "native threads"
+               which == cgp::core::backend::smp ? "native threads"
                : which == cgp::core::backend::automatic
                    ? std::string("planner picked ") + cgp::core::backend_name(plan.chosen)
                    : "Fisher-Yates reference"});

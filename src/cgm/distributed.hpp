@@ -3,8 +3,8 @@
 // The distributed CGM permutation engine: the paper's recursive
 // splitting strategy executed over a pluggable comm::transport instead of
 // shared memory -- the real coarse-grained engine behind `backend::cgm`,
-// as opposed to the model-counting simulator behind
-// `backend::cgm_simulator`.
+// as opposed to the model-counting simulator (cgm::machine +
+// core/permute.hpp), which is not a backend.
 //
 // The global array lives distributed over the p ranks in balanced
 // contiguous blocks.  The engine walks the SAME recursion tree as the
@@ -65,11 +65,6 @@ namespace cgp::cgm {
 /// sequentially, parallelism comes from the ranks).
 struct distributed_options {
   smp::engine_options engine{};
-  /// Multi-rank ranges at or below this many items are gathered to their
-  /// lead rank instead of split over the wire; 0 = auto
-  /// (max(cache_items, ceil(n/p)) -- at most ~one block of staging).
-  /// Affects only the communication pattern, never the output.
-  std::uint64_t gather_items = 0;
 };
 
 namespace detail_dist {
@@ -160,9 +155,10 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
     return;
   }
 
-  const std::uint64_t gather_cut =
-      opt.gather_items != 0 ? opt.gather_items
-                            : std::max<std::uint64_t>(leaf, (n + p - 1) / p);
+  // Multi-rank ranges at or below this are gathered to their lead rank
+  // instead of split over the wire (at most ~one block of staging).  It
+  // shapes only the communication pattern, never the output.
+  const std::uint64_t gather_cut = std::max<std::uint64_t>(leaf, (n + p - 1) / p);
 
   std::vector<T> scratch(block.size());
   smp::split_options sopt;

@@ -14,16 +14,20 @@
 //
 //   facade      cgp::context (core/context.hpp) -- owns profile,
 //               transport, registry access, seed discipline
-//   dispatch    core::shuffle / permute / random_permutation
-//               (core/backend.hpp) -- compatibility shims over the same
-//               plan/executor core
-//   planning    core::plan_permutation, machine_profile (core/plan.hpp)
+//   dispatch    core::shuffle / random_permutation (core/backend.hpp) --
+//               what the facade runs on; the one entry point taking fully
+//               explicit backend_options (an injected profile included)
+//   planning    core::plan_permutation, machine_profile (core/plan.hpp);
+//               core::resolve_plan + the plan cache (core/registry.hpp)
 //   execution   core::executor and the per-backend executors
 //               (core/executor.hpp), engine registry (core/registry.hpp)
 //   transport   comm::transport / loopback / threaded (comm/transport.hpp)
 //   engines     smp::engine, em::async_em_shuffle, cgm::distributed_shuffle,
-//               seq::* reference shuffles
-//   simulator   cgm::machine + Algorithm 1 (model-faithful accounting)
+//               prp::cipher, seq::* reference shuffles
+//   simulator   cgm::machine + Algorithm 1 (model-faithful accounting),
+//               driven by core::permute_global (core/driver.hpp) and
+//               core::permutation_stream (core/repeat.hpp) -- not a
+//               backend; the layers above never include it
 //
 // See README.md for the architecture overview and examples/ for runnable
 // programs.
@@ -37,7 +41,7 @@
 // --- the facade ----------------------------------------------------------
 #include "core/context.hpp"      // IWYU pragma: export
 
-// --- dispatch + plan/executor core (compatibility entry points) ----------
+// --- dispatch + plan/executor core ---------------------------------------
 #include "core/apply.hpp"        // IWYU pragma: export
 #include "core/backend.hpp"      // IWYU pragma: export
 #include "core/executor.hpp"     // IWYU pragma: export

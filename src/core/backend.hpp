@@ -1,21 +1,20 @@
 // core/backend.hpp
 //
-// Backend-dispatched whole-vector entry points, a thin shell over the
+// The dispatch entry points the facade runs on, a thin shell over the
 // plan/executor core:
 //
-//   request --> resolve_plan (core/plan.hpp)  --> permutation_plan
+//   request --> resolve_plan (core/executor.hpp) --> permutation_plan
 //           --> make_executor (core/executor.hpp) --> runs it
 //
-// DEPRECATED SURFACE: these free functions remain for compatibility (and
-// are what the facade itself runs on), but new code should go through
-// `cgp::context` (core/context.hpp), which additionally owns the machine
-// profile, the transport, and the seed discipline.
+// `cgp::context` (core/context.hpp) calls `shuffle` / `random_permutation`
+// below with the options it projects from its own state (profile,
+// transport, seed sequence); most callers should construct a context.
+// These functions stay public because they are the one entry point that
+// takes fully explicit `backend_options` -- an injected machine profile
+// in particular, which is what pins `automatic` to a fixed plan in tests.
 //
-// The library has five engines plus a planner that picks among them:
+// Five backends plus a planner that picks among them:
 //
-//   * `cgm_simulator` -- Algorithm 1 on the virtual coarse-grained machine
-//     (core/driver.hpp): every model quantity of Theorems 1/2 is counted
-//     exactly.  The model-faithful path for experiments.
 //   * `smp` -- the native shared-memory engine (smp/engine.hpp) on the
 //     process-wide shared pool (core/registry.hpp).  The fast path for
 //     RAM-resident production workloads.
@@ -27,14 +26,22 @@
 //     cache cutoff it bit-matches `sequential` (one leaf on
 //     philox(seed, 0)), and above it it bit-matches `smp` under the same
 //     engine options.
+//   * `prp` -- the O(1)-memory cipher permutation (src/prp/), offered by
+//     the planner only to workloads that declare sparse access.
 //   * `sequential` -- the seq::fisher_yates reference.
-//   * `automatic` -- the cost-model planner picks seq / smp / em / cgm
-//     from the workload (n, element size, memory budget, repetitions) and
-//     the machine profile; the resolved plan is observable via
-//     backend_options::plan_out.  The cgm candidate is considered only
-//     when the profile describes a scale-out deployment (comm_ranks >= 2).
+//   * `automatic` -- the cost-model planner picks seq / smp / em / cgm /
+//     prp from the workload (n, element size, memory budget, repetitions,
+//     accessed fraction) and the machine profile; the resolved plan is
+//     observable via backend_options::plan_out.  The cgm candidate is
+//     considered only when the profile describes a scale-out deployment
+//     (comm_ranks >= 2).
 //
-// All engines are exactly uniform; they draw from differently keyed Philox
+// The model-counting simulator of Algorithm 1 (cgm::machine with
+// core/driver.hpp's permute_global) is not a backend: nothing here
+// includes it.
+//
+// Every backend but `prp` is exactly uniform (prp's law is a keyed cipher
+// family; see core/executor.hpp).  They draw from differently keyed
 // streams, so equal seeds do *not* imply equal permutations across
 // backends (each backend is individually bit-reproducible in its seed).
 // One designed exception: `em` with memory >= n degenerates to a single
@@ -112,19 +119,6 @@ permutation_plan shuffle(std::span<T> data, const backend_options& opt = {}) {
   const feedback_scope fb(plan, data.size(), sizeof(T));
   make_executor(plan, opt)->shuffle(data, opt.seed);
   return plan;
-}
-
-/// Return `data` permuted uniformly at random by the selected backend
-/// (vector convenience over `shuffle`).
-template <typename T>
-[[nodiscard]] std::vector<T> permute(std::vector<T> data, const backend_options& opt = {}) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (data.size() < 2) {
-    if (opt.plan_out != nullptr) *opt.plan_out = resolve_plan(data.size(), sizeof(T), opt);
-    return data;
-  }
-  (void)shuffle(std::span<T>(data), opt);
-  return data;
 }
 
 /// Sample pi uniform over S_n with the selected backend (pi[i] = image of

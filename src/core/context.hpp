@@ -31,10 +31,9 @@
 // explicit seeds, as the service layer does).  `reseed` / `recalibrate` /
 // `set_transport` are exclusive: do not run them concurrently with draws.
 //
-// The old free functions (core::shuffle / core::permute /
-// core::random_permutation in core/backend.hpp, core::permute_global in
-// core/driver.hpp) remain as thin compatibility shims over the same
-// plan/executor core; new code should construct a context.
+// Underneath, every draw is core::shuffle / core::random_permutation
+// (core/backend.hpp) under the options execution_options() projects, so
+// a context plans through core::resolve_plan like every other caller.
 #pragma once
 
 #include <atomic>
@@ -65,9 +64,9 @@ struct context_options {
   /// Measure the machine profile at construction (a few ms of probes)
   /// instead of using detected defaults -- what servers should do once.
   bool calibrate = false;
-  /// Expert escape hatch: engine knobs (em geometry, smp/cgm engine
-  /// options, simulator pipeline) forwarded verbatim.  The curated fields
-  /// above override their counterparts in here.
+  /// Expert escape hatch: engine knobs (em geometry, smp/cgm/prp engine
+  /// options) forwarded verbatim.  The curated fields above override
+  /// their counterparts in here.
   core::backend_options engine{};
 };
 

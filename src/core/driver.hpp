@@ -1,16 +1,17 @@
 // core/driver.hpp
 //
-// Whole-vector convenience drivers: scatter a global vector over the
-// machine's processors, run Algorithm 1, gather the permuted vector back.
+// The simulator's whole-vector driver: scatter a global vector over the
+// virtual machine's processors, run Algorithm 1, gather the permuted
+// vector back, and report the run's exact resource accounting.
 //
-// DEPRECATED SURFACE: `permute_global` remains as a thin shim kept for
-// the model-counting experiments and existing tests -- the machine it
-// drives is itself an adapter over the transport layer now.  Production
-// code should call `cgp::context::shuffle` (core/context.hpp), which
-// dispatches to the distributed `backend::cgm` engine over the same
-// transports; SPMD code on already-distributed data should call
-// `parallel_random_permutation` (simulator, counted) or
-// `cgm::distributed_shuffle` (native, over any comm::endpoint) directly.
+// This is how the paper experiments reach the model-counting simulator
+// (cgm::machine + core/permute.hpp); it is not part of the production
+// dispatch, which never includes it.  Production code calls
+// `cgp::context::shuffle` (core/context.hpp), whose `backend::cgm` runs
+// the distributed engine over the same transports.  SPMD code on
+// already-distributed data calls `parallel_random_permutation`
+// (simulator, counted) or `cgm::distributed_shuffle` (native, over any
+// comm::endpoint) directly.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,8 @@
 // core/executor.hpp
 //
 // The executor half of the plan/executor core: a type-erased, span-based
-// execution interface that every backend (sequential, smp, em, cgm,
-// cgm_simulator) implements uniformly, replacing the old enum switch in
-// core/backend.hpp.  Two entry points:
+// execution interface that every backend (sequential, smp, em, cgm, prp)
+// implements uniformly.  Two entry points:
 //
 //   * `shuffle_raw` / `shuffle<T>` -- uniformly permute n records of
 //     elem_bytes each IN PLACE.  The smp hot path runs straight on the
@@ -38,10 +37,8 @@
 #include <vector>
 
 #include "cgm/distributed.hpp"
-#include "cgm/machine.hpp"
 #include "comm/transport.hpp"
 #include "core/apply.hpp"
-#include "core/driver.hpp"
 #include "core/plan.hpp"
 #include "core/registry.hpp"
 #include "em/async_shuffle.hpp"
@@ -59,13 +56,11 @@ namespace cgp::core {
 /// Options for the backend-dispatched entry points (core/backend.hpp).
 struct backend_options {
   backend which = backend::smp;
-  /// Degree of parallelism: virtual processors (cgm_simulator), transport
-  /// ranks (cgm), or worker threads (smp, em); 0 picks a default (4
-  /// virtual processors / 1 rank / hardware concurrency).  Ignored by
-  /// `sequential` and by `automatic` (the planner chooses).
+  /// Degree of parallelism: transport ranks (cgm) or worker threads
+  /// (smp, em); 0 picks a default (1 rank / hardware concurrency).
+  /// Ignored by `sequential` and by `automatic` (the planner chooses).
   std::uint32_t parallelism = 0;
   std::uint64_t seed = 0xC0A2537E5EEDull;  ///< same default as cgm::machine
-  permute_options cgm{};                   ///< CGM *simulator* pipeline knobs
   smp::engine_options smp_engine{};        ///< SMP engine knobs (threads is
                                            ///< overridden by `parallelism`)
   /// Transport the distributed cgm backend runs on; nullptr = the
@@ -81,8 +76,6 @@ struct backend_options {
   /// ignored for the smp backend, and the em backend runs its computation
   /// on the engine's pool.
   smp::engine* engine = nullptr;
-  /// Resource accounting of the run (cgm_simulator only).
-  cgm::run_stats* stats_out = nullptr;
   /// Out-of-core engine knobs (em only): M, buffer depth, spill policy.
   em::async_options em_engine{};
   /// Items per simulated device block, the B of the I/O model (em only).
@@ -276,43 +269,6 @@ class smp_executor final : public executor {
 
  private:
   smp::engine& eng_;
-};
-
-/// The model-faithful virtual machine; counts resources into `stats_out`.
-class cgm_simulator_executor final : public executor {
- public:
-  cgm_simulator_executor(std::uint32_t procs, permute_options opt, cgm::run_stats* stats_out)
-      : procs_(procs), opt_(opt), stats_out_(stats_out) {}
-
-  [[nodiscard]] backend kind() const noexcept override { return backend::cgm_simulator; }
-
-  void shuffle_raw(void* data, std::uint64_t n, std::uint32_t elem_bytes,
-                   std::uint64_t seed) override {
-    detail::with_record_span(
-        data, n, elem_bytes,
-        [&](auto span) {
-          using R = typename decltype(span)::value_type;
-          std::vector<R> v(span.begin(), span.end());
-          cgm::machine mach(procs_, seed);
-          v = permute_global(mach, v, opt_, stats_out_);
-          std::copy(v.begin(), v.end(), span.begin());
-        },
-        [&] {
-          cgm::machine mach(procs_, seed);
-          detail::gather_in_ram(data, n, elem_bytes,
-                                random_permutation_global(mach, n, opt_, stats_out_));
-        });
-  }
-
-  void fill_random_permutation(std::span<std::uint64_t> out, std::uint64_t seed) override {
-    std::iota(out.begin(), out.end(), 0);
-    shuffle_raw(out.data(), out.size(), sizeof(std::uint64_t), seed);
-  }
-
- private:
-  std::uint32_t procs_;
-  permute_options opt_;
-  cgm::run_stats* stats_out_;
 };
 
 /// The distributed CGM engine over a pluggable transport
@@ -554,7 +510,10 @@ class em_executor final : public executor {
 
 /// Resolve the plan for a request: explicit backends get a trivial plan
 /// mirroring their options (so plan_out is always populated and the em
-/// geometry is always visible); `automatic` runs the cost-model planner.
+/// geometry is always visible); `automatic` asks the process-wide plan
+/// cache (core::cached_plan), which answers bit-identically to the
+/// cost-model planner and skips it for repeated shapes.  Every automatic
+/// request -- core::shuffle, cgp::context, a service job -- plans here.
 [[nodiscard]] inline permutation_plan resolve_plan(std::uint64_t n, std::uint32_t elem_bytes,
                                                    const backend_options& opt) {
   if (opt.which == backend::automatic) {
@@ -564,8 +523,7 @@ class em_executor final : public executor {
     w.memory_budget_bytes = opt.memory_budget_bytes;
     w.repetitions = opt.repetitions;
     w.accessed_fraction = opt.accessed_fraction;
-    return plan_permutation(w, opt.profile != nullptr ? *opt.profile
-                                                      : machine_profile::detect());
+    return cached_plan(w, opt.profile != nullptr ? *opt.profile : machine_profile::detect());
   }
   // Normalize 0 (= "default") to the count the executor will actually
   // run with, so plan_out reports real worker counts for explicit
@@ -578,9 +536,6 @@ class em_executor final : public executor {
   permutation_plan plan;
   plan.chosen = opt.which;
   switch (opt.which) {
-    case backend::cgm_simulator:
-      plan.threads = opt.parallelism == 0 ? 4 : opt.parallelism;
-      break;
     case backend::cgm:
       // The transport decides the rank count; without one, parallelism
       // (default 1: the loopback transport, where cgm == sequential).
@@ -626,8 +581,6 @@ class em_executor final : public executor {
       }
       return std::make_unique<smp_executor>(shared_engine(eopt));
     }
-    case backend::cgm_simulator:
-      return std::make_unique<cgm_simulator_executor>(plan.threads, opt.cgm, opt.stats_out);
     case backend::cgm: {
       comm::transport& tr =
           opt.transport != nullptr ? *opt.transport : shared_transport(plan.threads);

@@ -41,8 +41,9 @@
 //                                              profile describes >= 2
 //                                              transport ranks)
 //
-// The cgm_simulator backend is never chosen automatically: it is the
-// model-faithful measurement instrument, not a production path.
+// The model-counting simulator (cgm::machine, core/driver.hpp) is not a
+// backend: it is the measurement instrument for the paper's resource
+// bounds, reached directly and never through the planner.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +54,6 @@ namespace cgp::core {
 
 /// Which engine executes the permutation.
 enum class backend : std::uint8_t {
-  cgm_simulator,  ///< model-faithful virtual machine (counts resources)
   smp,            ///< native shared-memory thread engine
   em,             ///< out-of-core engine (async block-device scatter)
   cgm,            ///< distributed engine over a comm::transport
@@ -64,7 +64,6 @@ enum class backend : std::uint8_t {
 
 [[nodiscard]] constexpr const char* backend_name(backend b) noexcept {
   switch (b) {
-    case backend::cgm_simulator: return "cgm_sim";
     case backend::smp: return "smp";
     case backend::em: return "em";
     case backend::cgm: return "cgm";
@@ -180,7 +179,7 @@ struct backend_estimate {
 /// The planner's output: everything an executor needs, plus the evidence.
 struct permutation_plan {
   backend chosen = backend::sequential;
-  std::uint32_t threads = 1;      ///< worker threads (smp/em) or virtual procs (cgm)
+  std::uint32_t threads = 1;      ///< worker threads (smp/em) or transport ranks (cgm)
   std::uint32_t split_levels = 0; ///< predicted smp recursion depth
 
   // Out-of-core geometry (meaningful when chosen == backend::em).

@@ -1,13 +1,11 @@
 // core/registry.hpp
 //
 // Process-wide engine/pool registry.  Thread pools are expensive to spin
-// up and tear down; before this registry every `core::permute` call that
-// did not hand in an explicit `smp::engine*` constructed a fresh pool and
-// joined it on return -- pure overhead for servers that draw permutations
-// in a loop (core/repeat.hpp, the benches, the examples).  The registry
-// keeps ONE engine per distinct configuration for the lifetime of the
-// process; every caller that asks for the same configuration shares the
-// same warm pool.
+// up and tear down, and callers draw permutations in a loop (a context's
+// draw sequence, the service, the benches), so the registry keeps ONE
+// engine per distinct configuration for the lifetime of the process;
+// every caller that asks for the same configuration shares the same warm
+// pool.
 //
 // Lifetime rules (also documented in DESIGN.md):
 //   * engines are created on first use and never destroyed until process
@@ -23,12 +21,12 @@
 //     use of a returned engine is as thread-safe as the engine itself
 //     (smp::engine::shuffle is safe for concurrent calls on disjoint data).
 //
-// The registry also owns the two process-wide caches the service layer
-// (src/svc/) leans on: the detected machine profile (so every context /
-// server construction stops re-running machine_profile::detect(), with
-// explicit invalidation via recalibrate_shared_profile()) and the plan
-// cache (so repeated request shapes skip core::plan_permutation, keyed by
-// workload + profile fingerprint).
+// The registry also owns two process-wide caches: the detected machine
+// profile (so every context / server construction stops re-running
+// machine_profile::detect(), with explicit invalidation via
+// recalibrate_shared_profile()) and the plan cache behind
+// core::resolve_plan (so repeated request shapes skip
+// core::plan_permutation, keyed by workload + profile fingerprint).
 #pragma once
 
 #include <cstddef>
@@ -79,9 +77,9 @@ machine_profile recalibrate_shared_profile();
 /// The plan for workload `w` on `prof`, cached under the key
 /// (n, element_bytes, memory_budget, repetitions, prof.fingerprint()).
 /// Bit-identical to plan_permutation(w, prof) -- the cache only skips the
-/// recomputation, never changes the answer -- which is what lets the
-/// service layer substitute it on the context::shuffle dispatch path
-/// without perturbing any output.
+/// recomputation, never changes the answer -- which is what lets
+/// core::resolve_plan answer every `automatic` request from it without
+/// perturbing any output.
 [[nodiscard]] permutation_plan cached_plan(const workload& w, const machine_profile& prof);
 
 /// Plan-cache traffic counters (monotone, process-wide): how many

@@ -8,25 +8,16 @@
 // permutations of a fixed size; successive draws use key-separated Philox
 // streams (seed, draw-counter), so the sequence is deterministic under the
 // stream's seed, every element is exactly uniform, and distinct elements
-// are independent.
-//
-// Two modes:
-//   * the classic CGM mode (nprocs, n, seed): every draw runs Algorithm 1
-//     on an owned virtual machine with full resource accounting;
-//   * the native mode (backend_options, n): every draw goes through the
-//     plan/executor core -- including `backend::automatic` -- and reuses
-//     the process-wide engine registry, so a stream drawing thousands of
-//     permutations shares one warm thread pool instead of constructing
-//     one per call.  Set base.repetitions to the expected draw count so
-//     the planner amortizes dispatch overhead correctly.
+// are independent.  Every draw runs Algorithm 1 on an owned virtual
+// machine with full resource accounting.  Repeated draws through the
+// native engines come from a cgp::context, which keys its own draw
+// sequence (core/context.hpp).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "cgm/machine.hpp"
-#include "core/backend.hpp"
 #include "core/driver.hpp"
 #include "rng/splitmix64.hpp"
 
@@ -34,34 +25,22 @@ namespace cgp::core {
 
 class permutation_stream {
  public:
-  /// CGM mode: a stream of uniform permutations of {0..n-1} on `nprocs`
-  /// virtual processors.
+  /// A stream of uniform permutations of {0..n-1} on `nprocs` virtual
+  /// processors.
   permutation_stream(std::uint32_t nprocs, std::uint64_t n, std::uint64_t seed,
                      permute_options opt = {})
-      : mach_(std::in_place, nprocs, seed), n_(n), seed_(seed), opt_(opt) {}
-
-  /// Native mode: a stream of uniform permutations of {0..n-1} drawn
-  /// through the plan/executor core; `base.seed` seeds the sequence, the
-  /// remaining fields select and tune the backend (`backend::automatic`
-  /// lets the planner choose once per draw).
-  permutation_stream(const backend_options& base, std::uint64_t n)
-      : n_(n), seed_(base.seed), base_(base) {}
+      : mach_(nprocs, seed), n_(n), seed_(seed), opt_(opt) {}
 
   /// The next permutation of the sequence.  `stats_out`, if given,
-  /// receives the run's accounting (CGM mode only).
+  /// receives the run's accounting.
   [[nodiscard]] std::vector<std::uint64_t> next(cgm::run_stats* stats_out = nullptr) {
     // Key separation per draw: deterministic, independent of how many
     // draws preceded on other stream objects with different seeds.
     const std::uint64_t draw_seed =
         rng::mix64(seed_ ^ rng::mix64(counter_ + 0x9E3779B97F4A7C15ull));
     ++counter_;
-    if (base_.has_value()) {
-      backend_options opt = *base_;
-      opt.seed = draw_seed;
-      return random_permutation(n_, opt);
-    }
-    mach_->reseed(draw_seed);
-    return random_permutation_global(*mach_, n_, opt_, stats_out);
+    mach_.reseed(draw_seed);
+    return random_permutation_global(mach_, n_, opt_, stats_out);
   }
 
   /// Draws made so far.
@@ -72,16 +51,13 @@ class permutation_stream {
   void seek(std::uint64_t draw_index) noexcept { counter_ = draw_index; }
 
   [[nodiscard]] std::uint64_t size() const noexcept { return n_; }
-  [[nodiscard]] std::uint32_t nprocs() const noexcept {
-    return mach_.has_value() ? mach_->nprocs() : 0;
-  }
+  [[nodiscard]] std::uint32_t nprocs() const noexcept { return mach_.nprocs(); }
 
  private:
-  std::optional<cgm::machine> mach_;  // engaged in CGM mode only
+  cgm::machine mach_;
   std::uint64_t n_;
   std::uint64_t seed_;
-  permute_options opt_{};
-  std::optional<backend_options> base_;  // engaged in native mode only
+  permute_options opt_;
   std::uint64_t counter_ = 0;
 };
 

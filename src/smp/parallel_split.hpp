@@ -204,18 +204,7 @@ template <typename T>
                                                     static_cast<std::size_t>(len));
       for (std::uint32_t j = 0; j < k; ++j) cursor[j] = plan.dest[c * k + j];
       split_chunk_labels_into(plan, seed, node, static_cast<std::uint32_t>(c), label);
-      // Scatter with software prefetch: the write targets jump between K
-      // bucket cursors, which defeats the hardware streamers once K x
-      // (active pages) exceeds what they track.  The labels are already
-      // materialized, so the destination of iteration i+dist is known now
-      // -- prefetch its cache line (write intent, low temporal locality).
-      constexpr std::size_t kPrefetchDist = 8;
-      const std::size_t sz = chunk.size();
-      for (std::size_t i = 0; i < sz; ++i) {
-        if (i + kPrefetchDist < sz) {
-          __builtin_prefetch(&scratch[static_cast<std::size_t>(cursor[label[i + kPrefetchDist]])],
-                             1, 1);
-        }
+      for (std::size_t i = 0; i < chunk.size(); ++i) {
         scratch[static_cast<std::size_t>(cursor[label[i]]++)] = chunk[i];
       }
     }

@@ -39,35 +39,15 @@ scheduler_options scheduler_options_of(const server_options& opt) {
 
 /// A job's execution options: the context's projection under the job
 /// seed, with the per-call OUTPUT pointers nulled -- expert engine knobs
-/// forward verbatim, but plan_out / stats_out / em_report_out name one
-/// caller-owned object, and concurrent jobs writing it from scheduler
-/// workers would race.  A job's resolved plan is delivered through its
-/// handle (job_handle::plan()) instead.
+/// forward verbatim, but plan_out / em_report_out name one caller-owned
+/// object, and concurrent jobs writing it from scheduler workers would
+/// race.  A job's resolved plan is delivered through its handle
+/// (job_handle::plan()) instead.
 core::backend_options job_options(const cgp::context& ctx, std::uint64_t seed) {
   core::backend_options o = ctx.execution_options(seed);
   o.plan_out = nullptr;
-  o.stats_out = nullptr;
   o.em_report_out = nullptr;
   return o;
-}
-
-/// The plan of a job: the plan cache for planner-driven servers (keyed
-/// (n, elem, budget, reps, profile fingerprint) -- repeated request
-/// shapes skip core::plan_permutation), the trivial resolve for explicit
-/// backends.  Bit-identical to what core::resolve_plan inside a direct
-/// context::shuffle would produce, by cached_plan's contract.
-core::permutation_plan plan_for_job(std::uint64_t n, std::uint32_t elem_bytes,
-                                    const core::backend_options& o) {
-  if (o.which == core::backend::automatic) {
-    core::workload w;
-    w.n = n;
-    w.element_bytes = elem_bytes;
-    w.memory_budget_bytes = o.memory_budget_bytes;
-    w.repetitions = o.repetitions;
-    w.accessed_fraction = o.accessed_fraction;
-    return core::cached_plan(w, *o.profile);
-  }
-  return core::resolve_plan(n, elem_bytes, o);
 }
 
 }  // namespace
@@ -137,7 +117,7 @@ std::shared_ptr<detail::job_state> server::make_state(std::uint64_t client_id, s
   return st;
 }
 
-void server::enqueue(bool small, std::function<void()> run,
+void server::enqueue(bool small, std::function<void()> task,
                      const std::shared_ptr<detail::job_state>& st) {
   static obs::counter_family& submitted_by =
       obs::get_counter_family("svc.jobs.submitted.by_client");
@@ -146,7 +126,7 @@ void server::enqueue(bool small, std::function<void()> run,
   // A refused submission is counted once globally, by the scheduler (its
   // stats are the single source of truth for admission outcomes); the
   // per-tenant attribution happens here, where the client is known.
-  if (!sched_.submit({small, std::move(run), st->trace})) {
+  if (!sched_.submit({small, std::move(task), st->trace})) {
     rejected_by.with(st->client).add();
     tenant_rejected_.with(st->client).add();
     st->finish(job_status::rejected);
@@ -193,7 +173,12 @@ future<void> server::submit_shuffle_raw(std::uint64_t client_id, void* data, std
   return future<void>(st);
 }
 
-void server::run_shuffle(detail::job_state& st, void* data, std::uint32_t elem_bytes) {
+/// The lifecycle every job kind shares: running, the trace, the "svc.job"
+/// span, and exactly one terminal transition with its counters.  `body`
+/// gets the job's execution options and does the kind-specific work; a
+/// throw fails the job.
+template <typename Body>
+void server::run(detail::job_state& st, Body&& body) {
   st.set_running();
   // Execute under the submitter's trace (a batched job runs on a pool
   // thread whose thread-local context is empty -- the scope, not the
@@ -204,15 +189,7 @@ void server::run_shuffle(detail::job_state& st, void* data, std::uint32_t elem_b
   const obs::trace_scope trace_guard(st.trace);
   const obs::span sp("svc.job", "svc");
   try {
-    const core::backend_options o = job_options(ctx_, st.seed);
-    st.plan = plan_for_job(st.n, elem_bytes, o);
-    {
-      // Same measured-phase collection a direct core::shuffle gets: the
-      // service path bypasses core::shuffle (it resolves plans through
-      // the cache), so it installs its own feedback scope.
-      const core::feedback_scope fb(st.plan, st.n, elem_bytes);
-      core::make_executor(st.plan, o)->shuffle_raw(data, st.n, elem_bytes, st.seed);
-    }
+    body(job_options(ctx_, st.seed));
     done_.fetch_add(1, std::memory_order_relaxed);
     note_done(st);
     st.finish(job_status::done);
@@ -221,63 +198,50 @@ void server::run_shuffle(detail::job_state& st, void* data, std::uint32_t elem_b
     note_failed(st);
     st.fail(std::current_exception());
   }
+}
+
+void server::run_shuffle(detail::job_state& st, void* data, std::uint32_t elem_bytes) {
+  run(st, [&](const core::backend_options& o) {
+    st.plan = core::resolve_plan(st.n, elem_bytes, o);
+    // Same measured-phase collection a direct core::shuffle gets: the
+    // service path drives the executor itself (the records are
+    // type-erased), so it installs its own feedback scope.
+    const core::feedback_scope fb(st.plan, st.n, elem_bytes);
+    core::make_executor(st.plan, o)->shuffle_raw(data, st.n, elem_bytes, st.seed);
+  });
 }
 
 void server::run_fill(detail::job_state& st, bool streamed) {
-  st.set_running();
-  if (st.trace.trace_id == 0 && obs::tracing()) st.trace.trace_id = obs::new_trace_id();
-  const obs::trace_scope trace_guard(st.trace);
-  const obs::span sp("svc.job", "svc");
-  try {
-    const core::backend_options o = job_options(ctx_, st.seed);
-    st.plan = plan_for_job(st.n, sizeof(std::uint64_t), o);
-    if (st.n == 0) {
-      done_.fetch_add(1, std::memory_order_relaxed);
-      note_done(st);
-      st.finish(job_status::done);
-      return;
+  run(st, [&](const core::backend_options& o) {
+    st.plan = core::resolve_plan(st.n, sizeof(std::uint64_t), o);
+    if (st.n == 0) return;
+    const core::feedback_scope fb(st.plan, st.n, sizeof(std::uint64_t));
+    if (streamed && st.plan.chosen == core::backend::prp) {
+      // Cipher-backed stream: nothing is materialized -- the stream
+      // evaluates pi on demand through the same (seed, n, options)
+      // cipher the prp executor would fill from, so chunk content is
+      // bit-identical to a whole-delivery prp job.
+      st.cipher = std::make_unique<prp::cipher>(st.seed, st.n, o.prp_engine);
+    } else if (streamed && st.plan.chosen == core::backend::em) {
+      // The em executor's native fill mode minus its final bulk readback:
+      // identity onto the device, shuffle there, KEEP the device -- the
+      // stream pulls chunks off it via accounted range reads, so no
+      // full-n vector ever materializes for this job.  Geometry, pool,
+      // and fill all resolve through the shared helpers make_executor's
+      // em branch uses, so the device content is bit-identical to what
+      // fill_random_permutation would have read back.
+      st.dev = core::em_shuffled_identity_device(st.n, st.seed,
+                                                 core::resolve_em_config(st.plan, o));
+    } else {
+      st.pi.resize(static_cast<std::size_t>(st.n));
+      core::make_executor(st.plan, o)->fill_random_permutation(
+          std::span<std::uint64_t>(st.pi), st.seed);
     }
-    {
-      const core::feedback_scope fb(st.plan, st.n, sizeof(std::uint64_t));
-      if (streamed && st.plan.chosen == core::backend::prp) {
-        // Cipher-backed stream: nothing is materialized -- the stream
-        // evaluates pi on demand through the same (seed, n, options)
-        // cipher the prp executor would fill from, so chunk content is
-        // bit-identical to a whole-delivery prp job.
-        st.cipher = std::make_unique<prp::cipher>(st.seed, st.n, o.prp_engine);
-      } else if (streamed && st.plan.chosen == core::backend::em) {
-        // The em executor's native fill mode minus its final bulk readback:
-        // identity onto the device, shuffle there, KEEP the device -- the
-        // stream pulls chunks off it via accounted range reads, so no
-        // full-n vector ever materializes for this job.  Geometry, pool,
-        // and fill all resolve through the shared helpers make_executor's
-        // em branch uses, so the device content is bit-identical to what
-        // fill_random_permutation would have read back.
-        st.dev = core::em_shuffled_identity_device(st.n, st.seed,
-                                                   core::resolve_em_config(st.plan, o));
-      } else {
-        st.pi.resize(static_cast<std::size_t>(st.n));
-        core::make_executor(st.plan, o)->fill_random_permutation(
-            std::span<std::uint64_t>(st.pi), st.seed);
-      }
-    }
-    done_.fetch_add(1, std::memory_order_relaxed);
-    note_done(st);
-    st.finish(job_status::done);
-  } catch (...) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    note_failed(st);
-    st.fail(std::current_exception());
-  }
+  });
 }
 
 void server::run_shard(detail::job_state& st, std::uint64_t domain_n) {
-  st.set_running();
-  if (st.trace.trace_id == 0 && obs::tracing()) st.trace.trace_id = obs::new_trace_id();
-  const obs::trace_scope trace_guard(st.trace);
-  const obs::span sp("svc.job", "svc");
-  try {
-    const core::backend_options o = job_options(ctx_, st.seed);
+  run(st, [&](const core::backend_options& o) {
     // A shard job IS the prp backend: record an honest plan (the window's
     // share of the domain as the accessed fraction) rather than running
     // the planner -- no other backend can serve a lazy window of a
@@ -291,14 +255,7 @@ void server::run_shard(detail::job_state& st, std::uint64_t domain_n) {
     if (st.n != 0) {
       st.cipher = std::make_unique<prp::cipher>(st.seed, domain_n, o.prp_engine);
     }
-    done_.fetch_add(1, std::memory_order_relaxed);
-    note_done(st);
-    st.finish(job_status::done);
-  } catch (...) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    note_failed(st);
-    st.fail(std::current_exception());
-  }
+  });
 }
 
 server_stats server::stats() const {

@@ -19,11 +19,10 @@
 // queue; reject or block when full), the SCHEDULER's workers drain the
 // queue in ticks -- small jobs batched into one pool dispatch, large jobs
 // run singly through the planner -- and every job executes through the
-// identical plan/executor path a bare context uses, with two service-side
-// shortcuts: the process-wide PLAN CACHE (core::cached_plan, keyed
-// (n, elem, budget, reps, profile fingerprint)) skips planner
-// recomputation for repeated request shapes, and the machine profile is
-// the process-wide cached one (core::shared_profile()).
+// identical plan/executor path a bare context uses: core::resolve_plan
+// (whose process-wide PLAN CACHE skips planner recomputation for
+// repeated request shapes) and core::make_executor, on the process-wide
+// cached machine profile (core::shared_profile()).
 //
 // Determinism: job (client_id, ordinal) runs under
 // job_seed(server_seed, client_id, ordinal) -- `ordinal` counting that
@@ -185,8 +184,10 @@ class server {
  private:
   [[nodiscard]] std::shared_ptr<detail::job_state> make_state(std::uint64_t client_id,
                                                               std::uint64_t n);
-  void enqueue(bool small, std::function<void()> run,
+  void enqueue(bool small, std::function<void()> task,
                const std::shared_ptr<detail::job_state>& st);
+  template <typename Body>
+  void run(detail::job_state& st, Body&& body);
   void run_shuffle(detail::job_state& st, void* data, std::uint32_t elem_bytes);
   void run_fill(detail::job_state& st, bool streamed);
   void run_shard(detail::job_state& st, std::uint64_t domain_n);

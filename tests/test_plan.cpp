@@ -1,9 +1,9 @@
 // Tests for the plan/executor core: planner regime boundaries
 // (tiny -> sequential, RAM-resident mid -> smp, over-budget -> em),
 // bit-for-bit agreement of backend::automatic with the explicitly
-// selected backend, the streaming apply layer's bulk I/O and O(M)
-// residency contract, the process-wide engine registry, and the native
-// permutation_stream mode.
+// selected backend, automatic plans resolving through the plan cache,
+// the streaming apply layer's bulk I/O and O(M) residency contract, and
+// the process-wide engine registry.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include "core/executor.hpp"
 #include "core/plan.hpp"
 #include "core/registry.hpp"
-#include "core/repeat.hpp"
 #include "em/block_device.hpp"
 #include "stats/lehmer.hpp"
 
@@ -135,9 +134,12 @@ TEST(BackendAutomatic, MatchesSequentialAtTinyN) {
   EXPECT_EQ(plan.chosen, core::backend::sequential);
   EXPECT_EQ(via_auto, core::random_permutation(4096, seq_opt));
 
-  std::vector<std::uint32_t> payload(4096);
-  std::iota(payload.begin(), payload.end(), 7u);
-  EXPECT_EQ(core::permute(payload, auto_opt), core::permute(payload, seq_opt));
+  std::vector<std::uint32_t> via_auto_payload(4096);
+  std::iota(via_auto_payload.begin(), via_auto_payload.end(), 7u);
+  std::vector<std::uint32_t> via_seq_payload = via_auto_payload;
+  (void)core::shuffle(std::span<std::uint32_t>(via_auto_payload), auto_opt);
+  (void)core::shuffle(std::span<std::uint32_t>(via_seq_payload), seq_opt);
+  EXPECT_EQ(via_auto_payload, via_seq_payload);
 }
 
 TEST(BackendAutomatic, MatchesSmpAtMidN) {
@@ -194,6 +196,23 @@ TEST(BackendAutomatic, PlanOutPopulatedForExplicitBackends) {
   EXPECT_EQ(plan.em_block_items, 32u);
 }
 
+TEST(BackendAutomatic, ResolvesThroughThePlanCache) {
+  const auto prof = test_profile();
+  core::backend_options opt;
+  opt.which = core::backend::automatic;
+  opt.profile = &prof;
+  opt.seed = 44;
+  std::vector<std::uint64_t> v(4099);
+  std::iota(v.begin(), v.end(), 0);
+
+  const std::size_t lookups0 = core::plan_cache_lookups();
+  const std::size_t hits0 = core::plan_cache_hits();
+  (void)core::shuffle(std::span<std::uint64_t>(v), opt);
+  (void)core::shuffle(std::span<std::uint64_t>(v), opt);
+  EXPECT_EQ(core::plan_cache_lookups(), lookups0 + 2);
+  EXPECT_GE(core::plan_cache_hits(), hits0 + 1);
+}
+
 TEST(BackendAutomatic, BackendNameCoversAuto) {
   EXPECT_STREQ(core::backend_name(core::backend::automatic), "auto");
 }
@@ -247,7 +266,8 @@ TEST(EmApply, PayloadShuffleEqualsGatherThroughIndexPermutation) {
 
   std::vector<std::uint64_t> payload(20'000);
   for (std::uint64_t i = 0; i < payload.size(); ++i) payload[i] = i * 3 + 1;
-  const auto shuffled = core::permute(payload, opt);
+  std::vector<std::uint64_t> shuffled = payload;
+  (void)core::shuffle(std::span<std::uint64_t>(shuffled), opt);
 
   const auto pi = core::random_permutation(payload.size(), opt);
   for (std::size_t i = 0; i < payload.size(); ++i) {
@@ -270,7 +290,8 @@ TEST(EmApply, WideRecordsGatherStreamedOffDevice) {
 
   std::vector<wide> payload(10'000);
   for (std::uint64_t i = 0; i < payload.size(); ++i) payload[i] = {i, i * 7, ~i};
-  const auto shuffled = core::permute(payload, opt);
+  std::vector<wide> shuffled = payload;
+  (void)core::shuffle(std::span<wide>(shuffled), opt);
 
   const auto pi = core::random_permutation(payload.size(), opt);
   for (std::size_t i = 0; i < payload.size(); ++i) {
@@ -334,40 +355,6 @@ TEST(Registry, RepeatedDispatchDoesNotGrowTheRegistry) {
   const std::size_t count = core::registered_engine_count();
   for (int i = 0; i < 5; ++i) (void)core::random_permutation(100, opt);
   EXPECT_EQ(core::registered_engine_count(), count);
-}
-
-// --- native permutation_stream mode ------------------------------------------
-
-TEST(PermutationStreamNative, ValidDeterministicAndSeekable) {
-  core::backend_options base;
-  base.which = core::backend::smp;
-  base.parallelism = 2;
-  base.seed = 99;
-  core::permutation_stream s1(base, 500);
-  std::vector<std::vector<std::uint64_t>> first;
-  for (int i = 0; i < 4; ++i) {
-    first.push_back(s1.next());
-    EXPECT_TRUE(stats::is_permutation_of_iota(first.back()));
-  }
-  EXPECT_NE(first[0], first[1]);
-
-  core::permutation_stream s2(base, 500);
-  s2.seek(2);
-  EXPECT_EQ(s2.next(), first[2]);
-}
-
-TEST(PermutationStreamNative, AutomaticBackendDrawsThroughThePlanner) {
-  const auto prof = test_profile();
-  core::backend_options base;
-  base.which = core::backend::automatic;
-  base.profile = &prof;
-  base.seed = 100;
-  base.repetitions = 1000;
-  core::permutation_stream stream(base, 256);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(stats::is_permutation_of_iota(stream.next()));
-  }
-  EXPECT_EQ(stream.count(), 3u);
 }
 
 }  // namespace

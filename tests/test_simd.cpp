@@ -7,7 +7,7 @@
 // the scalar engine bit for bit and no backend's permutation can depend on
 // which path ran.  The suite pins this at every layer: raw keystream,
 // engine word streams, and whole-backend permutations across
-// {scalar, vector} x batch sizes x {seq, smp, em, cgm}.
+// {scalar, vector} x batch sizes x {seq, smp, em, cgm, simulator}.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +16,9 @@
 #include <span>
 #include <vector>
 
+#include "cgm/machine.hpp"
 #include "core/backend.hpp"
+#include "core/driver.hpp"
 #include "core/plan.hpp"
 #include "em/async_shuffle.hpp"
 #include "em/block_device.hpp"
@@ -206,12 +208,12 @@ TEST(SimdDispatch, ProfileFingerprintReKeysAcrossPaths) {
 TEST(SimdBackends, PermutationsBitIdenticalAcrossPaths) {
   override_guard guard;
   const std::uint64_t n = 1 << 12;
+  const std::uint64_t seed = 0x51D7E57;
   for (const core::backend which :
-       {core::backend::sequential, core::backend::smp, core::backend::em, core::backend::cgm,
-        core::backend::cgm_simulator}) {
+       {core::backend::sequential, core::backend::smp, core::backend::em, core::backend::cgm}) {
     core::backend_options opt;
     opt.which = which;
-    opt.seed = 0x51D7E57;
+    opt.seed = seed;
     rng::set_simd_override(rng::simd_path::scalar);
     const auto scalar_pi = core::random_permutation(n, opt);
     EXPECT_TRUE(stats::is_permutation_of_iota(scalar_pi))
@@ -222,6 +224,18 @@ TEST(SimdBackends, PermutationsBitIdenticalAcrossPaths) {
       EXPECT_EQ(pi, scalar_pi) << "backend=" << core::backend_name(which)
                                << " path=" << rng::simd_path_name(path);
     }
+  }
+  // The model-counting simulator, on a fresh 4-processor machine per run.
+  const auto simulate = [&] {
+    cgm::machine mach(4, seed);
+    return core::random_permutation_global(mach, n);
+  };
+  rng::set_simd_override(rng::simd_path::scalar);
+  const auto scalar_pi = simulate();
+  EXPECT_TRUE(stats::is_permutation_of_iota(scalar_pi)) << "simulator";
+  for (const rng::simd_path path : runnable_paths()) {
+    rng::set_simd_override(path);
+    EXPECT_EQ(simulate(), scalar_pi) << "simulator path=" << rng::simd_path_name(path);
   }
 }
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/backend.hpp"
-#include "core/driver.hpp"
 #include "rng/philox.hpp"
 #include "seq/fisher_yates.hpp"
 #include "smp/engine.hpp"
@@ -239,18 +238,6 @@ TEST(Backend, SmpDispatchReusesProvidedEngine) {
   EXPECT_EQ(core::random_permutation(5'000, opt), eng.random_permutation(5'000, 123));
 }
 
-TEST(Backend, CgmDispatchMatchesPermuteGlobalOnSameSeed) {
-  core::backend_options opt;
-  opt.which = core::backend::cgm_simulator;
-  opt.parallelism = 4;
-  opt.seed = 99;
-  const auto via_dispatch = core::random_permutation(4'000, opt);
-
-  cgm::machine mach(4, 99);
-  const auto direct = core::random_permutation_global(mach, 4'000);
-  EXPECT_EQ(via_dispatch, direct);
-}
-
 TEST(Backend, SequentialDispatchMatchesFisherYates) {
   core::backend_options opt;
   opt.which = core::backend::sequential;
@@ -264,20 +251,19 @@ TEST(Backend, SequentialDispatchMatchesFisherYates) {
 }
 
 TEST(Backend, AllBackendsProduceValidPermutations) {
-  for (const auto b : {core::backend::cgm_simulator, core::backend::smp, core::backend::em,
+  for (const auto b : {core::backend::prp, core::backend::smp, core::backend::em,
                        core::backend::cgm, core::backend::sequential}) {
     core::backend_options opt;
     opt.which = b;
     opt.parallelism = 2;
     opt.em_block_items = 64;  // keep the device tiny for n = 997
     opt.em_engine.memory_items = 256;  // force the out-of-core path
-    const auto pi = core::random_permutation(997, opt);  // prime: general-margins CGM path
+    const auto pi = core::random_permutation(997, opt);  // prime: uneven blocks everywhere
     EXPECT_TRUE(stats::is_permutation_of_iota(pi)) << core::backend_name(b);
   }
 }
 
 TEST(Backend, NamesAreStable) {
-  EXPECT_STREQ(core::backend_name(core::backend::cgm_simulator), "cgm_sim");
   EXPECT_STREQ(core::backend_name(core::backend::cgm), "cgm");
   EXPECT_STREQ(core::backend_name(core::backend::smp), "smp");
   EXPECT_STREQ(core::backend_name(core::backend::em), "em");

@@ -14,10 +14,12 @@
 #include <vector>
 
 #include "cgm/distributed.hpp"
+#include "cgm/machine.hpp"
 #include "comm/socket_transport.hpp"
 #include "comm/transport.hpp"
 #include "core/backend.hpp"
 #include "core/context.hpp"
+#include "core/driver.hpp"
 #include "core/executor.hpp"
 #include "core/plan.hpp"
 #include "core/registry.hpp"
@@ -514,7 +516,8 @@ TEST(CgmBackend, ExplicitTransportAndRecordTypesDispatch) {
   for (std::uint64_t i = 0; i < n; ++i) recs[i] = {i, i ^ 0xABCDull};
   core::permutation_plan plan;
   opt.plan_out = &plan;
-  auto shuffled = core::permute(std::move(recs), opt);
+  std::vector<rec16> shuffled = recs;
+  (void)core::shuffle(std::span<rec16>(shuffled), opt);
   EXPECT_EQ(plan.chosen, core::backend::cgm);
   EXPECT_EQ(plan.threads, 4u);
 
