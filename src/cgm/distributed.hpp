@@ -50,7 +50,7 @@
 #include <vector>
 
 #include "comm/transport.hpp"
-#include "rng/philox.hpp"
+#include "rng/philox_batch.hpp"
 #include "seq/fisher_yates.hpp"
 #include "smp/engine.hpp"
 #include "smp/parallel_split.hpp"
@@ -121,7 +121,7 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
   // design (compare em with memory >= n).
   if (n <= leaf) {
     if (p == 1) {
-      rng::philox4x64 e(seed, 0);
+      rng::batched_philox e(seed, 0);
       seq::fisher_yates(e, block);
       return;
     }
@@ -136,7 +136,7 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
         CGP_ASSERT(msg.payload.size() == balanced_block_size(n, p, msg.source) * sizeof(T));
         std::memcpy(all.data() + src_lo, msg.payload.data(), msg.payload.size());
       }
-      rng::philox4x64 e(seed, 0);
+      rng::batched_philox e(seed, 0);
       seq::fisher_yates(e, std::span<T>(all));
       for (std::uint32_t o = 0; o < p; ++o) {
         const std::uint64_t o_lo = balanced_block_offset(n, p, o);

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/assert.hpp"
+#include "util/lgamma.hpp"
 #include "util/prefix.hpp"
 
 namespace cgp::core {
@@ -40,7 +41,7 @@ bool comm_matrix::satisfies_margins(std::span<const std::uint64_t> row_margins,
 }
 
 double comm_matrix::log_probability() const {
-  const auto lfact = [](std::uint64_t k) { return std::lgamma(static_cast<double>(k) + 1.0); };
+  const auto lfact = [](std::uint64_t k) { return util::log_gamma(static_cast<double>(k) + 1.0); };
   double acc = 0.0;
   for (const std::uint64_t m : row_sums()) acc += lfact(m);
   for (const std::uint64_t m : col_sums()) acc += lfact(m);

@@ -7,8 +7,9 @@
 //   * `shuffle_raw` / `shuffle<T>` -- uniformly permute n records of
 //     elem_bytes each IN PLACE.  The smp hot path runs straight on the
 //     caller's span with zero extra allocation or copying; record types
-//     are reconstituted from (pointer, elem_bytes) through fixed-size
-//     byte-array instantiations.
+//     are reconstituted from (pointer, elem_bytes) as fixed-size byte
+//     structs (`detail::record<N>`), which move as one or two machine
+//     words, so every path runs the machine code of its typed kernel.
 //   * `fill_random_permutation` -- write a uniform permutation of
 //     {0..n-1} into the caller's span.  The sequential and smp executors
 //     iota the span and shuffle it in place (no copy-in/copy-out round
@@ -17,7 +18,7 @@
 //
 // Value-independence is what makes the type erasure exact: every engine
 // moves records by POSITION (RNG-keyed labels, swaps, offsets), never by
-// value, so permuting records as byte arrays of the same size -- or
+// value, so permuting records as byte structs of the same size -- or
 // gathering through the index permutation the same engine would produce
 // -- yields bit-for-bit the result of permuting the typed records
 // directly.
@@ -45,7 +46,7 @@
 #include "em/block_device.hpp"
 #include "obs/trace.hpp"
 #include "prp/cipher.hpp"
-#include "rng/philox.hpp"
+#include "rng/philox_batch.hpp"
 #include "rng/uniform.hpp"
 #include "seq/fisher_yates.hpp"
 #include "smp/engine.hpp"
@@ -110,15 +111,22 @@ struct backend_options {
 
 namespace detail {
 
+/// An N-byte record as a plain byte struct.  Not std::array: its swap is
+/// a byte-wise swap_ranges, where the struct's implicit copy moves as
+/// whole words.  Not uint64_t or a word-aligned struct either: the struct
+/// keeps alignment 1, so shuffle_raw accepts a caller's buffer at any
+/// address.
 template <std::size_t N>
-using record = std::array<unsigned char, N>;
+struct record {
+  unsigned char bytes[N];
+};
 
 /// Reconstitute a typed span from (pointer, elem_bytes) for the common
 /// record sizes; `fallback()` handles the rest.  Viewing a trivially
-/// copyable T through same-sized unsigned-char arrays is the standard
-/// type-erasure idiom: every element access is an unsigned char glvalue
-/// (which may alias anything), and the engines only ever swap/copy whole
-/// records.  Strictly, pointer arithmetic on the punned array type is
+/// copyable T through same-sized byte structs is the standard
+/// type-erasure idiom: every byte of a record is an unsigned char (which
+/// may alias anything), and the engines only ever swap/copy whole
+/// records.  Strictly, pointer arithmetic on the punned struct type is
 /// outside the letter of the aliasing rules; it is universally supported
 /// (allocator/storage-reuse code depends on it) and the alternative --
 /// memcpy through typed temporaries -- would forfeit the zero-copy span
@@ -220,7 +228,7 @@ class executor {
   }
 };
 
-/// seq::fisher_yates on the stream philox(seed, 0).
+/// seq::fisher_yates on the stream philox(seed, 0), drawn in batches.
 class sequential_executor final : public executor {
  public:
   [[nodiscard]] backend kind() const noexcept override { return backend::sequential; }
@@ -228,7 +236,7 @@ class sequential_executor final : public executor {
   void shuffle_raw(void* data, std::uint64_t n, std::uint32_t elem_bytes,
                    std::uint64_t seed) override {
     const obs::span sp("fisher-yates", "exec");
-    rng::philox4x64 e(seed, 0);
+    rng::batched_philox e(seed, 0);
     detail::with_record_span(
         data, n, elem_bytes, [&](auto span) { seq::fisher_yates(e, span); },
         [&] { detail::fisher_yates_raw(e, static_cast<unsigned char*>(data), n, elem_bytes); });
@@ -237,7 +245,7 @@ class sequential_executor final : public executor {
   void fill_random_permutation(std::span<std::uint64_t> out, std::uint64_t seed) override {
     const obs::span sp("fisher-yates", "exec");
     std::iota(out.begin(), out.end(), 0);
-    rng::philox4x64 e(seed, 0);
+    rng::batched_philox e(seed, 0);
     seq::fisher_yates(e, out);
   }
 };

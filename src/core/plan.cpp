@@ -12,7 +12,6 @@
 #include "core/registry.hpp"
 #include "obs/plan_feedback.hpp"
 #include "prp/cipher.hpp"
-#include "rng/philox.hpp"
 #include "rng/philox_batch.hpp"
 #include "rng/splitmix64.hpp"
 #include "seq/fisher_yates.hpp"
@@ -133,13 +132,14 @@ machine_profile machine_profile::calibrate(std::uint64_t small_n, std::uint64_t 
   // Sequential Fisher-Yates at a cache-resident size, a memory-bound
   // size, and a far (4x) size: the third point captures how the
   // random-access cost keeps growing past the last cache level, which the
-  // planner extrapolates for still-larger inputs.
+  // planner extrapolates for still-larger inputs.  It draws from the
+  // batched keystream, as every executor leaf does.
   const auto time_fy = [](std::uint64_t n, std::uint64_t seed, int reps) {
     std::vector<std::uint64_t> v(n);
     std::iota(v.begin(), v.end(), 0);
     double best = kInfeasible;
     for (int r = 0; r < reps; ++r) {
-      rng::philox4x64 e(seed, static_cast<std::uint64_t>(r));
+      rng::batched_philox e(seed, static_cast<std::uint64_t>(r));
       stopwatch sw;
       seq::fisher_yates(e, std::span<std::uint64_t>(v));
       best = std::min(best, sw.seconds());

@@ -63,7 +63,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rng/counting.hpp"
-#include "rng/philox.hpp"
 #include "rng/philox_batch.hpp"
 #include "rng/stream.hpp"
 #include "seq/fisher_yates.hpp"
@@ -191,10 +190,8 @@ class engine_state {
     // Level 0 means the whole input fit in memory: use the stream the
     // sequential backend uses, which gives backend::em == backend::sequential
     // whenever M >= n.
-    auto base = level == 0
-                    ? rng::philox4x64(seed_, 0)
-                    : rng::philox4x64(seed_, rng::nested_stream(level, ordinal, kLeafSalt));
-    rng::counting_engine<rng::philox4x64> e(base);
+    rng::counting_engine<rng::batched_philox> e(rng::batched_philox(
+        seed_, level == 0 ? 0 : rng::nested_stream(level, ordinal, kLeafSalt)));
     seq::fisher_yates(e, std::span<std::uint64_t>(mem));
     rng_words_.fetch_add(e.count(), std::memory_order_relaxed);
     main_.write_items(lo, mem);

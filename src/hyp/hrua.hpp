@@ -21,6 +21,7 @@
 #include "rng/engine.hpp"
 #include "rng/uniform.hpp"
 #include "util/assert.hpp"
+#include "util/lgamma.hpp"
 
 namespace cgp::hyp {
 
@@ -30,7 +31,7 @@ namespace detail {
 inline constexpr double kRouD1 = 1.7155277699214135;
 inline constexpr double kRouD2 = 0.8989161620588988;
 
-inline double log_fact(double x) noexcept { return std::lgamma(x + 1.0); }
+inline double log_fact(double x) noexcept { return util::log_gamma(x + 1.0); }
 }  // namespace detail
 
 /// Draw one variate of h(t,w,b) by ratio-of-uniforms rejection.

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "util/assert.hpp"
+#include "util/lgamma.hpp"
 
 namespace cgp::hyp {
 
@@ -39,9 +40,9 @@ double variance(const params& p) noexcept {
 double log_choose(std::uint64_t n, std::uint64_t k) noexcept {
   CGP_ASSERT_DBG(k <= n);
   if (k == 0 || k == n) return 0.0;
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return util::log_gamma(static_cast<double>(n) + 1.0) -
+         util::log_gamma(static_cast<double>(k) + 1.0) -
+         util::log_gamma(static_cast<double>(n - k) + 1.0);
 }
 
 double log_pmf(const params& p, std::uint64_t k) noexcept {

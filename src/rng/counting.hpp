@@ -21,7 +21,7 @@ class counting_engine {
   using result_type = std::uint64_t;
 
   counting_engine() = default;
-  explicit counting_engine(Engine engine) noexcept : engine_(std::move(engine)) {}
+  explicit counting_engine(const Engine& engine) noexcept : engine_(engine) {}
 
   result_type operator()() noexcept(noexcept(std::declval<Engine&>()())) {
     ++count_;

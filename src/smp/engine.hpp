@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "rng/philox_batch.hpp"
 #include "seq/fisher_yates.hpp"
 #include "smp/parallel_split.hpp"
 #include "smp/thread_pool.hpp"
@@ -77,7 +78,7 @@ void shuffle_subtree(std::span<T> data, std::span<T> scratch, std::uint64_t seed
     // (and two clock reads) on every cache-sized bucket of the hot path.
     std::optional<obs::span> leaf_sp;
     if (top) leaf_sp.emplace("leaf", "split");
-    auto e = detail::node_engine(seed, node, detail::kLeafSalt);
+    rng::batched_philox e(seed, detail::node_stream(node, detail::kLeafSalt, 0));
     seq::fisher_yates(e, data);
     return;
   }
@@ -128,7 +129,7 @@ class engine {
     static_assert(std::is_trivially_copyable_v<T>);
     if (data.size() < 2) return;
     if (data.size() <= opt_.cache_items) {
-      auto e = detail::node_engine(seed, kShuffleRoot, detail::kLeafSalt);
+      rng::batched_philox e(seed, detail::node_stream(kShuffleRoot, detail::kLeafSalt, 0));
       seq::fisher_yates(e, data);
       return;
     }

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <limits>
 
+#include "util/lgamma.hpp"
+
 namespace cgp::stats {
 
 namespace {
@@ -18,7 +20,7 @@ double gamma_p_series(double a, double x) noexcept {
     sum += del;
     if (std::fabs(del) < std::fabs(sum) * 1e-16) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - util::log_gamma(a));
 }
 
 // Continued fraction for Q(a,x) (modified Lentz): converges for x > a + 1.
@@ -40,7 +42,7 @@ double gamma_q_cf(double a, double x) noexcept {
     h *= del;
     if (std::fabs(del - 1.0) < 1e-16) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * std::log(x) - util::log_gamma(a));
 }
 
 }  // namespace

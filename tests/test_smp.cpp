@@ -6,12 +6,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
+#include "comm/transport.hpp"
 #include "core/backend.hpp"
 #include "rng/philox.hpp"
+#include "rng/splitmix64.hpp"
 #include "seq/fisher_yates.hpp"
 #include "smp/engine.hpp"
 #include "smp/parallel_split.hpp"
@@ -248,6 +251,96 @@ TEST(Backend, SequentialDispatchMatchesFisherYates) {
   std::vector<std::uint64_t> direct(1'000);
   seq::random_permutation(e, direct);
   EXPECT_EQ(via_dispatch, direct);
+}
+
+// FNV-1a over a byte range, chained into `h`.
+void chain_digest(std::uint64_t& h, const unsigned char* bytes, std::size_t len) {
+  for (std::size_t k = 0; k < len; ++k) {
+    h ^= bytes[k];
+    h *= 0x100000001B3ull;
+  }
+}
+
+// Shuffle n index-derived records of elem_bytes each through the executor
+// the dispatch builds, once at an aligned and once at an odd address;
+// both must agree byte for byte.  Chains the output into `h`.
+void shuffle_and_chain(std::uint64_t& h, const core::backend_options& opt, std::uint64_t n,
+                       std::uint32_t elem_bytes, std::uint64_t seed) {
+  const std::size_t len = static_cast<std::size_t>(n) * elem_bytes;
+  std::vector<std::uint64_t> aligned_store(len / 8 + 1);
+  std::vector<std::uint64_t> odd_store(len / 8 + 2);
+  auto* aligned = reinterpret_cast<unsigned char*>(aligned_store.data());
+  auto* odd = reinterpret_cast<unsigned char*>(odd_store.data()) + 1;
+  for (std::size_t k = 0; k < len; ++k) {
+    aligned[k] = odd[k] = static_cast<unsigned char>(rng::mix64(k / elem_bytes) >> (8 * (k % 8)));
+  }
+  core::make_executor(core::resolve_plan(n, elem_bytes, opt), opt)
+      ->shuffle_raw(aligned, n, elem_bytes, seed);
+  core::make_executor(core::resolve_plan(n, elem_bytes, opt), opt)
+      ->shuffle_raw(odd, n, elem_bytes, seed);
+  ASSERT_EQ(std::memcmp(aligned, odd, len), 0) << "n=" << n << " elem_bytes=" << elem_bytes;
+  chain_digest(h, aligned, len);
+}
+
+// Absolute output pins.  Every other bit-identity test is relative (smp ==
+// cgm, em == sequential, automatic == explicit, SIMD path A == path B), so
+// a change to a stream several backends share would move them together
+// and still pass.  These digests chain every output byte of each backend
+// over the typed, 3-byte fallback and >8-byte record paths, the cgm
+// root-leaf gather (n = 500 <= cache_items at p = 3), the em deep leaves,
+// and both hypergeometric samplers; they must never change.
+TEST(Backend, OutputDigestsArePinnedAtAlignedAndOddAddresses) {
+  comm::threaded_transport ranks(3);
+  core::backend_options seq_opt;
+  seq_opt.which = core::backend::sequential;
+  core::backend_options smp_opt;
+  smp_opt.which = core::backend::smp;
+  smp_opt.parallelism = 3;
+  smp_opt.smp_engine.cache_items = 512;
+  core::backend_options cgm_opt;
+  cgm_opt.which = core::backend::cgm;
+  cgm_opt.transport = &ranks;
+  cgm_opt.cgm_engine.engine.cache_items = 512;
+  core::backend_options em_opt;
+  em_opt.which = core::backend::em;
+  em_opt.parallelism = 3;
+  em_opt.em_engine.memory_items = 1024;
+  em_opt.em_block_items = 64;
+
+  const struct {
+    const char* name;
+    const core::backend_options* opt;
+    std::uint64_t digest;
+  } pins[] = {
+      {"seq", &seq_opt, 0x03AB16F52E0702A8ull},
+      {"smp", &smp_opt, 0xDB94DE8B05EC797Dull},
+      {"cgm", &cgm_opt, 0xDAFBB1BB1DC66EA2ull},
+      {"em", &em_opt, 0x76D7AE796E31F1A8ull},
+  };
+  for (const auto& pin : pins) {
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    for (const std::uint64_t n : {std::uint64_t{500}, std::uint64_t{20'011}}) {
+      for (const std::uint32_t elem_bytes : {1u, 3u, 8u, 12u, 16u, 24u}) {
+        shuffle_and_chain(h, *pin.opt, n, elem_bytes, 0xD16E57ull ^ (n << 8) ^ elem_bytes);
+      }
+    }
+    std::vector<std::uint64_t> pi(20'011);
+    core::make_executor(core::resolve_plan(pi.size(), 8, *pin.opt), *pin.opt)
+        ->fill_random_permutation(pi, 0xF111);
+    for (const std::uint64_t v : pi) {
+      unsigned char le[8];
+      for (unsigned k = 0; k < 8; ++k) le[k] = static_cast<unsigned char>(v >> (8 * k));
+      chain_digest(h, le, sizeof le);
+    }
+    if (pin.opt == &smp_opt) {
+      // Default engine options: at 2^20 items the root matrix draws HRUA.
+      core::backend_options big;
+      big.which = core::backend::smp;
+      big.parallelism = 3;
+      shuffle_and_chain(h, big, std::uint64_t{1} << 20, 8, 0xB16);
+    }
+    EXPECT_EQ(h, pin.digest) << pin.name << " digest 0x" << std::hex << h;
+  }
 }
 
 TEST(Backend, AllBackendsProduceValidPermutations) {
