@@ -6,20 +6,18 @@
 // the straight forward algorithm."
 //
 // In the I/O model the effect is dramatic rather than subtle: the
-// coarse-grained scan shuffle needs O((n/B) log_{M/B}(n/M)) block
+// coarse-grained out-of-core shuffle needs O((n/B) log_{M/B}(n/M)) block
 // transfers while the straightforward Fisher-Yates through a buffer pool
-// needs Theta(n).  Three engines are tabulated across n and (M, B):
+// needs Theta(n).  Two engines are tabulated across n and (M, B):
 //
-//   * naive -- Fisher-Yates through an LRU pool (Theta(n) transfers);
-//   * scan  -- the synchronous scatter (em/shuffle.hpp): stores bucket
-//     labels on a third device, ~5-6 transfers per block per level;
+//   * naive -- Fisher-Yates through an LRU pool (em/naive_shuffle.hpp,
+//     Theta(n) transfers);
 //   * async -- the out-of-core engine (em/async_shuffle.hpp): index-keyed
-//     labels need no label device at all and I/O overlaps compute, ~2-3
+//     labels need no label device and I/O overlaps compute, ~2-3
 //     transfers per block per pass.
 //
 // The speedup over naive must grow ~linearly in B (items per block) --
-// exactly the I/O-model gap the outlook predicts -- and async must beat
-// scan by a further constant factor.
+// exactly the I/O-model gap the outlook predicts.
 //
 // Output: the paper-style table on stdout plus machine-readable
 // BENCH_em.json records so the out-of-core perf trajectory is trackable
@@ -31,9 +29,9 @@
 #include <string>
 #include <vector>
 
-#include "em/block_device.hpp"
 #include "em/async_shuffle.hpp"
-#include "em/shuffle.hpp"
+#include "em/block_device.hpp"
+#include "em/naive_shuffle.hpp"
 #include "rng/philox.hpp"
 #include "smp/thread_pool.hpp"
 #include "util/json.hpp"
@@ -52,10 +50,10 @@ int main(int argc, char** argv) {
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_em.json";
 
   std::cout << "E12 (extension): external-memory shuffle -- async out-of-core engine\n"
-               "vs synchronous scan vs naive Fisher-Yates through an LRU pool\n\n";
+               "vs naive Fisher-Yates through an LRU pool\n\n";
 
-  table t({"n", "B (items)", "M (items)", "naive transfers", "scan transfers", "async transfers",
-           "async/block", "levels", "async vs naive", "async vs scan"});
+  table t({"n", "B (items)", "M (items)", "naive transfers", "async transfers", "async/block",
+           "levels", "async vs naive"});
 
   rng::philox4x64 e(0xE12, 0);
   // Pinned pool size: chunking follows pool.size(), and each chunk pays up
@@ -73,27 +71,20 @@ int main(int argc, char** argv) {
 
       em::block_device dev2(n, b);
       fill_iota(dev2, n);
-      const auto scan = em::em_shuffle(e, dev2, n, mem);
-
-      em::block_device dev3(n, b);
-      fill_iota(dev3, n);
       em::async_options opt;
       opt.memory_items = mem;
-      const auto async = em::async_em_shuffle(dev3, n, 0xE12 ^ n ^ b, pool, opt);
+      const auto async = em::async_em_shuffle(dev2, n, 0xE12 ^ n ^ b, pool, opt);
 
       const double vs_naive = static_cast<double>(naive.block_transfers) /
                               static_cast<double>(async.block_transfers);
-      const double vs_scan = static_cast<double>(scan.block_transfers) /
-                             static_cast<double>(async.block_transfers);
       t.add_row({fmt_count(n), std::to_string(b), fmt_count(mem), fmt_count(naive.block_transfers),
-                 fmt_count(scan.block_transfers), fmt_count(async.block_transfers),
+                 fmt_count(async.block_transfers),
                  fmt(static_cast<double>(async.block_transfers) / (static_cast<double>(n) / b), 1),
-                 std::to_string(async.levels), fmt(vs_naive, 1) + "x", fmt(vs_scan, 1) + "x"});
+                 std::to_string(async.levels), fmt(vs_naive, 1) + "x"});
 
       for (const auto& [engine, rep_transfers, rep_levels, rep_rng] :
            {std::tuple{"naive_em_fisher_yates", naive.block_transfers, naive.levels,
                        naive.rng_words},
-            std::tuple{"em_scan", scan.block_transfers, scan.levels, scan.rng_words},
             std::tuple{"em_async", async.block_transfers, async.levels, async.rng_words}}) {
         json_record rec;
         rec.add("bench", "e12_external_memory")
@@ -115,7 +106,6 @@ int main(int argc, char** argv) {
           .add("n", n)
           .add("block_items", b)
           .add("memory_items", mem)
-          .add("buffer_depth", opt.buffer_depth)
           .add("workers", static_cast<std::uint32_t>(pool.size()))
           .add("async_reads", async.async_reads)
           .add("async_writes", async.async_writes)
@@ -127,9 +117,9 @@ int main(int argc, char** argv) {
 
   std::cout << "\nShape checks: the async engine needs ~2-3 transfers per block per pass\n"
                "(no label device: labels are Philox functions of (seed, level, bucket,\n"
-               "index) and are recomputed, never stored), the synchronous scan ~5-6, the\n"
-               "naive baseline ~2 per ITEM once n >> M -- so async/naive grows ~linearly\n"
-               "with B, the I/O-model gap between Theta(n) and O((n/B) log_{M/B}(n/M)).\n";
+               "index) and are recomputed, never stored), the naive baseline ~2 per ITEM\n"
+               "once n >> M -- so async/naive grows ~linearly with B, the I/O-model gap\n"
+               "between Theta(n) and O((n/B) log_{M/B}(n/M)).\n";
   if (write_json_records(json_path, out)) {
     std::cout << "\nwrote " << out.size() << " records to " << json_path << "\n";
   }

@@ -55,7 +55,7 @@
 #include "cgm/distributed.hpp"   // IWYU pragma: export
 #include "em/async_shuffle.hpp"  // IWYU pragma: export
 #include "em/block_device.hpp"   // IWYU pragma: export
-#include "em/shuffle.hpp"        // IWYU pragma: export
+#include "em/naive_shuffle.hpp"  // IWYU pragma: export
 #include "prp/cipher.hpp"        // IWYU pragma: export
 #include "prp/shard.hpp"         // IWYU pragma: export
 #include "seq/blocked_shuffle.hpp"  // IWYU pragma: export

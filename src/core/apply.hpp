@@ -114,19 +114,6 @@ void for_each_pi_chunk(em::block_device& pi_dev, std::uint64_t n, std::uint64_t 
   }
 }
 
-/// dst[i] = src[pi[i]] with pi streamed off the device in O(chunk_items)
-/// slices.  src and dst must not alias.
-template <typename T>
-void gather_streamed(em::block_device& pi_dev, std::span<const T> src, std::span<T> dst,
-                     std::uint64_t chunk_items) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  CGP_EXPECTS(src.size() == dst.size());
-  for_each_pi_chunk(pi_dev, dst.size(), chunk_items, [&](std::uint64_t i, std::uint64_t pi_i) {
-    CGP_ASSERT(pi_i < src.size());
-    dst[static_cast<std::size_t>(i)] = src[static_cast<std::size_t>(pi_i)];
-  });
-}
-
 /// Device words per record of `elem_bytes` (records wider than a word
 /// occupy consecutive whole words, zero-padded).
 [[nodiscard]] constexpr std::uint64_t words_per_record(std::uint32_t elem_bytes) noexcept {

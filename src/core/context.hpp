@@ -63,10 +63,13 @@ struct context_options {
   std::uint64_t seed = 0xC0A2537E5EEDull;
   /// Measure the machine profile at construction (a few ms of probes)
   /// instead of using detected defaults -- what servers should do once.
+  /// Ignored when engine.profile is set.
   bool calibrate = false;
   /// Expert escape hatch: engine knobs (em geometry, smp/cgm/prp engine
   /// options) forwarded verbatim.  The curated fields above override
-  /// their counterparts in here.
+  /// their counterparts in here.  A set `engine.profile` is copied into
+  /// the context at construction and takes precedence over `calibrate`
+  /// and the shared profile (e.g. to pin plans in tests).
   core::backend_options engine{};
 };
 
@@ -74,8 +77,9 @@ class context {
  public:
   explicit context(context_options opt = {})
       : opt_(opt),
-        profile_(opt.calibrate ? core::machine_profile::calibrate()
-                               : core::shared_profile()),
+        profile_(opt.engine.profile != nullptr ? *opt.engine.profile
+                 : opt.calibrate               ? core::machine_profile::calibrate()
+                                               : core::shared_profile()),
         seed_(opt.seed) {}
 
   context(const context&) = delete;

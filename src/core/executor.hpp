@@ -77,7 +77,7 @@ struct backend_options {
   /// ignored for the smp backend, and the em backend runs its computation
   /// on the engine's pool.
   smp::engine* engine = nullptr;
-  /// Out-of-core engine knobs (em only): M, buffer depth, spill policy.
+  /// Out-of-core engine knob (em only): M, the memory in items.
   em::async_options em_engine{};
   /// Items per simulated device block, the B of the I/O model (em only).
   /// em_engine.memory_items must stay >= 4 * em_block_items.
@@ -385,7 +385,6 @@ struct em_exec_config {
 [[nodiscard]] inline em_exec_config resolve_em_config(const permutation_plan& plan,
                                                       const backend_options& opt) {
   em_exec_config cfg;
-  cfg.aopt = opt.em_engine;
   cfg.aopt.memory_items =
       plan.em_memory_items != 0 ? plan.em_memory_items : opt.em_engine.memory_items;
   cfg.block_items = plan.em_block_items != 0 ? plan.em_block_items : opt.em_block_items;
@@ -469,29 +468,22 @@ class em_executor final : public executor {
           // copy, at the price of Theta(n) random-read transfers for the
           // gather (see core/apply.hpp).
           auto* base = static_cast<unsigned char*>(data);
-          const std::uint64_t wpr = words_per_record(elem_bytes);
-          em::block_device payload_dev(n * wpr, block_items_);
-          em::block_device pi_dev(n, block_items_);
-          const std::uint64_t t0 = pi_dev.stats().transfers();
+          em::block_device payload_dev(n * words_per_record(elem_bytes), block_items_);
           {
             const obs::span sp("fill", "exec");
             write_records_streamed(payload_dev, base, n, elem_bytes, aopt_.memory_items);
-            fill_iota_streamed(pi_dev, n, aopt_.memory_items);
           }
-          const std::uint64_t t1 = pi_dev.stats().transfers();
           em::async_report rep;
-          {
-            const obs::span sp("shuffle", "exec");
-            rep = em::async_em_shuffle(pi_dev, n, seed, pool_, aopt_);
-          }
-          const std::uint64_t t2 = pi_dev.stats().transfers();
+          const auto pi_dev =
+              em_shuffled_identity_device(n, seed, {aopt_, block_items_, &pool_}, &rep);
+          const std::uint64_t t = pi_dev->stats().transfers();
           {
             const obs::span sp("readback", "exec");
-            gather_records_streamed(pi_dev, payload_dev, base, n, elem_bytes,
+            gather_records_streamed(*pi_dev, payload_dev, base, n, elem_bytes,
                                     aopt_.memory_items);
           }
-          rep.block_transfers += (t1 - t0) + (pi_dev.stats().transfers() - t2) +
-                                 payload_dev.stats().transfers();
+          rep.block_transfers +=
+              (pi_dev->stats().transfers() - t) + payload_dev.stats().transfers();
           if (report_out_ != nullptr) *report_out_ = rep;
         });
   }

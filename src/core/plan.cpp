@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/registry.hpp"
+#include "em/async_shuffle.hpp"
 #include "obs/plan_feedback.hpp"
 #include "prp/cipher.hpp"
 #include "rng/philox_batch.hpp"
@@ -31,9 +32,9 @@ std::uint32_t normalized_threads(std::uint32_t threads) {
 
 /// smp recursion depth: split until a bucket is at or below the leaf
 /// cutoff, fan-out 16 per level (smp::engine_options defaults).
-std::uint32_t smp_levels(std::uint64_t n, std::uint64_t leaf_items) {
-  if (n <= leaf_items || leaf_items == 0) return 0;
-  const double ratio = static_cast<double>(n) / static_cast<double>(leaf_items);
+std::uint32_t smp_levels(std::uint64_t n, std::uint64_t leaf_cutoff) {
+  if (n <= leaf_cutoff || leaf_cutoff == 0) return 0;
+  const double ratio = static_cast<double>(n) / static_cast<double>(leaf_cutoff);
   return static_cast<std::uint32_t>(std::ceil(std::log2(ratio) / 4.0));  // log_16
 }
 
@@ -61,18 +62,6 @@ double seq_ns_per_item(const machine_profile& prof, std::uint64_t bytes) {
   return std::clamp(ns, std::min(prof.seq_ns_miss, prof.seq_ns_far), 2.0 * prof.seq_ns_far);
 }
 
-/// The adaptive fan-out the async em engine derives from (M, B):
-/// pow2-floor(M/B - 2), clamped to [2, 256].  Must match
-/// em::detail_async::engine_state exactly so the plan's geometry predicts
-/// the engine's actual tree.
-std::uint32_t adaptive_fan_out(std::uint64_t memory_items, std::uint32_t block_items) {
-  const std::uint64_t ratio = memory_items / block_items;
-  const std::uint64_t k_raw = std::max<std::uint64_t>(2, ratio > 2 ? ratio - 2 : 2);
-  std::uint32_t fan = 2;
-  while (2ull * fan <= k_raw && fan < 256) fan *= 2;
-  return fan;
-}
-
 /// Pick the (M, B) device geometry from the byte budget.  Device items
 /// are u64 words; B defaults to the dispatch layer's 4096 and shrinks
 /// (power-of-two) under tight budgets to respect the engine's M >= 4B
@@ -84,7 +73,7 @@ void fill_em_geometry(permutation_plan& plan, std::uint64_t n, std::uint64_t bud
   m = std::max<std::uint64_t>(m, 4ull * b);
   plan.em_memory_items = m;
   plan.em_block_items = b;
-  plan.em_fan_out = adaptive_fan_out(m, b);
+  plan.em_fan_out = em::adaptive_fan_out(m, b);  // the engine's own rule
   if (n <= m) {
     plan.em_levels = 0;
   } else {

@@ -185,7 +185,7 @@ struct permutation_plan {
   // Out-of-core geometry (meaningful when chosen == backend::em).
   std::uint64_t em_memory_items = 0;  ///< M, in device items
   std::uint32_t em_block_items = 0;   ///< B, items per device block
-  std::uint32_t em_fan_out = 0;       ///< K = pow2-floor(M/B - 2), clamped to [2, 256]
+  std::uint32_t em_fan_out = 0;       ///< K = em::adaptive_fan_out(M, B), the engine's own rule
   std::uint32_t em_levels = 0;        ///< predicted distribution depth ceil(log_K(n/M))
 
   /// Echo of workload::accessed_fraction (the prp candidate's cost and

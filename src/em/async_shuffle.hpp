@@ -1,21 +1,26 @@
 // em/async_shuffle.hpp
 //
-// The out-of-core permutation engine: em/shuffle.hpp's coarse-grained
-// scatter decomposition, re-engineered so block I/O overlaps computation
-// instead of stalling on every transfer.  Three ideas carry the design:
+// The out-of-core permutation engine: the paper's coarse-grained split
+// run as distribution passes over a block device (n items, M items of
+// memory, B items per block), with block I/O overlapping computation
+// instead of stalling on every transfer.  Each level scatters its range
+// into K buckets by independent uniform labels (the Rao-Sandelius
+// argument gives exact uniformity) and recurses until a bucket fits in
+// memory, where it is Fisher-Yates'd: O((n/B) log_K(n/M)) block
+// transfers, the external-sorting bound with no comparison sort.  Three
+// ideas carry the design:
 //
 //  1. *Index-keyed labels.*  Every bucket label is drawn from a Philox
 //     stream keyed (seed, level, bucket) at counter position `index`, so
 //     the label of item i is a pure function of (seed, level, bucket, i).
 //     Consequences: the counting pass needs NO I/O at all (labels are
-//     recomputed, never stored -- the synchronous engine's entire label
-//     device and its two extra scan passes disappear), and any worker can
-//     jump to any index range of the stream in O(1)
-//     (rng::stream_engine_at), so label generation parallelizes without
-//     hand-off.
+//     recomputed, never stored, so no label device and no extra scan
+//     passes exist), and any worker can jump to any index range of the
+//     stream in O(1) (rng::stream_engine_at), so label generation
+//     parallelizes without hand-off.
 //  2. *Double-buffered asynchronous scatter.*  Data blocks are streamed
 //     through a depth-bounded async_io_queue (em/block_device.hpp): each
-//     worker keeps `buffer_depth` reads in flight ahead of the block it is
+//     worker keeps kReadAhead = 2 reads in flight ahead of the block it is
 //     scattering, and bucket output is staged in block-aligned buffers
 //     that are flushed through a second queue as fire-and-forget writes.
 //     Compute (label regeneration + scatter staging + leaf Fisher-Yates)
@@ -24,31 +29,28 @@
 //  3. *Deterministic parallel decomposition.*  The scatter is organized
 //     like smp/parallel_split.hpp: per-chunk label histograms and
 //     column-prefix offsets let every chunk write its slice of every
-//     bucket at a precomputed position, so the output is the one the
-//     sequential scan would produce -- bit-identical for ANY buffer depth,
-//     worker count, and chunking.  Partial boundary blocks are
-//     merge-written atomically by the device (write_items), so concurrent
-//     cursors sharing an edge block compose instead of clobbering.
+//     bucket at a precomputed position, so the output is the one a
+//     sequential scan would produce -- bit-identical for ANY worker count
+//     and chunking.  Partial boundary blocks are merge-written atomically
+//     by the device (write_items), so concurrent cursors sharing an edge
+//     block compose instead of clobbering.
 //
-// Spill policy: `adaptive` picks the fan-out from the device geometry
-// (K = M/B - 2, rounded down to a power of two -- the classical
-// external-distribution choice, fastest for a given machine), which makes
-// the recursion shape and hence the permutation a function of (M, B).
-// `fixed_fan_out` pins fan-out AND leaf cutoff in the options, so the
-// permutation depends only on (seed, n, fan_out, leaf_items): the same
-// seed reproduces the same permutation on machines with different memory
-// and block sizes, at the price of a possibly geometry-suboptimal tree.
+// The tree: fan-out K = adaptive_fan_out(M, B), i.e. M/B - 2 rounded down
+// to a power of two (the classical external-distribution choice), and
+// leaf cutoff M.  The recursion shape, and hence the permutation, is a
+// function of (seed, n, M, B); the planner (core/plan.cpp) predicts the
+// same tree from the same function.
 //
-// Backend-agreement contract: an input that fits in memory (n <= leaf
-// cutoff) is a single Fisher-Yates from the stream philox(seed, 0) --
-// exactly the engine core::backend::sequential uses -- so backend::em
-// with M >= n reproduces backend::sequential bit for bit.
+// Backend-agreement contract: an input that fits in memory (n <= M) is a
+// single Fisher-Yates from the stream philox(seed, 0) -- exactly the
+// engine core::backend::sequential uses -- so backend::em with M >= n
+// reproduces backend::sequential bit for bit.
 //
 // Memory budget (simulated, not enforced): one worker's scatter working
-// set is ~fan * B staged items + buffer_depth * B in-flight reads, which
-// the adaptive K = M/B - 2 keeps within M; with p pool workers the
-// aggregate is ~p * M (the I/O model's M is per scan process).  Leaves
-// materialize at most leaf_cut <= M items each.
+// set is ~K * B staged items + kReadAhead * B in-flight reads, which
+// K = M/B - 2 keeps within M; with p pool workers the aggregate is ~p * M
+// (the I/O model's M is per scan process).  Leaves materialize at most M
+// items each.
 #pragma once
 
 #include <algorithm>
@@ -71,20 +73,23 @@
 
 namespace cgp::em {
 
-/// How the distribution fan-out is chosen.
-enum class spill_policy : std::uint8_t {
-  adaptive,       ///< K = M/B - 2 (pow2-floored): geometry-tuned, output depends on (M, B)
-  fixed_fan_out,  ///< K = fan_out, leaf = leaf_items: output independent of (M, B)
-};
-
 /// Tuning for the async out-of-core engine.
 struct async_options {
   std::uint64_t memory_items = std::uint64_t{1} << 16;  ///< M, in items
-  std::uint32_t buffer_depth = 2;  ///< in-flight reads per worker (2 = double buffering)
-  spill_policy policy = spill_policy::adaptive;
-  std::uint32_t fan_out = 16;      ///< K under fixed_fan_out; power of two in [2, 256]
-  std::uint64_t leaf_items = 0;    ///< leaf cutoff; 0 = memory_items (must be <= M)
 };
+
+/// The distribution fan-out K for M = memory_items and B = block_items:
+/// M/B - 2 (at least 2), floored to a power of two in [2, 256].  The
+/// engine builds its tree with it and the planner (core/plan.cpp)
+/// predicts that tree with it.
+[[nodiscard]] constexpr std::uint32_t adaptive_fan_out(std::uint64_t memory_items,
+                                                       std::uint32_t block_items) noexcept {
+  const std::uint64_t ratio = memory_items / block_items;
+  const std::uint64_t k_raw = std::max<std::uint64_t>(2, ratio > 2 ? ratio - 2 : 2);
+  std::uint32_t fan = 2;
+  while (2ull * fan <= k_raw && fan < 256) fan *= 2;
+  return fan;
+}
 
 /// Outcome of an async external shuffle.
 struct async_report {
@@ -100,6 +105,9 @@ namespace detail_async {
 
 inline constexpr std::uint64_t kLabelSalt = 0x6C61'6265'6Cull;  // 'label'
 inline constexpr std::uint64_t kLeafSalt = 0x6C65'6166ull;      // 'leaf' (same as smp)
+/// Reads each worker keeps in flight ahead of the block it is scattering
+/// (2 = double buffering); the queues' depth is kReadAhead * workers.
+inline constexpr std::uint32_t kReadAhead = 2;
 
 /// Block-aligned staging cursor over an async write queue: buffers pushed
 /// items and emits the head partial slice once, then only whole aligned
@@ -107,7 +115,7 @@ inline constexpr std::uint64_t kLeafSalt = 0x6C65'6166ull;      // 'leaf' (same 
 /// for finish().  At most two RMW boundary transfers per cursor, and at
 /// most ~one block of items staged at a time (the emit threshold is one
 /// block, so a worker's fan_ cursors together hold ~fan * B items --
-/// within the K = M/B - 2 frame budget of the adaptive policy).
+/// within the K = M/B - 2 frame budget).
 class item_writer {
  public:
   item_writer(async_io_queue& q, std::uint64_t pos, std::uint32_t block_items)
@@ -149,25 +157,13 @@ class item_writer {
 class engine_state {
  public:
   engine_state(block_device& main, block_device& scratch, smp::thread_pool& pool,
-               std::uint64_t seed, const async_options& opt)
-      : main_(main), scratch_(scratch), pool_(pool), seed_(seed), opt_(opt) {
-    const std::uint32_t b = main.block_items();
-    CGP_EXPECTS(opt.memory_items >= 4ull * b);
-    if (opt_.policy == spill_policy::adaptive) {
-      const std::uint64_t k_raw =
-          std::max<std::uint64_t>(2, opt.memory_items / b > 2 ? opt.memory_items / b - 2 : 2);
-      fan_ = 2;
-      while (2ull * fan_ <= k_raw && fan_ < 256) fan_ *= 2;
-      leaf_cut_ = opt.memory_items;
-    } else {
-      CGP_EXPECTS(opt.fan_out >= 2 && opt.fan_out <= 256);
-      CGP_EXPECTS((opt.fan_out & (opt.fan_out - 1)) == 0);  // power of two
-      fan_ = opt.fan_out;
-      leaf_cut_ = opt.leaf_items == 0 ? opt.memory_items : opt.leaf_items;
-      CGP_EXPECTS(leaf_cut_ <= opt.memory_items);
-    }
-    leaf_cut_ = std::max<std::uint64_t>(leaf_cut_, 2);
-  }
+               std::uint64_t seed, std::uint64_t memory_items)
+      : main_(main),
+        scratch_(scratch),
+        pool_(pool),
+        seed_(seed),
+        fan_(adaptive_fan_out(memory_items, main.block_items())),
+        leaf_cut_(memory_items) {}
 
   void run(std::uint64_t n) { shuffle_range(main_, scratch_, 0, n, 0, 0); }
 
@@ -271,8 +267,8 @@ class engine_state {
     // --- scatter pass: prefetched reads, staged async writes -----------
     {
       const obs::span sp("scatter-level", "scatter");
-      async_io_queue read_q(cur, opt_.buffer_depth * pool_.size());
-      async_io_queue write_q(other, opt_.buffer_depth * pool_.size());
+      async_io_queue read_q(cur, kReadAhead * pool_.size());
+      async_io_queue write_q(other, kReadAhead * pool_.size());
       pool_.parallel_for(0, nchunks, [&](std::size_t c_lo, std::size_t c_hi) {
         for (std::size_t c = c_lo; c < c_hi; ++c) {
           const auto [blks, items] = chunk_bounds(c);
@@ -280,12 +276,12 @@ class engine_state {
           std::vector<item_writer> out;
           out.reserve(fan_);
           for (std::uint32_t j = 0; j < fan_; ++j) out.emplace_back(write_q, dest[c * fan_ + j], b);
-          // Keep up to buffer_depth reads in flight ahead of the block
+          // Keep up to kReadAhead reads in flight ahead of the block
           // currently being scattered.
           std::deque<std::future<std::vector<std::uint64_t>>> window;
           std::uint64_t next_blk = blks.first;
           for (std::uint64_t blk = blks.first; blk < blks.second; ++blk) {
-            while (next_blk < blks.second && window.size() < opt_.buffer_depth) {
+            while (next_blk < blks.second && window.size() < kReadAhead) {
               window.push_back(read_q.read_block(next_blk));
               ++next_blk;
             }
@@ -338,9 +334,8 @@ class engine_state {
   block_device& scratch_;
   smp::thread_pool& pool_;
   std::uint64_t seed_;
-  async_options opt_;
-  std::uint32_t fan_ = 2;
-  std::uint64_t leaf_cut_ = 2;
+  const std::uint32_t fan_;
+  const std::uint64_t leaf_cut_;
   async_report report_;
   std::atomic<std::uint64_t> rng_words_{0};
 };
@@ -351,19 +346,17 @@ class engine_state {
 /// block transfers with computation on `pool`.  Allocates one scratch
 /// device of the same geometry (the ping-pong scatter target), whose
 /// transfers are included in the report.  Deterministic in (seed, n,
-/// options-derived tree): independent of the pool size and of
-/// `buffer_depth`; under spill_policy::fixed_fan_out also independent of
-/// the device geometry (M, B).
+/// M, B): independent of the pool size.
 [[nodiscard]] inline async_report async_em_shuffle(block_device& dev, std::uint64_t n,
                                                    std::uint64_t seed, smp::thread_pool& pool,
                                                    const async_options& opt = {}) {
   CGP_EXPECTS(n <= dev.item_capacity());
-  CGP_EXPECTS(opt.buffer_depth >= 1);
+  CGP_EXPECTS(opt.memory_items >= 4ull * dev.block_items());
   // The ping-pong scratch inherits the main device's hugepage placement:
   // both sides of every scatter level should sit on the same page size.
   block_device scratch(dev.item_capacity(), dev.block_items(), dev.hugepage_backed());
   const std::uint64_t before = dev.stats().transfers() + scratch.stats().transfers();
-  detail_async::engine_state state(dev, scratch, pool, seed, opt);
+  detail_async::engine_state state(dev, scratch, pool, seed, opt.memory_items);
   state.run(n);
   async_report report = state.take_report();
   report.block_transfers = dev.stats().transfers() + scratch.stats().transfers() - before;

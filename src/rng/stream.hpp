@@ -32,9 +32,8 @@ namespace cgp::rng {
 /// Stream id for a node of a recursion tree addressed as (level, bucket
 /// ordinal within the level, role salt).  The out-of-core engine keys every
 /// draw by (seed, level, bucket, index) through this, which is what makes
-/// its output independent of buffer depth, worker count, and -- under a
-/// fixed spill policy -- of the (M, B) device geometry: the tree address of
-/// a draw never mentions any of them.
+/// its output independent of worker count and chunking: the tree address
+/// of a draw never mentions either.
 [[nodiscard]] constexpr std::uint64_t nested_stream(std::uint64_t level, std::uint64_t bucket,
                                                     std::uint64_t salt) noexcept {
   return mix64(mix64(level ^ salt) + bucket);

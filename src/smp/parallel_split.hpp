@@ -158,17 +158,6 @@ inline void split_chunk_labels_into(const split_plan& plan, std::uint64_t seed,
   seq::fisher_yates(engine, std::span<std::uint8_t>(label));
 }
 
-/// Returning convenience over split_chunk_labels_into (replay paths that
-/// need one chunk at a time, e.g. the distributed engine).
-[[nodiscard]] inline std::vector<std::uint8_t> split_chunk_labels(const split_plan& plan,
-                                                                  std::uint64_t seed,
-                                                                  std::uint64_t node,
-                                                                  std::uint32_t c) {
-  std::vector<std::uint8_t> label;
-  split_chunk_labels_into(plan, seed, node, c, label);
-  return label;
-}
-
 /// Split `data` into fan_out contiguous buckets, uniformly: after the call,
 /// bucket j occupies data[off[j] .. off[j+1]) where `off` is the returned
 /// offset vector (size K+1), the multiset of items is preserved, and --

@@ -22,7 +22,8 @@
 // identical plan/executor path a bare context uses: core::resolve_plan
 // (whose process-wide PLAN CACHE skips planner recomputation for
 // repeated request shapes) and core::make_executor, on the process-wide
-// cached machine profile (core::shared_profile()).
+// cached machine profile (core::shared_profile()) unless engine.profile
+// injects one.
 //
 // Determinism: job (client_id, ordinal) runs under
 // job_seed(server_seed, client_id, ordinal) -- `ordinal` counting that
@@ -61,7 +62,7 @@ struct server_options {
   std::uint64_t memory_budget_bytes = 0;  ///< per-job RAM budget; 0 = unconstrained
   std::uint64_t repetitions = 1;          ///< expected draws per shape (planner hint)
   bool calibrate = false;                 ///< measure the profile at startup
-  core::backend_options engine{};         ///< expert engine knobs, forwarded
+  core::backend_options engine{};         ///< expert engine knobs, forwarded (profile included)
 
   // --- scheduling + admission ------------------------------------------
   std::uint32_t scheduler_workers = 1;

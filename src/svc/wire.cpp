@@ -150,13 +150,28 @@ void wire_server::accept_loop() {
   for (;;) {
     net::socket_fd c = net::accept_tcp(listener_.fd.get());
     if (!c.valid()) return;  // listener shut down: stopping
+    // Reap the handlers that have returned since the last accept: each
+    // one still holds its thread's stack until it is joined.
+    std::vector<std::thread> done;
+    {
+      const std::lock_guard<std::mutex> lock(m_);
+      for (const std::uint64_t id : finished_) {
+        const auto it = conns_.find(id);
+        done.push_back(std::move(it->second));
+        conns_.erase(it);
+      }
+      finished_.clear();
+    }
+    for (auto& t : done) t.join();
+
     const std::lock_guard<std::mutex> lock(m_);
     if (stopping_) return;
     net::set_nodelay(c.get());
     const std::uint64_t id = next_conn_++;
     live_.emplace(id, c.get());
-    conns_.emplace_back(
-        [this, id, fd = std::move(c)]() mutable { serve(id, std::move(fd)); });
+    conns_.emplace(id, std::thread([this, id, fd = std::move(c)]() mutable {
+      serve(id, std::move(fd));
+    }));
     static obs::counter& accepted = obs::get_counter("svc.wire.connections");
     accepted.add();
   }
@@ -172,15 +187,13 @@ void wire_server::stop() {
   // then every connection handler blocked in a read.
   if (listener_.fd.valid()) ::shutdown(listener_.fd.get(), SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> to_join;
+  std::unordered_map<std::uint64_t, std::thread> to_join;
   {
     const std::lock_guard<std::mutex> lock(m_);
     for (const auto& [id, fd] : live_) ::shutdown(fd, SHUT_RDWR);
     to_join.swap(conns_);
   }
-  for (auto& t : to_join) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [id, t] : to_join) t.join();
   if (sampler_ != nullptr) sampler_->stop();
   srv_.close();
 }
@@ -344,6 +357,7 @@ void wire_server::serve(std::uint64_t conn_id, net::socket_fd fd) {
   }
   const std::lock_guard<std::mutex> lock(m_);
   live_.erase(conn_id);
+  finished_.push_back(conn_id);  // the acceptor (or stop) joins this thread
 }
 
 // ---------------------------------------------------------------------

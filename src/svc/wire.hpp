@@ -51,7 +51,10 @@
 //
 // Threading: the server runs one acceptor thread plus one handler thread
 // per connection (requests on one connection execute in order; concurrency
-// comes from concurrent connections feeding the shared scheduler).  A
+// comes from concurrent connections feeding the shared scheduler).  The
+// acceptor joins handlers whose connection has closed before it starts
+// the next one, so a long-lived server holds threads (and their stacks)
+// only for live connections; stop() joins the rest.  A
 // wire_client is NOT thread-safe -- one in-flight request per client; open
 // one client per thread.  Streams opened on a connection die with it.
 #pragma once
@@ -121,7 +124,8 @@ class wire_server {
   bool stopping_ = false;
   std::uint64_t next_conn_ = 1;
   std::unordered_map<std::uint64_t, int> live_;  ///< conn id -> raw fd (for stop)
-  std::vector<std::thread> conns_;
+  std::unordered_map<std::uint64_t, std::thread> conns_;  ///< conn id -> handler
+  std::vector<std::uint64_t> finished_;  ///< handlers that returned, not yet joined
   std::thread acceptor_;
 };
 

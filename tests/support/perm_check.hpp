@@ -11,8 +11,8 @@
 //    single-item position histograms, fixed-point and derangement moments
 //    (#fixed points is asymptotically Poisson(1), P[derangement] -> 1/e);
 //  * bit-reproducibility matrices -- a family of configurations (thread
-//    counts, buffer depths, device geometries) that must all produce the
-//    identical permutation for the same seed.
+//    counts, rank counts, transports) that must all produce the identical
+//    permutation for the same seed.
 //
 // Shuffle callbacks receive (span, rep) so both styles of suite fit: suites
 // that thread one engine through all reps capture it and ignore `rep`;
@@ -119,7 +119,7 @@ void expect_fixed_point_law(PermFn&& perm, int reps, double tol = 0.05) {
 
 /// Bit-reproducibility matrix: `run(i)` for i in [0, variants) must produce
 /// the identical permutation of iota (the variants differ in thread count,
-/// buffer depth, device geometry, ... -- never in the seed).
+/// rank count, transport, ... -- never in the seed).
 template <typename VariantFn>
 void expect_bit_identical(std::size_t variants, VariantFn&& run, const char* what) {
   std::vector<std::uint64_t> reference;

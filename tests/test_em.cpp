@@ -1,19 +1,16 @@
-// Tests for the external-memory substrate and the EM shuffle: device and
-// buffer-pool semantics, exact uniformity of the external shuffle on tiny
-// devices, content preservation at scale, and the I/O complexity
-// separation between the scan-based shuffle and the naive baseline.
+// Tests for the external-memory substrate and the naive external
+// baseline: device and buffer-pool semantics, and the Theta(n) transfer
+// cost of Fisher-Yates through a buffer pool once n >> M.  The
+// out-of-core engine itself is tested in tests/test_em_async.cpp.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <numeric>
 #include <vector>
 
 #include "em/block_device.hpp"
-#include "em/shuffle.hpp"
+#include "em/naive_shuffle.hpp"
 #include "rng/philox.hpp"
-#include "stats/chisq.hpp"
 #include "stats/lehmer.hpp"
-#include "support/perm_check.hpp"
 
 namespace {
 
@@ -76,56 +73,7 @@ TEST(BufferPool, SequentialScanCostsOneReadPerBlock) {
   EXPECT_EQ(pool.stats().cache_hits, 256u - 32u);
 }
 
-// --- EM shuffle: correctness -------------------------------------------------------
-
-TEST(EmShuffle, PreservesMultiset) {
-  rng::philox4x64 e(1, 0);
-  const std::uint64_t n = 1000;
-  em::block_device dev(n, 16);
-  for (std::uint64_t i = 0; i < n; ++i) dev.poke(i, i);
-  const auto rep = em::em_shuffle(e, dev, n, /*memory_items=*/128);
-  std::vector<std::uint64_t> out(n);
-  for (std::uint64_t i = 0; i < n; ++i) out[i] = dev.peek(i);
-  EXPECT_TRUE(stats::is_permutation_of_iota(out));
-  EXPECT_GE(rep.levels, 1u) << "must have actually recursed";
-}
-
-TEST(EmShuffle, InMemoryCaseIsOnePass) {
-  rng::philox4x64 e(2, 0);
-  const std::uint64_t n = 64;
-  em::block_device dev(n, 8);
-  for (std::uint64_t i = 0; i < n; ++i) dev.poke(i, i);
-  const auto rep = em::em_shuffle(e, dev, n, /*memory_items=*/n);
-  EXPECT_EQ(rep.levels, 0u);
-  EXPECT_EQ(rep.block_transfers, 16u);  // 8 reads + 8 writes
-}
-
-// Adapt the device-resident shuffle to the span-based support harness:
-// load the span onto a fresh device, shuffle, read it back.
-template <typename Engine>
-void em_shuffle_span(Engine& e, std::span<std::uint64_t> v, std::uint32_t block_items,
-                     std::uint64_t memory_items) {
-  em::block_device dev(v.size(), block_items);
-  for (std::uint64_t i = 0; i < v.size(); ++i) dev.poke(i, v[i]);
-  (void)em::em_shuffle(e, dev, v.size(), memory_items);
-  for (std::uint64_t i = 0; i < v.size(); ++i) v[i] = dev.peek(i);
-}
-
-TEST(EmShuffle, ExhaustiveUniformityOverS5OnTinyDevice) {
-  // 5 items, 2-item blocks, memory of 8 items: forces real scatter levels;
-  // chi-square over all 120 outcomes (shared harness).
-  rng::philox4x64 e(3, 0);
-  test_support::expect_uniform_over_sk(
-      [&](std::span<std::uint64_t> v, int) { em_shuffle_span(e, v, 2, 8); }, 5, 120 * 100);
-}
-
-TEST(EmShuffle, SingleItemPositionUniformAtDepth) {
-  // Track where item 0 of 64 lands under aggressive recursion.
-  rng::philox4x64 e(4, 0);
-  const auto res = test_support::position_uniformity_gof(
-      [&](std::span<std::uint64_t> v, int) { em_shuffle_span(e, v, 4, 16); }, 64, 16000);
-  EXPECT_GT(res.p_value, 1e-9);
-}
+// --- naive external shuffle ------------------------------------------------------
 
 TEST(NaiveEmShuffle, PreservesMultisetAndShuffles) {
   rng::philox4x64 e(5, 0);
@@ -139,61 +87,17 @@ TEST(NaiveEmShuffle, PreservesMultisetAndShuffles) {
   EXPECT_NE(out.front(), 0u);  // astronomically unlikely to be untouched
 }
 
-// --- EM shuffle: I/O complexity -----------------------------------------------------
-
-TEST(EmIo, ScanShuffleIsLinearInBlocksPerLevel) {
-  // transfers / (n/B) must stay ~constant per level: measure at two sizes
-  // with the same (M, B) and compare against the level count.
-  rng::philox4x64 e(6, 0);
-  const std::uint32_t b = 16;
-  const std::uint64_t mem = 256;
-
-  const auto run = [&](std::uint64_t n) {
-    em::block_device dev(n, b);
-    for (std::uint64_t i = 0; i < n; ++i) dev.poke(i, i);
-    return em::em_shuffle(e, dev, n, mem);
-  };
-  const auto r1 = run(4096);
-  const auto r2 = run(16384);
-  const double per_block_1 = static_cast<double>(r1.block_transfers) / (4096.0 / b);
-  const double per_block_2 = static_cast<double>(r2.block_transfers) / (16384.0 / b);
-  // One extra level costs ~5 transfers per block; levels grow by
-  // log_K(16384/4096) = log_8(4) < 1 extra level here.
-  EXPECT_LT(per_block_2, per_block_1 + 7.0);
-  EXPECT_GE(r2.levels, r1.levels);
-}
-
-TEST(EmIo, NaiveBaselinePaysPerItemOnceColdAndScanWinsBig) {
-  // The I/O-model gap grows with B; at B = 64 the separation is decisive
-  // (at tiny B the scan's per-level constant eats most of the win).
+TEST(EmIo, NaiveBaselinePaysPerItemOnceCold) {
+  // n >> M: almost every swap touches a cold block of the 16-frame pool,
+  // ~one transfer per item.
   rng::philox4x64 e(7, 0);
   const std::uint64_t n = 8192;
   const std::uint32_t b = 64;
-  const std::uint64_t mem = 16ull * b;  // 16 frames
 
-  em::block_device dev1(n, b);
-  for (std::uint64_t i = 0; i < n; ++i) dev1.poke(i, i);
-  const auto naive = em::naive_em_fisher_yates(e, dev1, n, 16);
-
-  em::block_device dev2(n, b);
-  for (std::uint64_t i = 0; i < n; ++i) dev2.poke(i, i);
-  const auto scan = em::em_shuffle(e, dev2, n, mem);
-
-  // Naive: ~one transfer per item (n >> M).  Scan: ~6 per block per level.
-  EXPECT_GT(naive.block_transfers, n / 2) << "cold pool must miss on most swaps";
-  EXPECT_LT(scan.block_transfers, naive.block_transfers / 4)
-      << "the coarse-grained shuffle must win by far";
-}
-
-TEST(EmIo, RngBudgetIsOnePerItemPlusLabels) {
-  // Scan shuffle: labels are packed many-per-word, plus 1 draw/item in the
-  // leaves => total well under 2n.
-  rng::philox4x64 e(8, 0);
-  const std::uint64_t n = 4096;
-  em::block_device dev(n, 16);
+  em::block_device dev(n, b);
   for (std::uint64_t i = 0; i < n; ++i) dev.poke(i, i);
-  const auto rep = em::em_shuffle(e, dev, n, 256);
-  EXPECT_LT(rep.rng_words, 2 * n);
+  const auto naive = em::naive_em_fisher_yates(e, dev, n, 16);
+  EXPECT_GT(naive.block_transfers, n / 2) << "cold pool must miss on most swaps";
 }
 
 }  // namespace

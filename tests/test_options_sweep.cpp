@@ -9,12 +9,13 @@
 #include <vector>
 
 #include "core/sample_matrix.hpp"
-#include "em/shuffle.hpp"
+#include "em/async_shuffle.hpp"
 #include "hyp/sample.hpp"
 #include "rng/counting.hpp"
 #include "rng/philox.hpp"
 #include "seq/blocked_shuffle.hpp"
 #include "seq/rao_sandelius.hpp"
+#include "smp/thread_pool.hpp"
 #include "stats/chisq.hpp"
 #include "stats/lehmer.hpp"
 
@@ -149,11 +150,13 @@ class EmGeometry
 TEST_P(EmGeometry, ShufflePreservesMultisetAtEveryGeometry) {
   const auto [b, m_blocks] = GetParam();
   const std::uint64_t mem = static_cast<std::uint64_t>(b) * m_blocks;
-  engine_t e(0x0E10 + b, m_blocks);
   const std::uint64_t n = 997;  // deliberately not a multiple of anything
   em::block_device dev(n, b);
   for (std::uint64_t i = 0; i < n; ++i) dev.poke(i, i);
-  const auto rep = em::em_shuffle(e, dev, n, mem);
+  smp::thread_pool pool(2);
+  em::async_options opt;
+  opt.memory_items = mem;
+  const auto rep = em::async_em_shuffle(dev, n, 0x0E10 + b + (m_blocks << 16), pool, opt);
   std::vector<std::uint64_t> out(n);
   for (std::uint64_t i = 0; i < n; ++i) out[i] = dev.peek(i);
   EXPECT_TRUE(stats::is_permutation_of_iota(out))

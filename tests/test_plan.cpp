@@ -2,8 +2,9 @@
 // (tiny -> sequential, RAM-resident mid -> smp, over-budget -> em),
 // bit-for-bit agreement of backend::automatic with the explicitly
 // selected backend, automatic plans resolving through the plan cache,
-// the streaming apply layer's bulk I/O and O(M) residency contract, and
-// the process-wide engine registry.
+// the em fan-out rule, a context planning under an injected profile, the
+// streaming apply layer's bulk I/O and O(M) residency contract, and the
+// process-wide engine registry.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,9 +14,11 @@
 
 #include "core/apply.hpp"
 #include "core/backend.hpp"
+#include "core/context.hpp"
 #include "core/executor.hpp"
 #include "core/plan.hpp"
 #include "core/registry.hpp"
+#include "em/async_shuffle.hpp"
 #include "em/block_device.hpp"
 #include "stats/lehmer.hpp"
 
@@ -217,6 +220,46 @@ TEST(BackendAutomatic, BackendNameCoversAuto) {
   EXPECT_STREQ(core::backend_name(core::backend::automatic), "auto");
 }
 
+TEST(Planner, AdaptiveFanOutPinsTheEmTree) {
+  // The one fan-out rule the em engine builds its tree with and the
+  // planner predicts it with: M/B - 2 (at least 2), floored to a power of
+  // two in [2, 256].
+  struct row {
+    std::uint64_t m;
+    std::uint32_t b;
+    std::uint32_t fan;
+  };
+  const row rows[] = {
+      {4, 1, 2},                            // M/B - 2 = 2: the smallest tree
+      {5, 1, 2},                            // 3 floors to 2
+      {6, 1, 4},                            // 4
+      {10, 1, 8},                           // 8
+      {1024, 64, 8},                        // 14 floors to 8
+      {std::uint64_t{1} << 16, 4096, 8},    // the default M at B = 4096
+      {257 * 16, 16, 128},                  // 255 floors to 128
+      {258 * 16, 16, 256},                  // 256
+      {std::uint64_t{1} << 21, 4096, 256},  // 510 caps at 256
+      {std::uint64_t{1} << 30, 16, 256},    // caps at 256
+  };
+  for (const row& r : rows) {
+    EXPECT_EQ(em::adaptive_fan_out(r.m, r.b), r.fan) << "M=" << r.m << " B=" << r.b;
+  }
+}
+
+// --- the context facade --------------------------------------------------------
+
+TEST(Context, InjectedProfileTakesPrecedence) {
+  // engine.profile wins over calibrate and the shared profile, so a
+  // context plans exactly like core::shuffle under the same profile.
+  const auto prof = test_profile();
+  cgp::context_options copt;
+  copt.calibrate = true;
+  copt.engine.profile = &prof;
+  const cgp::context ctx(copt);
+  EXPECT_EQ(ctx.profile().fingerprint(), prof.fingerprint());
+  EXPECT_EQ(ctx.plan_for(1'000'000, 8).chosen, core::backend::smp);
+}
+
 // --- streaming apply layer ---------------------------------------------------
 
 TEST(ApplyStreamed, FillIotaUsesBulkAccountedWrites) {
@@ -238,20 +281,6 @@ TEST(ApplyStreamed, PackedRoundTripPreservesNarrowRecords) {
   EXPECT_EQ(src, dst);
   EXPECT_GT(dev.stats().block_reads, 0u);
   EXPECT_GT(dev.stats().block_writes, 0u);
-}
-
-TEST(ApplyStreamed, GatherAppliesDevicePermutation) {
-  // pi on the device: reverse permutation; gather must produce src reversed.
-  const std::uint64_t n = 3000;
-  em::block_device pi_dev(n, 16);
-  std::vector<std::uint64_t> rev(n);
-  for (std::uint64_t i = 0; i < n; ++i) rev[i] = n - 1 - i;
-  pi_dev.write_items(0, rev);
-  std::vector<double> src(n);
-  for (std::uint64_t i = 0; i < n; ++i) src[i] = 0.5 * static_cast<double>(i);
-  std::vector<double> dst(n);
-  core::gather_streamed(pi_dev, std::span<const double>(src), std::span<double>(dst), 128);
-  for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(dst[i], src[n - 1 - i]);
 }
 
 TEST(EmApply, PayloadShuffleEqualsGatherThroughIndexPermutation) {

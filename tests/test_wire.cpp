@@ -3,12 +3,14 @@
 // (server_seed, client_id, ordinal) a local submission gets, replayable
 // against a bare context -- plus framing round-trips (empty / large
 // bodies), remote streams, metrics over the wire, concurrent client
-// connections, and the error surface (rejection after close, malformed
-// requests).
+// connections, handler threads released as connections close, and the
+// error surface (rejection after close, malformed requests).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -349,6 +351,10 @@ TEST(WireRpc, RemoteJobStitchesIntoOneTrace) {
   svc::wire_server ws(seeded_options());
   svc::wire_client cl("127.0.0.1", ws.port());
   (void)cl.fetch_permutation(41, 50'000);
+  // The server closes its wire.permutation span after the response is on
+  // the wire; stop() joins the handler, so the span is in the ring before
+  // tracing goes off.
+  ws.stop();
 
   obs::set_tracing(false);
 
@@ -399,6 +405,38 @@ TEST(WireRpc, UntracedClientsSendNoTraceAndNothingBreaks) {
   // flags stay 0 on the wire (old-client behavior); everything still works.
   const svc::permutation pi = cl.fetch_permutation(1, 10'000);
   EXPECT_TRUE(stats::is_permutation_of_iota(pi));
+}
+
+// VmSize of this process in MiB, from /proc/self/status.
+double vmsize_mib() {
+  std::ifstream f("/proc/self/status");
+  std::string key;
+  while (f >> key) {
+    if (key == "VmSize:") {
+      double kib = 0;
+      f >> kib;
+      return kib / 1024.0;
+    }
+    f.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+TEST(WireServer, ClosedConnectionsReleaseTheirHandlerThreads) {
+  // Every handler thread maps an 8 MiB stack until it is joined.  The
+  // acceptor reaps finished handlers, so 500 short sessions must leave
+  // the address space about where it started, not ~4 GiB larger.
+  svc::wire_server ws(seeded_options());
+  const auto session = [&] {
+    svc::wire_client cl("127.0.0.1", ws.port());
+    EXPECT_EQ(cl.fetch_permutation(1, 16).size(), 16u);
+  };
+  for (int i = 0; i < 20; ++i) session();  // warm the allocator and stack caches
+  const double before = vmsize_mib();
+  ASSERT_GT(before, 0.0) << "no VmSize in /proc/self/status";
+  for (int i = 0; i < 500; ++i) session();
+  const double grown = vmsize_mib() - before;
+  EXPECT_LT(grown, 256.0) << "VmSize grew " << grown << " MiB over 500 sessions";
 }
 
 TEST(WireRpc, ZeroLengthJobsRoundTrip) {
