@@ -23,7 +23,8 @@
 // Output: a table on stdout plus BENCH_cgm.json (one record per
 // (transport, p) plus one "aggregation" record: measured cgm/smp
 // seconds, ratios, the planner's predicted cgm seconds for a profile
-// describing p ranks, and the aggregator's frame counts).
+// describing p ranks, the socket rows' wire traffic per shuffle, and the
+// aggregator's frame counts).
 //
 // Usage: e16_transport [mode] [json_path]   mode: full (default) | small
 #include <algorithm>
@@ -82,10 +83,13 @@ int main(int argc, char** argv) {
     // The same engine over p TCP ranks on localhost (the socket/threaded
     // gap is the price of real framing + kernel round trips).
     comm::socket_transport str(p);
+    const comm::wire_counters before = str.wire();
     const double t_sock = best_of(reps, [&](std::uint64_t r) {
       std::iota(v.begin(), v.end(), 0);
       cgm::transport_shuffle(str, std::span<std::uint64_t>(v), 0xE16 + r, dopt);
     });
+    comm::wire_counters wc = str.wire();  // the timed reps' traffic, per shuffle below
+    wc -= before;
     if (!stats::is_permutation_of_iota(v)) {
       std::cerr << "INVALID permutation from socket cgm at p=" << p << "\n";
       return 1;
@@ -133,7 +137,9 @@ int main(int argc, char** argv) {
     if (!std::isinf(planned_cgm)) rec.add("planned_cgm_seconds", planned_cgm);
     out.push_back(std::move(rec));
 
-    const comm::wire_counters wc = str.wire();
+    const auto per_shuffle = [&](std::uint64_t total) {
+      return static_cast<double>(total) / static_cast<double>(reps);
+    };
     json_record srec;
     srec.add("bench", "e16_transport")
         .add("mode", mode)
@@ -144,9 +150,10 @@ int main(int argc, char** argv) {
         .add("smp_seconds", t_smp)
         .add("cgm_over_smp", t_sock / t_smp)
         .add("socket_over_threaded", t_sock / t_cgm)
-        .add("wire_messages", wc.messages)
-        .add("wire_frames", wc.frames)
-        .add("wire_bytes", wc.wire_bytes);
+        .add("wire_messages_per_shuffle", per_shuffle(wc.messages))
+        .add("wire_frames_per_shuffle", per_shuffle(wc.frames))
+        .add("wire_bytes_per_shuffle", per_shuffle(wc.wire_bytes))
+        .add("wire_bytes_per_item", per_shuffle(wc.wire_bytes) / static_cast<double>(n));
     if (!std::isinf(planned_cgm)) srec.add("planned_cgm_seconds", planned_cgm);
     out.push_back(std::move(srec));
   }

@@ -46,6 +46,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -76,13 +77,14 @@ inline constexpr std::uint32_t kTagGatherBase = 0xD158'0000;   // + node ordinal
 inline constexpr std::uint32_t kTagScatterBase = 0xD159'0000;  // + node ordinal
 
 /// An item in flight: its destination slot in the global index space plus
-/// its payload.  (A production transport would ship per-destination runs
-/// instead of (pos, value) pairs; the simulator-grade transports keep the
-/// wire format simple.)
+/// its payload.  No member initializers: staging arrays of these are
+/// written record by record and never zero-filled.  (Shipping
+/// per-destination runs instead of (pos, value) pairs would halve the
+/// wire bytes; the pair format is what the transports carry today.)
 template <typename T>
 struct routed {
-  std::uint64_t pos = 0;
-  T value{};
+  std::uint64_t pos;
+  T value;
 };
 
 /// A range of the global index space at a node of the recursion tree.
@@ -129,21 +131,21 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
     if (my_len > 0) ep.send_span(lead, dd::kTagRootGather, std::span<const T>(block));
     std::vector<comm::message> msgs = ep.exchange();
     if (r == lead) {
-      std::vector<T> all(static_cast<std::size_t>(n));
+      const auto all = std::make_unique_for_overwrite<T[]>(static_cast<std::size_t>(n));
       for (const auto& msg : msgs) {
         CGP_ASSERT(msg.tag == dd::kTagRootGather);
         const std::uint64_t src_lo = balanced_block_offset(n, p, msg.source);
         CGP_ASSERT(msg.payload.size() == balanced_block_size(n, p, msg.source) * sizeof(T));
-        std::memcpy(all.data() + src_lo, msg.payload.data(), msg.payload.size());
+        std::memcpy(all.get() + src_lo, msg.payload.data(), msg.payload.size());
       }
       rng::batched_philox e(seed, 0);
-      seq::fisher_yates(e, std::span<T>(all));
+      seq::fisher_yates(e, std::span<T>(all.get(), static_cast<std::size_t>(n)));
       for (std::uint32_t o = 0; o < p; ++o) {
         const std::uint64_t o_lo = balanced_block_offset(n, p, o);
         const std::uint64_t o_len = balanced_block_size(n, p, o);
         if (o_len == 0) continue;
         ep.send_span(o, dd::kTagRootScatter,
-                     std::span<const T>(all.data() + o_lo, static_cast<std::size_t>(o_len)));
+                     std::span<const T>(all.get() + o_lo, static_cast<std::size_t>(o_len)));
       }
     }
     msgs = ep.exchange();
@@ -160,7 +162,11 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
   // shapes only the communication pattern, never the output.
   const std::uint64_t gather_cut = std::max<std::uint64_t>(leaf, (n + p - 1) / p);
 
-  std::vector<T> scratch(block.size());
+  // Rank d owns the global slots [bounds[d], bounds[d + 1]).
+  std::vector<std::uint64_t> bounds(p + 1);
+  for (std::uint32_t d = 0; d <= p; ++d) bounds[d] = balanced_block_offset(n, p, d);
+
+  const auto scratch = std::make_unique_for_overwrite<T[]>(block.size());
   smp::split_options sopt;
   sopt.fan_out = opt.engine.fan_out;
   sopt.sampling = opt.engine.sampling;
@@ -178,7 +184,43 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
     // destination slot.  Label streams are replayed per overlapping chunk
     // (cursor state needs the chunk's full prefix, so boundary chunks
     // replay from their start -- O(len/K) extra work at worst).
-    std::vector<std::vector<dd::routed<T>>> out(p);
+    //
+    // The slots of (chunk c, label j) are the contiguous run
+    // [dest(c, j), dest(c, j) + a(c, j)), so a label's owner changes only
+    // where its cursor crosses a rank-block end.  Each destination's
+    // staging is sized up front from those runs (a boundary chunk counts
+    // whole, so the size is an upper bound) and written through a cursor.
+    std::vector<std::uint64_t> stage_at(p + 1, 0);  // stage_at[d + 1]: records for rank d
+    for (std::size_t ni = 0; ni < level.size(); ++ni) {
+      const auto& nd = level[ni];
+      const auto& plan = plans[ni];
+      const std::uint64_t a = std::max(nd.lo, my_lo);
+      const std::uint64_t b = std::min(nd.lo + nd.len, my_lo + my_len);
+      if (a >= b) continue;
+      for (std::uint32_t c = 0; c < plan.k; ++c) {
+        const std::uint64_t c_lo = nd.lo + balanced_block_offset(nd.len, plan.k, c);
+        if (c_lo + plan.margins[c] <= a) continue;
+        if (c_lo >= b) break;
+        for (std::uint32_t j = 0; j < plan.k; ++j) {
+          std::uint64_t lo = nd.lo + plan.dest[static_cast<std::size_t>(c) * plan.k + j];
+          const std::uint64_t hi = lo + plan.a(c, j);
+          if (lo == hi) continue;
+          for (std::uint32_t d = owner(lo); lo < hi; ++d) {
+            const std::uint64_t e = std::min(hi, bounds[d + 1]);
+            stage_at[d + 1] += e - lo;
+            lo = e;
+          }
+        }
+      }
+    }
+    inclusive_prefix_sum(std::span<const std::uint64_t>(stage_at).subspan(1),
+                         std::span<std::uint64_t>(stage_at).subspan(1));
+    // stage_at[d] .. stage_at[d + 1] is destination d's region; `fill`
+    // is its write cursor.
+    const auto stage =
+        std::make_unique_for_overwrite<dd::routed<T>[]>(static_cast<std::size_t>(stage_at[p]));
+    std::vector<std::uint64_t> fill(stage_at.begin(), stage_at.end() - 1);
+
     std::vector<std::uint8_t> labels;  // reused across chunks and nodes
     for (std::size_t ni = 0; ni < level.size(); ++ni) {
       const auto& nd = level[ni];
@@ -186,7 +228,9 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
       const std::uint64_t a = std::max(nd.lo, my_lo);
       const std::uint64_t b = std::min(nd.lo + nd.len, my_lo + my_len);
       if (a >= b) continue;
-      std::vector<std::uint64_t> cursor(plan.k);
+      std::vector<std::uint64_t> cursor(plan.k);  // global slot of label j's next item
+      std::vector<std::uint32_t> to(plan.k);      // rank owning that slot
+      std::vector<std::uint64_t> to_end(plan.k);  // end of that rank's block
       for (std::uint32_t c = 0; c < plan.k; ++c) {
         const std::uint64_t c_lo = nd.lo + balanced_block_offset(nd.len, plan.k, c);
         const std::uint64_t c_len = plan.margins[c];
@@ -194,29 +238,54 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
         if (c_lo >= b) break;
         smp::split_chunk_labels_into(plan, seed, nd.node, c, labels);
         for (std::uint32_t j = 0; j < plan.k; ++j)
-          cursor[j] = plan.dest[static_cast<std::size_t>(c) * plan.k + j];
-        for (std::uint64_t i = 0; i < c_len; ++i) {
-          const std::uint64_t slot = cursor[labels[static_cast<std::size_t>(i)]]++;
-          const std::uint64_t g = c_lo + i;  // current position of the item
-          if (g < a || g >= b) continue;     // replay only: not my item
-          dd::routed<T> rec{};
-          rec.pos = nd.lo + slot;
-          rec.value = block[static_cast<std::size_t>(g - my_lo)];
-          out[owner(rec.pos)].push_back(rec);
+          cursor[j] = nd.lo + plan.dest[static_cast<std::size_t>(c) * plan.k + j];
+        // Items of the chunk before my block: replay only.
+        const std::uint64_t i0 = std::max(a, c_lo) - c_lo;
+        const std::uint64_t i1 = std::min(b, c_lo + c_len) - c_lo;
+        for (std::uint64_t i = 0; i < i0; ++i) ++cursor[labels[static_cast<std::size_t>(i)]];
+        for (std::uint32_t j = 0; j < plan.k; ++j) {
+          // A label with no items left may sit at slot n (the end of the
+          // last bucket), which no rank owns.
+          to[j] = cursor[j] < n ? owner(cursor[j]) : p - 1;
+          to_end[j] = bounds[to[j] + 1];
+        }
+        const T* src = block.data() + (c_lo + i0 - my_lo);
+        for (std::uint64_t i = i0; i < i1; ++i) {
+          const std::uint8_t j = labels[static_cast<std::size_t>(i)];
+          const std::uint64_t slot = cursor[j]++;
+          while (slot >= to_end[j]) to_end[j] = bounds[++to[j] + 1];  // skips empty blocks
+          dd::routed<T>& rec = stage[fill[to[j]]++];
+          rec.pos = slot;
+          rec.value = *src++;
         }
       }
     }
-    for (std::uint32_t d = 0; d < p; ++d) {
-      ep.send_span(d, dd::kTagMove, std::span<const dd::routed<T>>(out[d]));
-    }
-    for (const auto& msg : ep.exchange()) {
-      CGP_ASSERT(msg.tag == dd::kTagMove);
-      const std::vector<dd::routed<T>> recs = msg.template as<dd::routed<T>>();
-      for (const auto& rec : recs) {
+    for (std::uint32_t d = 0; d < p; ++d) CGP_ASSERT(fill[d] <= stage_at[d + 1]);
+
+    // Records for this rank are placed after the exchange, never posted to
+    // self; everything else arrives as (pos, value) records and is read
+    // straight out of the payload.
+    const auto place = [&](const std::byte* recs, std::size_t count) {
+      for (std::size_t i = 0; i < count; ++i) {
+        dd::routed<T> rec;
+        std::memcpy(&rec, recs + i * sizeof(rec), sizeof(rec));
         CGP_ASSERT(rec.pos >= my_lo && rec.pos < my_lo + my_len);
         block[static_cast<std::size_t>(rec.pos - my_lo)] = rec.value;
       }
+    };
+    for (std::uint32_t d = 0; d < p; ++d) {
+      if (d == r) continue;
+      ep.send_span(d, dd::kTagMove,
+                   std::span<const dd::routed<T>>(
+                       stage.get() + stage_at[d], static_cast<std::size_t>(fill[d] - stage_at[d])));
     }
+    for (const auto& msg : ep.exchange()) {
+      CGP_ASSERT(msg.tag == dd::kTagMove);
+      CGP_ASSERT(msg.payload.size() % sizeof(dd::routed<T>) == 0);
+      place(msg.payload.data(), msg.payload.size() / sizeof(dd::routed<T>));
+    }
+    place(reinterpret_cast<const std::byte*>(stage.get() + stage_at[r]),
+          static_cast<std::size_t>(fill[r] - stage_at[r]));
 
     // ---- classify the children ----------------------------------------
     std::vector<dd::dist_node> next;
@@ -234,8 +303,7 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
             smp::shuffle_subtree(
                 block.subspan(static_cast<std::size_t>(ch.lo - my_lo),
                               static_cast<std::size_t>(ch.len)),
-                std::span<T>(scratch).subspan(static_cast<std::size_t>(ch.lo - my_lo),
-                                              static_cast<std::size_t>(ch.len)),
+                std::span<T>(scratch.get() + (ch.lo - my_lo), static_cast<std::size_t>(ch.len)),
                 seed, ch.node, opt.engine, nullptr, false);
           }
         } else if (ch.len <= gather_cut) {
@@ -266,7 +334,7 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
       for (std::size_t gi = 0; gi < gathered.size(); ++gi) {
         const auto& g = gathered[gi];
         if (owner(g.lo) != r) continue;
-        std::vector<T> buf(static_cast<std::size_t>(g.len));
+        const auto buf = std::make_unique_for_overwrite<T[]>(static_cast<std::size_t>(g.len));
         for (const auto& msg : msgs) {
           if (msg.tag != dd::kTagGatherBase + static_cast<std::uint32_t>(gi)) continue;
           const std::uint64_t src_lo = balanced_block_offset(n, p, msg.source);
@@ -274,11 +342,12 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
           const std::uint64_t a = std::max(g.lo, src_lo);
           CGP_ASSERT(msg.payload.size() ==
                      (std::min(g.lo + g.len, src_lo + src_len) - a) * sizeof(T));
-          std::memcpy(buf.data() + (a - g.lo), msg.payload.data(), msg.payload.size());
+          std::memcpy(buf.get() + (a - g.lo), msg.payload.data(), msg.payload.size());
         }
-        std::vector<T> scr(buf.size());
-        smp::shuffle_subtree(std::span<T>(buf), std::span<T>(scr), seed, g.node, opt.engine,
-                             nullptr, false);
+        const auto scr = std::make_unique_for_overwrite<T[]>(static_cast<std::size_t>(g.len));
+        smp::shuffle_subtree(std::span<T>(buf.get(), static_cast<std::size_t>(g.len)),
+                             std::span<T>(scr.get(), static_cast<std::size_t>(g.len)), seed,
+                             g.node, opt.engine, nullptr, false);
         for (std::uint32_t o = owner(g.lo); o <= owner(g.lo + g.len - 1); ++o) {
           const std::uint64_t o_lo = balanced_block_offset(n, p, o);
           const std::uint64_t o_len = balanced_block_size(n, p, o);
@@ -286,7 +355,7 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
           const std::uint64_t b = std::min(g.lo + g.len, o_lo + o_len);
           if (a >= b) continue;
           ep.send_span(o, dd::kTagScatterBase + static_cast<std::uint32_t>(gi),
-                       std::span<const T>(buf.data() + (a - g.lo),
+                       std::span<const T>(buf.get() + (a - g.lo),
                                           static_cast<std::size_t>(b - a)));
         }
       }

@@ -3,18 +3,21 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <thread>
+#include <future>
+#include <memory>
 #include <type_traits>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "smp/thread_pool.hpp"
 
 namespace cgp::comm {
 
@@ -98,6 +101,58 @@ static_assert(std::is_trivially_copyable_v<frame_trace_ext>);
   std::abort();
 }
 
+/// A growable byte array that never zero-fills (std::vector<std::byte>
+/// value-initializes every byte a resize adds).  Capacity only grows: a
+/// buffer keeps its high-water mark until the transport is destroyed.
+class byte_buffer {
+ public:
+  [[nodiscard]] std::byte* data() noexcept { return data_.get(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
+  void clear() noexcept { size_ = 0; }
+
+  /// Set the size to `n` bytes; bytes past the old size are uninitialized.
+  void resize(std::size_t n) {
+    reserve(n);
+    size_ = n;
+  }
+
+  /// Append `n` uninitialized bytes and return where they start.
+  std::byte* grow(std::size_t n) {
+    const std::size_t at = size_;
+    resize(size_ + n);
+    return data_.get() + at;
+  }
+
+  /// Room for `n` bytes in total, keeping the contents; reallocates only
+  /// to grow.
+  void reserve(std::size_t n) {
+    if (n <= cap_) return;
+    const std::size_t cap = std::max(n, 2 * cap_);
+    auto bigger = std::make_unique_for_overwrite<std::byte[]>(cap);
+    if (size_ != 0) std::memcpy(bigger.get(), data_.get(), size_);
+    data_ = std::move(bigger);
+    cap_ = cap;
+  }
+
+ private:
+  std::unique_ptr<std::byte[]> data_;
+  std::size_t size_ = 0;
+  std::size_t cap_ = 0;
+};
+
+/// Bytes kept free at the front of an aggregation buffer, so a cut frame's
+/// header (and trace extension) lands in place before its records.
+constexpr std::size_t kFrameRoom = sizeof(frame_header) + sizeof(frame_trace_ext);
+
+}  // namespace
+
+namespace detail {
+
+/// One rank's side of the mesh.  It lives as long as the transport: its
+/// buffers keep their high-water capacity across runs, and `reset` starts
+/// each run at superstep 0 (no frame is in flight between runs, so the
+/// outgoing and incoming queues are already drained).
 class socket_endpoint final : public endpoint {
  public:
   socket_endpoint(std::uint32_t rank, std::uint32_t ranks, std::vector<net::socket_fd>& conn,
@@ -113,7 +168,25 @@ class socket_endpoint final : public endpoint {
         cur_(ranks),
         next_(ranks),
         fin_cur_(ranks, 0),
-        fin_next_(ranks, 0) {}
+        fin_next_(ranks, 0) {
+    reset();
+  }
+  socket_endpoint(const socket_endpoint&) = delete;
+  socket_endpoint& operator=(const socket_endpoint&) = delete;
+
+  /// Start a program: superstep 0, no FIN seen, nothing staged.  Sends a
+  /// previous program posted after its last exchange are dropped, as a
+  /// fresh endpoint would drop them.
+  void reset() {
+    step_ = 0;
+    std::fill(fin_cur_.begin(), fin_cur_.end(), 0);
+    std::fill(fin_next_.begin(), fin_next_.end(), 0);
+    self_.clear();
+    for (agg_buf& a : agg_) {
+      a.frame.resize(kFrameRoom);
+      a.count = 0;
+    }
+  }
 
   [[nodiscard]] std::uint32_t rank() const noexcept override { return rank_; }
   [[nodiscard]] std::uint32_t size() const noexcept override { return ranks_; }
@@ -133,16 +206,13 @@ class socket_endpoint final : public endpoint {
       return;
     }
     agg_buf& a = agg_[dest];
-    const std::size_t off = a.body.size();
-    a.body.resize(off + kRecordHeader + bytes.size());
+    std::byte* rec = a.frame.grow(kRecordHeader + bytes.size());
     const auto len = static_cast<std::uint32_t>(bytes.size());
-    std::memcpy(a.body.data() + off, &tag, sizeof(tag));
-    std::memcpy(a.body.data() + off + 4, &len, sizeof(len));
-    if (!bytes.empty()) {
-      std::memcpy(a.body.data() + off + kRecordHeader, bytes.data(), bytes.size());
-    }
+    std::memcpy(rec, &tag, sizeof(tag));
+    std::memcpy(rec + 4, &len, sizeof(len));
+    if (!bytes.empty()) std::memcpy(rec + kRecordHeader, bytes.data(), bytes.size());
     ++a.count;
-    if (a.body.size() >= opt_.aggregation_bytes) {  // always true at 0: frame per send
+    if (a.frame.size() - kFrameRoom >= opt_.aggregation_bytes) {  // always at 0: frame per send
       cut_frame(dest, 0, /*by_size=*/true);
       pump_write(dest);  // opportunistic: overlap communication with posting
     }
@@ -171,8 +241,7 @@ class socket_endpoint final : public endpoint {
     // the current step's opening state.
     ++step_;
     for (std::uint32_t p = 0; p < ranks_; ++p) {
-      cur_[p] = std::move(next_[p]);
-      next_[p].clear();
+      std::swap(cur_[p], next_[p]);
       fin_cur_[p] = fin_next_[p];
       fin_next_[p] = 0;
     }
@@ -181,20 +250,22 @@ class socket_endpoint final : public endpoint {
 
  private:
   struct agg_buf {
-    std::vector<std::byte> body;  // concatenated records
+    byte_buffer frame;  // kFrameRoom free bytes, then the concatenated records
     std::uint32_t count = 0;
   };
   struct byte_queue {
-    std::vector<std::byte> buf;
+    byte_buffer buf;
     std::size_t head = 0;  // bytes before `head` are consumed
   };
 
   /// Seal the aggregation buffer of `dest` into one wire frame on its
-  /// outgoing queue.
+  /// outgoing queue.  The header is written into the room kept in front of
+  /// the records; a drained queue takes the whole buffer without a copy.
   void cut_frame(std::uint32_t dest, std::uint32_t flags, bool by_size) {
     agg_buf& a = agg_[dest];
     if (a.count == 0 && flags == 0) return;  // nothing staged, no barrier to signal
-    CGP_ASSERT(a.body.size() <= UINT32_MAX);
+    const std::size_t body = a.frame.size() - kFrameRoom;
+    CGP_ASSERT(body <= UINT32_MAX);
     const obs::trace_context tc = obs::current_trace();
     const bool traced = obs::tracing() && tc.trace_id != 0;
     frame_header h;
@@ -202,28 +273,31 @@ class socket_endpoint final : public endpoint {
     h.superstep = step_;
     h.flags = flags | (traced ? kFlagTrace : 0);
     h.message_count = a.count;
-    h.body_bytes = static_cast<std::uint32_t>(a.body.size());
+    h.body_bytes = static_cast<std::uint32_t>(body);
     frame_trace_ext ext;
     ext.trace_id = tc.trace_id;
     ext.span_id = tc.span_id;
     const std::size_t ext_len = traced ? sizeof(ext) : 0;
+    const std::size_t start = kFrameRoom - sizeof(h) - ext_len;
+    std::memcpy(a.frame.data() + start, &h, sizeof(h));
+    if (traced) std::memcpy(a.frame.data() + start + sizeof(h), &ext, sizeof(ext));
+    const std::size_t frame_len = sizeof(h) + ext_len + body;
     byte_queue& o = out_[dest];
-    const std::size_t off = o.buf.size();
-    o.buf.resize(off + sizeof(h) + ext_len + a.body.size());
-    std::memcpy(o.buf.data() + off, &h, sizeof(h));
-    if (traced) std::memcpy(o.buf.data() + off + sizeof(h), &ext, sizeof(ext));
-    if (!a.body.empty()) {
-      std::memcpy(o.buf.data() + off + sizeof(h) + ext_len, a.body.data(), a.body.size());
+    if (o.head == o.buf.size()) {
+      std::swap(o.buf, a.frame);
+      o.head = start;
+    } else {
+      std::memcpy(o.buf.grow(frame_len), a.frame.data() + start, frame_len);
     }
+    a.frame.resize(kFrameRoom);
+    a.count = 0;
     sc_.frames.fetch_add(1, std::memory_order_relaxed);
-    sc_.wire_bytes.fetch_add(sizeof(h) + ext_len + a.body.size(), std::memory_order_relaxed);
+    sc_.wire_bytes.fetch_add(frame_len, std::memory_order_relaxed);
     (by_size ? sc_.flushes_size : sc_.flushes_sync).fetch_add(1, std::memory_order_relaxed);
     static obs::counter& frames = obs::get_counter("comm.socket.frames");
     static obs::counter& wire_bytes = obs::get_counter("comm.socket.wire_bytes");
     frames.add();
-    wire_bytes.add(sizeof(h) + ext_len + a.body.size());
-    a.body.clear();
-    a.count = 0;
+    wire_bytes.add(frame_len);
   }
 
   /// Drain `out_[peer]` into the (nonblocking) socket as far as the
@@ -247,22 +321,37 @@ class socket_endpoint final : public endpoint {
   }
 
   /// Pull whatever the socket has into the parse buffer and consume every
-  /// complete frame.
+  /// complete frame.  Once a frame's header is in hand, the buffer is
+  /// sized for the rest of that frame before the next read, so a frame
+  /// never grows its storage twice.
   void pump_read(std::uint32_t peer) {
     constexpr std::size_t kChunk = 64 * 1024;
     byte_queue& iq = in_[peer];
     const int fd = conn_[peer].get();
     for (;;) {
-      const std::size_t old = iq.buf.size();
-      iq.buf.resize(old + kChunk);
-      const ssize_t n = ::recv(fd, iq.buf.data() + old, kChunk, 0);
+      std::size_t want = kChunk;
+      const std::size_t held = iq.buf.size() - iq.head;
+      if (held >= sizeof(frame_header)) {
+        frame_header h;  // parse_frames already validated it
+        std::memcpy(&h, iq.buf.data() + iq.head, sizeof(h));
+        const std::size_t ext_len = (h.flags & kFlagTrace) != 0 ? sizeof(frame_trace_ext) : 0;
+        want = std::max(want, sizeof(h) + ext_len + h.body_bytes - held);
+      }
+      if (iq.buf.capacity() - iq.buf.size() < want && iq.head != 0) {
+        // Move the unparsed tail to the front before growing.
+        std::memmove(iq.buf.data(), iq.buf.data() + iq.head, held);
+        iq.buf.resize(held);
+        iq.head = 0;
+      }
+      iq.buf.reserve(iq.buf.size() + want);
+      const std::size_t room = iq.buf.capacity() - iq.buf.size();
+      const ssize_t n = ::recv(fd, iq.buf.data() + iq.buf.size(), room, 0);
       if (n > 0) {
-        iq.buf.resize(old + static_cast<std::size_t>(n));
+        iq.buf.resize(iq.buf.size() + static_cast<std::size_t>(n));
         parse_frames(peer);
-        if (static_cast<std::size_t>(n) < kChunk) return;  // drained for now
+        if (static_cast<std::size_t>(n) < room) return;  // drained for now
         continue;
       }
-      iq.buf.resize(old);
       if (n == 0) {
         // EOF mid-run: the peer's process/thread died holding its side of
         // the superstep.  Wedging the barrier would hang every rank.
@@ -321,9 +410,6 @@ class socket_endpoint final : public endpoint {
     if (iq.head == iq.buf.size()) {
       iq.buf.clear();
       iq.head = 0;
-    } else if (iq.head >= (std::size_t{1} << 20)) {
-      iq.buf.erase(iq.buf.begin(), iq.buf.begin() + static_cast<std::ptrdiff_t>(iq.head));
-      iq.head = 0;
     }
   }
 
@@ -380,13 +466,19 @@ class socket_endpoint final : public endpoint {
   std::vector<std::uint8_t> fin_next_;
 };
 
-}  // namespace
+}  // namespace detail
 
 socket_transport::socket_transport(std::uint32_t ranks, socket_options opt)
     : ranks_(ranks), opt_(opt), counters_(std::make_unique<detail::socket_wire_counters>()) {
   CGP_EXPECTS(ranks >= 1);
   conn_.resize(ranks);
   for (auto& row : conn_) row.resize(ranks);  // diagonal (and p=1) stay invalid
+  endpoints_.reserve(ranks);
+  for (std::uint32_t r = 0; r < ranks; ++r) {
+    endpoints_.push_back(
+        std::make_unique<detail::socket_endpoint>(r, ranks, conn_[r], opt_, *counters_));
+  }
+  pool_ = std::make_unique<smp::thread_pool>(ranks);
   if (ranks == 1) return;
   // Full mesh over loopback, built single-threaded: the kernel completes
   // the handshake through the listen backlog, so connect-then-accept per
@@ -413,17 +505,20 @@ socket_transport::socket_transport(std::uint32_t ranks, socket_options opt)
 socket_transport::~socket_transport() = default;
 
 void socket_transport::run(const std::function<void(endpoint&)>& program) {
+  // One program at a time: concurrent runs would share sockets and
+  // endpoint buffers.
+  const std::lock_guard<std::mutex> lock(run_mutex_);
+  for (auto& ep : endpoints_) ep->reset();
   // Rank threads inherit the caller's trace context, so every rank's
   // spans stitch under the job that ran the program.
   const obs::trace_context caller = obs::current_trace();
-  std::vector<std::thread> threads;
-  threads.reserve(ranks_);
+  std::vector<std::future<void>> done;
+  done.reserve(ranks_);
   for (std::uint32_t r = 0; r < ranks_; ++r) {
-    threads.emplace_back([this, r, &program, caller] {
+    done.push_back(pool_->submit([this, r, &program, caller] {
       const obs::trace_scope trace_guard(caller);
-      socket_endpoint ep(r, ranks_, conn_[r], opt_, *counters_);
       try {
-        program(ep);
+        program(*endpoints_[r]);
       } catch (const std::exception& e) {
         // Same policy as threaded_transport: a throwing rank would wedge
         // every peer's poll loop at the barrier; fail fast and loudly.
@@ -434,9 +529,9 @@ void socket_transport::run(const std::function<void(endpoint&)>& program) {
         std::fprintf(stderr, "cgmperm: uncaught exception on transport rank %u\n", r);
         std::abort();
       }
-    });
+    }));
   }
-  for (auto& t : threads) t.join();
+  for (auto& f : done) f.get();
 }
 
 wire_counters socket_transport::wire() const noexcept {

@@ -7,8 +7,13 @@
 // transport -- the distributed shuffle, the collectives, cgm::machine's
 // accounting -- runs unchanged and bit-identically.
 //
-// Ranks are threads of this process (what CI can exercise); the framing
-// deliberately never assumes that: every frame is self-describing
+// Ranks are the workers of a thread pool the transport owns (what CI can
+// exercise), and each rank's endpoint -- its aggregation, outgoing and
+// incoming buffers -- is built with the mesh and lives as long as the
+// transport: buffers keep their high-water capacity across runs, and
+// `run` only resets the superstep state.  One program runs at a time.
+// The framing deliberately never assumes shared memory: every frame is
+// self-describing
 // ((source, superstep, flags) header + length-prefixed records), byte
 // order is the host's on both ends of a loopback cable, and no memory is
 // shared through the transport itself.  A multi-process harness would
@@ -52,6 +57,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 
 #include "comm/net.hpp"
 #include "comm/transport.hpp"
@@ -60,6 +66,7 @@ namespace cgp::comm {
 
 namespace detail {
 struct socket_wire_counters;  // atomic backing of wire() (socket_transport.cpp)
+class socket_endpoint;        // one rank's buffers and superstep state
 }  // namespace detail
 
 struct socket_options {
@@ -72,8 +79,10 @@ struct socket_options {
 
 class socket_transport final : public transport {
  public:
-  /// Builds the rank-pair connection mesh eagerly (ranks*(ranks-1)/2 TCP
-  /// connections over 127.0.0.1); `run` only spawns threads.
+  /// Builds everything a run needs eagerly: the rank-pair connection mesh
+  /// (ranks*(ranks-1)/2 TCP connections over 127.0.0.1), one endpoint per
+  /// rank, and a pool of `ranks` rank threads.  `run` only resets the
+  /// endpoints and hands each rank program to a pool worker.
   explicit socket_transport(std::uint32_t ranks, socket_options opt = {});
   ~socket_transport() override;
 
@@ -88,6 +97,9 @@ class socket_transport final : public transport {
   /// conn_[r][peer]: rank r's socket to `peer` (invalid on the diagonal).
   std::vector<std::vector<net::socket_fd>> conn_;
   std::unique_ptr<detail::socket_wire_counters> counters_;
+  std::vector<std::unique_ptr<detail::socket_endpoint>> endpoints_;  // endpoints_[r]: rank r
+  std::unique_ptr<smp::thread_pool> pool_;  // the rank threads
+  std::mutex run_mutex_;                    // one program at a time
 };
 
 }  // namespace cgp::comm

@@ -169,6 +169,9 @@ threaded_transport::threaded_transport(std::uint32_t ranks, smp::thread_pool* po
 threaded_transport::~threaded_transport() = default;
 
 void threaded_transport::run(const std::function<void(endpoint&)>& program) {
+  // Two programs' rank tasks interleaved on the pool would leave each
+  // barrier waiting for ranks that cannot start.
+  const std::lock_guard<std::mutex> lock(run_mutex_);
   threaded_run_state state(ranks_);
   // Pool threads inherit the caller's trace context for the duration of
   // their rank program, so per-rank spans stitch under the calling job.

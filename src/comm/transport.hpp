@@ -27,6 +27,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -136,7 +137,7 @@ class transport {
   /// Execute `program(ep)` on every rank and wait for completion.
   /// Programs must reach the same number of `exchange()` calls on every
   /// rank (BSP discipline); violations deadlock by construction, as on a
-  /// real machine.
+  /// real machine.  One program at a time: concurrent callers wait.
   virtual void run(const std::function<void(endpoint&)>& program) = 0;
 
   /// Lifetime wire traffic totals (zeros for transports without a wire).
@@ -179,6 +180,7 @@ class threaded_transport final : public transport {
   std::uint32_t ranks_;
   smp::thread_pool* pool_;                     // the pool ranks run on
   std::unique_ptr<smp::thread_pool> owned_;    // set when we made it ourselves
+  std::mutex run_mutex_;                       // one program at a time
 };
 
 }  // namespace cgp::comm

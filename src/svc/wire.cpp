@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -116,6 +117,30 @@ static_assert(std::is_trivially_copyable_v<rpc_response_header>);
   return true;
 }
 
+/// Whether the header declares a body its opcode can carry: b records of
+/// c >= 1 bytes for shuffle_raw, (shard, num_shards) for shard_open, and
+/// nothing for every other opcode.
+[[nodiscard]] bool body_fits(const rpc_request_header& h) noexcept {
+  switch (h.opcode) {
+    case kOpShuffleRaw:
+      return h.c != 0 && h.b <= kMaxBody / h.c && h.b * h.c == h.body_bytes;
+    case kOpShardOpen: return h.body_bytes == 2 * sizeof(std::uint64_t);
+    default: return h.body_bytes == 0;
+  }
+}
+
+/// Read and drop `len` body bytes through a fixed buffer, so a declared
+/// length never becomes an allocation; false when the connection is gone.
+[[nodiscard]] bool discard_body(int fd, std::uint64_t len) {
+  std::array<std::byte, 64 * 1024> sink;
+  while (len > 0) {
+    const std::size_t step = static_cast<std::size_t>(std::min<std::uint64_t>(len, sink.size()));
+    if (!net::read_exact(fd, sink.data(), step)) return false;
+    len -= step;
+  }
+  return true;
+}
+
 [[nodiscard]] std::span<const std::byte> as_bytes_of(const permutation& pi) noexcept {
   return {reinterpret_cast<const std::byte*>(pi.data()), pi.size() * sizeof(std::uint64_t)};
 }
@@ -214,8 +239,17 @@ void wire_server::serve(std::uint64_t conn_id, net::socket_fd fd) {
     if (h.magic != kReqMagic || h.body_bytes > kMaxBody) break;  // protocol breach: drop
     rpc_trace_ext ext{};
     if ((h.flags & kReqFlagTrace) != 0 && !net::read_exact(s, &ext, sizeof(ext))) break;
-    std::vector<std::byte> body(static_cast<std::size_t>(h.body_bytes));
-    if (!body.empty() && !net::read_exact(s, body.data(), body.size())) break;
+    // Only a body the opcode can carry is allocated (never zero-filled);
+    // any other is drained and answered as a bad request below.
+    const bool fits = body_fits(h);
+    std::unique_ptr<std::byte[]> storage;
+    if (fits) {
+      storage = std::make_unique_for_overwrite<std::byte[]>(static_cast<std::size_t>(h.body_bytes));
+      if (h.body_bytes != 0 && !net::read_exact(s, storage.get(), h.body_bytes)) break;
+    } else if (!discard_body(s, h.body_bytes)) {
+      break;
+    }
+    const std::span<std::byte> body(storage.get(), fits ? h.body_bytes : 0);
     requests.add();
 
     // Handle under the caller's trace: the scope installs the deserialized
@@ -231,6 +265,10 @@ void wire_server::serve(std::uint64_t conn_id, net::socket_fd fd) {
                                 sizeof(rpc_response_header) + resp_body);
     };
 
+    if (!fits) {
+      if (!respond(s, kBadRequest, 0, {})) break;
+      continue;
+    }
     bool alive = true;
     switch (h.opcode) {
       case kOpPermutation: {
@@ -247,10 +285,6 @@ void wire_server::serve(std::uint64_t conn_id, net::socket_fd fd) {
         break;
       }
       case kOpShuffleRaw: {
-        if (h.c == 0 || h.b > kMaxBody / h.c || body.size() != h.b * h.c) {
-          alive = respond(s, kBadRequest, 0, {});
-          break;
-        }
         future<void> fut = srv_.submit_shuffle_raw(h.a, body.data(), h.b, h.c);
         const job_status js = fut.wait();
         note_bytes(h.a, js == job_status::done ? body.size() : 0);
@@ -277,10 +311,6 @@ void wire_server::serve(std::uint64_t conn_id, net::socket_fd fd) {
       case kOpShardOpen: {
         std::uint64_t shard = 0;
         std::uint64_t num_shards = 0;
-        if (body.size() != 2 * sizeof(std::uint64_t)) {
-          alive = respond(s, kBadRequest, 0, {});
-          break;
-        }
         std::memcpy(&shard, body.data(), sizeof(shard));
         std::memcpy(&num_shards, body.data() + sizeof(shard), sizeof(num_shards));
         if (num_shards == 0 || shard >= num_shards) {

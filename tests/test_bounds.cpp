@@ -1,0 +1,74 @@
+// Count ratchet at the entry point: what one cgp::context::shuffle on
+// backend::cgm puts on a socket transport's wire.  Every count is a pure
+// function of (seed, n, p, engine options), so each is pinned at the
+// value the engine reaches today: a change that moves more bytes per
+// item, cuts more frames, posts more messages or adds a superstep fails
+// here.  Lower the pins when the engine gets leaner (sending runs instead
+// of (pos, value) pairs halves the bytes).  No clock is read.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <numeric>
+#include <span>
+#include <vector>
+
+#include "comm/socket_transport.hpp"
+#include "core/context.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "support/perm_check.hpp"
+
+namespace {
+
+using namespace cgp;
+
+struct wire_pin {
+  std::uint32_t p;
+  std::uint64_t wire_bytes;  ///< framed bytes of one shuffle
+  std::uint64_t frames;
+  std::uint64_t messages;
+};
+
+TEST(EntryPointBounds, CgmShuffleOverSocketStaysWithinItsWireCounts) {
+  obs::set_enabled(true);   // comm.exchanges counts supersteps
+  obs::set_tracing(false);  // a traced frame carries 24 more bytes
+  static obs::counter& exchanges = obs::get_counter("comm.exchanges");
+  constexpr std::uint64_t n = 300'007;
+  // 7.9893 / 11.0002 / 12.0055 / 14.0035 B/item: (pos, value) pairs
+  // cost twice Theorem 1's (p-1)/p * 8 B/item.
+  constexpr wire_pin kPins[] = {
+      {2, 2'396'848, 8, 6},
+      {3, 3'300'128, 26, 14},
+      {4, 3'601'728, 48, 24},
+      {8, 4'201'152, 224, 80},
+  };
+  for (const wire_pin& pin : kPins) {
+    comm::socket_transport sock(pin.p);
+    context_options copt;
+    copt.which = core::backend::cgm;
+    copt.parallelism = pin.p;
+    copt.seed = 99;
+    copt.engine.transport = &sock;
+    cgp::context ctx(copt);
+    std::vector<std::uint64_t> v(n);
+    std::iota(v.begin(), v.end(), 0);
+    (void)ctx.shuffle(std::span<std::uint64_t>(v));  // warm: the pins count the second call
+
+    const comm::wire_counters before = sock.wire();
+    const std::uint64_t x0 = exchanges.value();
+    (void)ctx.shuffle(std::span<std::uint64_t>(v));
+    comm::wire_counters w = sock.wire();
+    w -= before;
+    const std::uint64_t supersteps = (exchanges.value() - x0) / pin.p;
+
+    EXPECT_TRUE(stats::is_permutation_of_iota(v)) << "p=" << pin.p;
+    EXPECT_LE(w.wire_bytes, pin.wire_bytes)
+        << "p=" << pin.p << ": " << static_cast<double>(w.wire_bytes) / n << " B/item";
+    EXPECT_LE(w.frames, pin.frames) << "p=" << pin.p;
+    EXPECT_LE(w.messages, pin.messages) << "p=" << pin.p;
+    // One distributed split level, then one gather and one scatter.
+    EXPECT_EQ(supersteps, 3u) << "p=" << pin.p;
+  }
+}
+
+}  // namespace

@@ -3,14 +3,23 @@
 // ragged alltoallv round-trips), rank-count and transport independence of
 // the distributed shuffle (loopback == threaded, p in {1, 2, 4, 8}),
 // bit-agreement with backend::sequential at/below the leaf cutoff and
-// with smp::engine above it, uniformity of the distributed pipeline, and
-// the planner's BSP (p, g, L) cgm candidate.
+// with smp::engine above it (ragged and empty rank blocks included),
+// transports reused across runs and shared by concurrent callers,
+// uniformity of the distributed pipeline, and the planner's BSP
+// (p, g, L) cgm candidate.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <future>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "cgm/distributed.hpp"
@@ -459,6 +468,170 @@ TEST(DistributedShuffle, MatchesSmpEngineAboveLeaf) {
     comm::threaded_transport tr(p);
     EXPECT_EQ(shuffled_iota(tr, n, 99, dopt), smp_out) << "p=" << p;
   }
+}
+
+// --- kept endpoints, ragged blocks, concurrent callers -----------------------
+
+TEST(DistributedShuffle, ReusedTransportsMatchFreshOnes) {
+  // The transports keep their rank threads and endpoint buffers across
+  // runs.  Calls of mixed sizes -- distributed levels, gathers, root
+  // leaves, a single-leaf n = 9 -- on one transport must each equal the
+  // same call on a fresh transport: no run sees what an earlier one left.
+  // Before each call, a program posts small sends after its last
+  // exchange; they are never delivered, and the next run must not see
+  // them either (each run is an independent BSP computation).
+  cgm::distributed_options opt;
+  opt.engine.fan_out = 8;
+  opt.engine.cache_items = 512;
+  comm::socket_transport sock(4);
+  comm::threaded_transport thr(3);
+  const auto leave_undelivered_sends = [](comm::transport& tr) {
+    tr.run([](comm::endpoint& ep) {
+      const std::uint64_t word = 0xDEAD;
+      for (std::uint32_t d = 0; d < ep.size(); ++d) {
+        ep.send_span(d, 0xBAD, std::span<const std::uint64_t>(&word, 1));
+      }
+    });
+  };
+  std::uint64_t seed = 500;
+  for (const std::uint64_t n : {30'000ull, 700ull, 300ull, 30'000ull, 9ull, 100'000ull}) {
+    ++seed;
+    leave_undelivered_sends(sock);
+    leave_undelivered_sends(thr);
+    comm::socket_transport fresh_sock(4);
+    EXPECT_EQ(shuffled_iota(sock, n, seed, opt), shuffled_iota(fresh_sock, n, seed, opt))
+        << "socket, n=" << n;
+    comm::threaded_transport fresh_thr(3);
+    EXPECT_EQ(shuffled_iota(thr, n, seed, opt), shuffled_iota(fresh_thr, n, seed, opt))
+        << "threaded, n=" << n;
+  }
+
+  // 16-byte records through the dispatch layer on the kept socket
+  // transport follow the u64 law (value-independence).
+  struct rec16 {
+    std::uint64_t key;
+    std::uint64_t tag;
+  };
+  core::backend_options bopt;
+  bopt.which = core::backend::cgm;
+  bopt.transport = &sock;
+  bopt.cgm_engine = opt;
+  const std::uint64_t n = 20'000;
+  std::vector<rec16> recs(n);
+  for (std::uint64_t i = 0; i < n; ++i) recs[i] = {i, ~i};
+  core::make_executor(core::resolve_plan(n, sizeof(rec16), bopt), bopt)
+      ->shuffle(std::span<rec16>(recs), 77);
+  comm::socket_transport fresh(4);
+  const std::vector<std::uint64_t> pi = shuffled_iota(fresh, n, 77, opt);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(recs[i].key, pi[i]) << "i=" << i;
+    ASSERT_EQ(recs[i].tag, ~pi[i]) << "i=" << i;
+  }
+}
+
+TEST(DistributedShuffle, RaggedAndEmptyRankBlocksMatchSmpEngine) {
+  // n < p leaves rank blocks of 0 and 1 items, and p not dividing n
+  // leaves ragged ones, so one label's slots can cross several block
+  // ends -- some of them of empty blocks.  Every rank count and both
+  // transports must still apply smp::engine's permutation.
+  const auto check = [](std::uint64_t n, std::uint32_t p, std::uint32_t fan_out,
+                        std::size_t cache_items) {
+    smp::engine_options eopt;
+    eopt.fan_out = fan_out;
+    eopt.cache_items = cache_items;
+    eopt.threads = 1;
+    const std::vector<std::uint64_t> expected = smp::engine(eopt).random_permutation(n, 31);
+    cgm::distributed_options dopt;
+    dopt.engine = eopt;
+    comm::threaded_transport thr(p);
+    EXPECT_EQ(shuffled_iota(thr, n, 31, dopt), expected)
+        << "threaded, n=" << n << " p=" << p << " fan_out=" << fan_out;
+    comm::socket_transport sock(p);
+    EXPECT_EQ(shuffled_iota(sock, n, 31, dopt), expected)
+        << "socket, n=" << n << " p=" << p << " fan_out=" << fan_out;
+  };
+  for (const std::uint64_t n : {3ull, 5ull, 17ull}) check(n, 8, 2, 2);
+  for (const std::uint32_t p : {3u, 7u}) {
+    check(30'000, p, 2, 2);
+    check(30'000, p, 8, 512);
+  }
+}
+
+std::uint64_t digest(const std::vector<std::uint64_t>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint64_t x : v) h = (h ^ x) * 0x100000001b3ull;
+  return h;
+}
+
+/// Runs `body` on a helper thread and ends the test binary with a message
+/// if it is still running after `limit`: a deadlocked transport must fail
+/// the suite, not hang it.
+void finishes_within(std::chrono::seconds limit, const char* what,
+                     const std::function<void()>& body) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread worker([&] {
+    body();
+    done.set_value();
+  });
+  if (finished.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "%s: still running after %lld s -- deadlocked?\n", what,
+                 static_cast<long long>(limit.count()));
+    std::_Exit(1);
+  }
+  worker.join();
+}
+
+/// Two threads each run `calls` shuffles through `shuffle(i)` (which must
+/// be a pure function of i); every result must equal the serial one.
+void expect_concurrent_callers_serialize(
+    int calls, const std::function<std::vector<std::uint64_t>(int, int)>& shuffle,
+    const char* what) {
+  std::vector<std::uint64_t> serial(calls);
+  for (int i = 0; i < calls; ++i) serial[i] = digest(shuffle(2, i));
+  std::vector<std::vector<std::uint64_t>> got(2, std::vector<std::uint64_t>(calls));
+  finishes_within(std::chrono::seconds(60), what, [&] {
+    std::thread other([&] {
+      for (int i = 0; i < calls; ++i) got[1][i] = digest(shuffle(1, i));
+    });
+    for (int i = 0; i < calls; ++i) got[0][i] = digest(shuffle(0, i));
+    other.join();
+  });
+  EXPECT_EQ(got[0], serial) << what;
+  EXPECT_EQ(got[1], serial) << what;
+}
+
+TEST(Transport, ConcurrentProgramsOnOneTransportWaitTheirTurn) {
+  // Two contexts with the same seed share the registry's threaded
+  // transport; their draws must be what each would get alone.
+  context_options copt;
+  copt.which = core::backend::cgm;
+  copt.parallelism = 4;
+  copt.seed = 4242;
+  copt.engine.cgm_engine.engine.cache_items = 512;  // several supersteps per call
+  constexpr int kCalls = 300;
+  {
+    std::vector<std::unique_ptr<cgp::context>> ctx;
+    for (int c = 0; c < 3; ++c) ctx.push_back(std::make_unique<cgp::context>(copt));
+    expect_concurrent_callers_serialize(
+        kCalls,
+        [&](int who, int) {
+          std::vector<std::uint64_t> v(20'000);
+          std::iota(v.begin(), v.end(), 0);
+          (void)ctx[who]->shuffle(std::span<std::uint64_t>(v));
+          return v;
+        },
+        "two contexts on shared_transport(4)");
+  }
+
+  // Two threads on one socket transport.
+  comm::socket_transport sock(4);
+  cgm::distributed_options dopt;
+  dopt.engine.cache_items = 512;
+  expect_concurrent_callers_serialize(
+      kCalls,
+      [&](int, int i) { return shuffled_iota(sock, 20'000, 9000 + i, dopt); },
+      "two threads on socket_transport(4)");
 }
 
 // --- backend::cgm through the dispatch layer ---------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "comm/net.hpp"
 #include "core/context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -407,12 +409,12 @@ TEST(WireRpc, UntracedClientsSendNoTraceAndNothingBreaks) {
   EXPECT_TRUE(stats::is_permutation_of_iota(pi));
 }
 
-// VmSize of this process in MiB, from /proc/self/status.
-double vmsize_mib() {
+// A "Vm...:" field of /proc/self/status in MiB (0 when absent).
+double status_mib(const std::string& field) {
   std::ifstream f("/proc/self/status");
   std::string key;
   while (f >> key) {
-    if (key == "VmSize:") {
+    if (key == field) {
       double kib = 0;
       f >> kib;
       return kib / 1024.0;
@@ -432,11 +434,61 @@ TEST(WireServer, ClosedConnectionsReleaseTheirHandlerThreads) {
     EXPECT_EQ(cl.fetch_permutation(1, 16).size(), 16u);
   };
   for (int i = 0; i < 20; ++i) session();  // warm the allocator and stack caches
-  const double before = vmsize_mib();
+  const double before = status_mib("VmSize:");
   ASSERT_GT(before, 0.0) << "no VmSize in /proc/self/status";
   for (int i = 0; i < 500; ++i) session();
-  const double grown = vmsize_mib() - before;
+  const double grown = status_mib("VmSize:") - before;
   EXPECT_LT(grown, 256.0) << "VmSize grew " << grown << " MiB over 500 sessions";
+}
+
+TEST(WireServer, BodiesTheOpcodeCannotCarryAllocateNothing) {
+  // A header may declare up to 2 GiB of body.  The server allocates only
+  // a body its opcode can carry and drains any other through a fixed
+  // buffer, so eight clients that send nothing but such a header cost it
+  // no memory, and a ninth is still served.
+  struct raw_header {  // the request header's wire layout
+    std::uint32_t magic = 0x52504743u;
+    std::uint32_t opcode = 0;
+    std::uint64_t a = 1;
+    std::uint64_t b = 100;
+    std::uint32_t c = 0;
+    std::uint32_t flags = 0;
+    std::uint64_t body_bytes = std::uint64_t{1} << 31;
+  };
+  static_assert(sizeof(raw_header) == 40);
+  svc::wire_server ws(seeded_options());
+  {
+    svc::wire_client warm("127.0.0.1", ws.port());
+    EXPECT_EQ(warm.fetch_permutation(1, 16).size(), 16u);
+  }
+  const double rss0 = status_mib("VmRSS:");
+  const double vm0 = status_mib("VmSize:");
+  ASSERT_GT(rss0, 0.0) << "no VmRSS in /proc/self/status";
+
+  std::vector<comm::net::socket_fd> idle;
+  for (int i = 0; i < 8; ++i) {
+    raw_header h;
+    h.opcode = i % 3 == 0 ? 1 : i % 3 == 1 ? 7 : 2;  // permutation, shard_open, shuffle_raw
+    h.c = h.opcode == 2 ? 8 : 0;                      // 100 x 8 bytes != 2 GiB
+    idle.push_back(comm::net::connect_tcp("127.0.0.1", ws.port()));
+    ASSERT_TRUE(comm::net::write_all(idle.back().get(), &h, sizeof(h)));
+  }
+  svc::wire_client cl("127.0.0.1", ws.port());
+  EXPECT_TRUE(stats::is_permutation_of_iota(cl.fetch_permutation(1, 1000)));
+
+  // Watch for half a second: a handler that allocated the declared body
+  // would be growing the address space (and, zero-filling, the RSS) now.
+  double rss_peak = rss0;
+  double vm_peak = vm0;
+  for (int i = 0; i < 25; ++i) {
+    rss_peak = std::max(rss_peak, status_mib("VmRSS:"));
+    vm_peak = std::max(vm_peak, status_mib("VmSize:"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_LT(rss_peak - rss0, 64.0) << "RSS grew " << rss_peak - rss0 << " MiB";
+  // Nine handler threads map their stacks and malloc arenas (well under
+  // 1.5 GiB); one 2 GiB body would not fit.
+  EXPECT_LT(vm_peak - vm0, 1536.0) << "VmSize grew " << vm_peak - vm0 << " MiB";
 }
 
 TEST(WireRpc, ZeroLengthJobsRoundTrip) {

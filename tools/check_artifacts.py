@@ -83,15 +83,21 @@ def check_prp(path):
 
 
 def check_cgm(path):
-    """Socket rows carry wire counters, and the aggregation section meets
-    the >= 4x coalescing bar (the burst shape makes it ~256)."""
+    """Socket rows carry per-shuffle wire counters (bytes on the wire at
+    p >= 2, none at p = 1), and the aggregation section meets the >= 4x
+    coalescing bar (the burst shape makes it ~256)."""
     cgm = load(path)
     socket_rows = [r for r in cgm
                    if r.get('transport') == 'socket' and 'section' not in r]
     assert socket_rows, 'no socket transport rows'
     for r in socket_rows:
-        for k in ('wire_messages', 'wire_frames', 'wire_bytes'):
+        for k in ('wire_messages_per_shuffle', 'wire_frames_per_shuffle',
+                  'wire_bytes_per_shuffle', 'wire_bytes_per_item'):
             assert k in r, f'socket row missing {k}: {r}'
+        if r['p'] >= 2:
+            assert r['wire_bytes_per_item'] > 0, f'no wire bytes at p >= 2: {r}'
+        else:
+            assert r['wire_bytes_per_item'] == 0, f'wire bytes at p = 1: {r}'
     agg = [r for r in cgm if r.get('section') == 'aggregation']
     assert agg, 'no aggregation record'
     factor = agg[0]['coalescing_factor']
