@@ -64,7 +64,6 @@
 #include "em/block_device.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "rng/counting.hpp"
 #include "rng/philox_batch.hpp"
 #include "rng/stream.hpp"
 #include "seq/fisher_yates.hpp"
@@ -186,10 +185,9 @@ class engine_state {
     // Level 0 means the whole input fit in memory: use the stream the
     // sequential backend uses, which gives backend::em == backend::sequential
     // whenever M >= n.
-    rng::counting_engine<rng::batched_philox> e(rng::batched_philox(
-        seed_, level == 0 ? 0 : rng::nested_stream(level, ordinal, kLeafSalt)));
-    seq::fisher_yates(e, std::span<std::uint64_t>(mem));
-    rng_words_.fetch_add(e.count(), std::memory_order_relaxed);
+    rng::batched_philox e(seed_, level == 0 ? 0 : rng::nested_stream(level, ordinal, kLeafSalt));
+    const std::uint64_t words = seq::fisher_yates_batched(e, std::span<std::uint64_t>(mem));
+    rng_words_.fetch_add(words, std::memory_order_relaxed);
     main_.write_items(lo, mem);
   }
 

@@ -36,6 +36,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "rng/philox.hpp"
 
@@ -130,6 +131,17 @@ class batched_philox {
   static constexpr result_type max() noexcept {
     return std::numeric_limits<result_type>::max();
   }
+
+  /// The buffered words not yet drawn, in stream order (refilled first
+  /// when none are left, so never empty).  Reading them draws nothing:
+  /// `consume(k)` then marks the first k as drawn, which is what k calls
+  /// of operator() would have returned.  Loops that draw many words read
+  /// them a buffer at a time this way (seq/fisher_yates.hpp).
+  [[nodiscard]] std::span<const result_type> window() noexcept {
+    if (at_ == filled_) refill();
+    return {buf_.data() + at_, filled_ - at_};
+  }
+  void consume(std::size_t k) noexcept { at_ += static_cast<unsigned>(k); }
 
   /// Reposition so the next draw returns word `word_index` of the stream
   /// (counting from construction-time zero), like rng::stream_engine_at.

@@ -22,10 +22,12 @@
 // Philox stream depend only on (seed, options), never on the thread count
 // or the schedule, so engines with 1 and 64 threads produce the identical
 // permutation for the same seed (tests/test_smp.cpp checks this).
+//
+// Scratch: `shuffle` leases its n-item scratch from an arena the engine
+// owns (smp/scratch_arena.hpp), so a warm call faults no page in.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -34,6 +36,7 @@
 #include "rng/philox_batch.hpp"
 #include "seq/fisher_yates.hpp"
 #include "smp/parallel_split.hpp"
+#include "smp/scratch_arena.hpp"
 #include "smp/thread_pool.hpp"
 #include "util/assert.hpp"
 
@@ -133,16 +136,21 @@ class engine {
       seq::fisher_yates(e, data);
       return;
     }
-    // Default-initialized scratch (not a value-initialized vector): the
-    // allocating thread must NOT touch the pages, so under the first-touch
-    // policy each page faults in on whichever NUMA node's worker first
-    // scatters into it -- and stays local to that worker's bucket range
-    // for the rest of the recursion (T is trivially copyable, so skipping
-    // the zero-fill is well-defined for the write-before-read scatter).
-    std::unique_ptr<T[]> scratch(new T[data.size()]);
-    shuffle_subtree(data, std::span<T>(scratch.get(), data.size()), seed, kShuffleRoot, opt_,
-                    &pool_, /*top=*/true);
+    // Scratch leased from the engine's arena, kept across calls.  The
+    // lease is never value-initialized: the calling thread does not touch
+    // the pages, so under the first-touch policy each page faults in on
+    // whichever NUMA node's worker first scatters into it, and the same
+    // partition lands on the same workers in later calls (T is trivially
+    // copyable, so the write-before-read scatter needs no zero-fill).
+    const scratch_arena::lease scratch(arena_, data.size() * sizeof(T));
+    shuffle_subtree(data, scratch.as<T>(data.size()), seed, kShuffleRoot, opt_, &pool_,
+                    /*top=*/true);
   }
+
+  /// Bytes of scratch the engine keeps across calls: the high-water mark
+  /// of its concurrent callers' n * sizeof(T), freed with the engine.
+  /// Summed over engines in the obs gauge `smp.scratch_bytes`.
+  [[nodiscard]] std::size_t scratch_bytes() const { return arena_.retained_bytes(); }
 
   /// Uniformly permute a vector (convenience; same contract as `shuffle`).
   template <typename T>
@@ -161,9 +169,9 @@ class engine {
   }
 
  private:
-
   engine_options opt_;
   thread_pool pool_;
+  scratch_arena arena_;
 };
 
 }  // namespace cgp::smp

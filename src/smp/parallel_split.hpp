@@ -75,6 +75,14 @@ inline constexpr std::uint64_t kLeafSalt = 0x6C65'6166ull;         // 'leaf'
   return rng::philox4x64(seed, node_stream(node, salt, index));
 }
 
+/// The calling thread's label buffer, kept across chunks and calls (a
+/// fresh one per call would fault its pages in again under sanitizers
+/// and on every malloc mmap-threshold change).
+inline std::vector<std::uint8_t>& thread_labels() {
+  thread_local std::vector<std::uint8_t> labels;
+  return labels;
+}
+
 }  // namespace detail
 
 /// Everything deterministic about one split level of `n` items at
@@ -184,7 +192,7 @@ template <typename T>
   // chunks; cursors start at the precomputed offsets, so chunks write
   // disjoint scratch ranges and need no synchronization).
   const auto split_chunks = [&](std::size_t chunk_lo, std::size_t chunk_hi) {
-    std::vector<std::uint8_t> label;  // reused across this worker's chunks
+    std::vector<std::uint8_t>& label = detail::thread_labels();
     std::vector<std::uint64_t> cursor(k);
     for (std::size_t c = chunk_lo; c < chunk_hi; ++c) {
       const std::uint64_t off = balanced_block_offset(n, k, static_cast<std::uint32_t>(c));

@@ -1,11 +1,13 @@
-// Count ratchet at the entry point: what one cgp::context::shuffle on
-// backend::cgm puts on a socket transport's wire.  Every count is a pure
-// function of (seed, n, p, engine options), so each is pinned at the
-// value the engine reaches today: a change that moves more bytes per
-// item, cuts more frames, posts more messages or adds a superstep fails
-// here.  Lower the pins when the engine gets leaner (sending runs instead
-// of (pos, value) pairs halves the bytes).  No clock is read.
+// Count ratchets at the entry point: what one cgp::context::shuffle on
+// backend::cgm puts on a socket transport's wire, and the page faults of
+// a warm one on backend::smp.  Every wire count is a pure function of
+// (seed, n, p, engine options), so each is pinned at the value the engine
+// reaches today: a change that moves more bytes per item, cuts more
+// frames, posts more messages or adds a superstep fails here.  Lower the
+// pins when the engine gets leaner (sending runs instead of (pos, value)
+// pairs halves the bytes).  No clock is read.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdint>
 #include <numeric>
@@ -69,6 +71,37 @@ TEST(EntryPointBounds, CgmShuffleOverSocketStaysWithinItsWireCounts) {
     // One distributed split level, then one gather and one scatter.
     EXPECT_EQ(supersteps, 3u) << "p=" << pin.p;
   }
+}
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+// A warm smp shuffle reuses the scratch its engine kept from the first
+// call.  5,000,000 u64 need 40 MB of scratch, above glibc's 32 MiB mmap
+// ceiling: allocated per call, every one of its 9,766 pages faults in
+// again.  A fault count is a count, not a clock.
+TEST(EntryPointBounds, WarmSmpShuffleFaultsInNoScratch) {
+  constexpr std::size_t n = 5'000'000;
+  constexpr long kScratchPages = (n * sizeof(std::uint64_t) + 4095) / 4096;
+  constexpr long kMaxFaults = 500;
+  context_options copt;
+  copt.which = core::backend::smp;
+  copt.seed = 5;
+  cgp::context ctx(copt);
+  std::vector<std::uint64_t> v(n);
+  std::iota(v.begin(), v.end(), 0);
+  (void)ctx.shuffle(std::span<std::uint64_t>(v));  // warm: the first call faults the scratch in
+
+  const long before = minor_faults();
+  (void)ctx.shuffle(std::span<std::uint64_t>(v));
+  const long faults = minor_faults() - before;
+
+  EXPECT_TRUE(stats::is_permutation_of_iota(v));
+  EXPECT_LE(faults, kMaxFaults) << "a fresh scratch per call faults " << kScratchPages
+                                << " pages";
 }
 
 }  // namespace

@@ -7,12 +7,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "comm/transport.hpp"
 #include "core/backend.hpp"
+#include "obs/metrics.hpp"
 #include "rng/philox.hpp"
 #include "rng/splitmix64.hpp"
 #include "seq/fisher_yates.hpp"
@@ -210,6 +213,75 @@ TEST(SmpEngine, RepeatedCallsWithSameSeedAgree) {
 TEST(SmpEngine, DifferentSeedsProduceDifferentPermutations) {
   smp::engine eng;
   EXPECT_NE(eng.random_permutation(1'000, 1), eng.random_permutation(1'000, 2));
+}
+
+// The scratch arena is shared state behind one engine: concurrent callers
+// each lease their own buffer, outputs stay those of a serial run, and
+// the arena keeps no more than one buffer per concurrent caller.
+TEST(SmpEngine, ConcurrentCallersLeaseTheirOwnScratch) {
+  const bool obs_was = obs::enabled();
+  obs::set_enabled(true);
+  const obs::gauge& gauge = obs::get_gauge("smp.scratch_bytes");
+  const std::int64_t gauge_before = gauge.value();
+
+  // Distinct sizes above the cache cutoff; the last scratch is above
+  // glibc's 32 MiB mmap ceiling.
+  constexpr std::size_t kSizes[] = {70'000, 200'000, 600'000, 4'200'000};
+  constexpr std::size_t kCallers = std::size(kSizes);
+  constexpr int kReps = 50;
+  std::size_t bound = 0;
+  for (const std::size_t n : kSizes) bound += n * sizeof(std::uint64_t);
+
+  struct caller_run {
+    std::vector<std::uint64_t> digests;
+    std::size_t most_retained = 0;
+  };
+  // Caller t shuffles its own array kReps times on `eng`.
+  const auto run = [&](smp::engine& eng, std::size_t t) {
+    caller_run out;
+    std::vector<std::uint64_t> v(kSizes[t]);
+    std::iota(v.begin(), v.end(), 0);
+    for (int r = 0; r < kReps; ++r) {
+      eng.shuffle(std::span<std::uint64_t>(v), 1000 * t + static_cast<std::uint64_t>(r));
+      std::uint64_t h = 0xCBF29CE484222325ull;
+      for (const std::uint64_t x : v) h = (h ^ x) * 0x100000001B3ull;
+      out.digests.push_back(h);
+      out.most_retained = std::max(out.most_retained, eng.scratch_bytes());
+    }
+    return out;
+  };
+
+  smp::engine_options opt;
+  opt.threads = 2;
+  smp::engine serial_eng(opt);
+  std::vector<caller_run> serial;
+  for (std::size_t t = 0; t < kCallers; ++t) serial.push_back(run(serial_eng, t));
+  EXPECT_EQ(serial_eng.scratch_bytes(), kSizes[kCallers - 1] * sizeof(std::uint64_t))
+      << "callers one after another share one buffer";
+
+  // The callers start together.  One that first arrives after a larger
+  // caller has finished a call may lease the larger buffer, and the arena
+  // then keeps two of them (DESIGN.md section 3).
+  smp::engine eng(opt);
+  std::vector<caller_run> concurrent(kCallers);
+  std::latch start(static_cast<std::ptrdiff_t>(kCallers));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      concurrent[t] = run(eng, t);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    EXPECT_EQ(concurrent[t].digests, serial[t].digests) << "caller " << t;
+    EXPECT_LE(concurrent[t].most_retained, bound) << "caller " << t;
+  }
+  EXPECT_LE(eng.scratch_bytes(), bound);
+  EXPECT_EQ(gauge.value() - gauge_before,
+            static_cast<std::int64_t>(serial_eng.scratch_bytes() + eng.scratch_bytes()));
+  obs::set_enabled(obs_was);
 }
 
 // --- backend dispatch --------------------------------------------------------
