@@ -259,6 +259,62 @@ TEST(PrpCipher, BitIdenticalAcrossSimdPaths) {
       "prp cipher across SIMD paths");
 }
 
+void chain_words(std::uint64_t& h, std::span<const std::uint64_t> words) {
+  for (const std::uint64_t w : words) {
+    for (unsigned k = 0; k < 8; ++k) {
+      h ^= (w >> (8 * k)) & 0xFF;
+      h *= 0x100000001B3ull;
+    }
+  }
+}
+
+// Every eval_range window and eval_many batch the digest below chains,
+// with the walk accounting of the whole sweep.
+std::uint64_t prp_sweep_digest(prp::eval_stats& st) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const std::uint64_t n : {2ull, 3ull, 64ull, 65ull, 1025ull, 4099ull}) {
+    const prp::cipher c(kSeed ^ n, n);
+    std::vector<std::uint64_t> out(n);
+    c.eval_range(0, std::span<std::uint64_t>(out), &st);
+    chain_words(h, out);
+    // A window that starts off a lane boundary and ends short of the domain.
+    const std::uint64_t lo = n / 3;
+    c.eval_range(lo, std::span<std::uint64_t>(out).subspan(0, n - lo - n / 4), &st);
+    chain_words(h, std::span<const std::uint64_t>(out).subspan(0, n - lo - n / 4));
+  }
+  // Wire-shard windows of a 10^9 domain (1 of 16,384 shards holds 61,035
+  // or 61,036 items): at offset 0 and at an odd, lane-misaligned offset.
+  constexpr std::uint64_t big = 1'000'000'000ull;
+  const prp::cipher c(kSeed, big);
+  std::vector<std::uint64_t> out(61'035);
+  for (const std::uint64_t lo : {0ull, 305'181ull}) {
+    c.eval_range(lo, std::span<std::uint64_t>(out), &st);
+    chain_words(h, out);
+  }
+  // Scattered indices through eval_many, on a walking and a huge domain.
+  for (const std::uint64_t n : {std::uint64_t{1025}, big}) {
+    const prp::cipher d(kSeed + 1, n);
+    std::vector<std::uint64_t> in(3'001);
+    for (std::size_t j = 0; j < in.size(); ++j) in[j] = rng::mix64(j) % n;
+    std::vector<std::uint64_t> img(in.size());
+    d.eval_many(in, std::span<std::uint64_t>(img), &st);
+    chain_words(h, img);
+  }
+  return h;
+}
+
+// Absolute output pin: BitIdenticalAcrossSimdPaths and the executor tests
+// are relative (path A == path B, fill == raw cipher), so a change to the
+// rounds or the walk that moved every path together would pass them.
+// This digest, and the walk count beside it, must never change.
+TEST(PrpCipher, OutputDigestIsPinned) {
+  prp::eval_stats st;
+  const std::uint64_t h = prp_sweep_digest(st);
+  EXPECT_EQ(h, 0x040057509E536CC6ull) << "digest 0x" << std::hex << h;
+  EXPECT_EQ(st.evals, 135'526u);
+  EXPECT_EQ(st.walk_retries, 19'639u);
+}
+
 // --- executor + planner integration ------------------------------------------
 
 TEST(PrpBackend, ExecutorFillMatchesRawCipherAndShuffleGathers) {
