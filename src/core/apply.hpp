@@ -43,7 +43,8 @@ inline constexpr bool packs_into_word_v = std::is_trivially_copyable_v<T> && siz
 
 /// Write the identity 0..n-1 onto the device in `chunk_items`-resident
 /// slices of bulk write_items calls (one blind write per covered block;
-/// at most two boundary RMWs per slice).
+/// at most two boundary RMWs per slice).  Followed by em::async_em_shuffle
+/// it is the two-step reference em::async_em_permutation must match.
 inline void fill_iota_streamed(em::block_device& dev, std::uint64_t n,
                                std::uint64_t chunk_items) {
   CGP_EXPECTS(n <= dev.item_capacity());

@@ -392,28 +392,22 @@ struct em_exec_config {
   return cfg;
 }
 
-/// A fresh device holding a uniform permutation of {0..n-1}: the
-/// identity streamed on, shuffled in place by the async em engine -- the
-/// em executor's native fill mode up to (but not including) its final
-/// bulk readback.  `rep_out`, if given, receives the engine report with
-/// the identity-fill transfers folded in (the readback, if any, is the
-/// caller's to count).
+/// A fresh device holding a uniform permutation of {0..n-1}: what the
+/// identity streamed on and shuffled in place by the async em engine
+/// would leave, built by em::async_em_permutation without writing the
+/// identity or reading it back -- the em executor's native fill mode up
+/// to (but not including) its final bulk readback.  `rep_out`, if given,
+/// receives the engine report (the readback, if any, is the caller's to
+/// count).
 [[nodiscard]] inline std::unique_ptr<em::block_device> em_shuffled_identity_device(
     std::uint64_t n, std::uint64_t seed, const em_exec_config& cfg,
     em::async_report* rep_out = nullptr) {
   auto dev = std::make_unique<em::block_device>(n, cfg.block_items);
-  const std::uint64_t t0 = dev->stats().transfers();
-  {
-    const obs::span sp("fill", "exec");
-    fill_iota_streamed(*dev, n, cfg.aopt.memory_items);
-  }
-  const std::uint64_t t1 = dev->stats().transfers();
   em::async_report rep;
   {
     const obs::span sp("shuffle", "exec");
-    rep = em::async_em_shuffle(*dev, n, seed, *cfg.pool, cfg.aopt);
+    rep = em::async_em_permutation(*dev, n, seed, *cfg.pool, cfg.aopt);
   }
-  rep.block_transfers += t1 - t0;
   if (rep_out != nullptr) *rep_out = rep;
   return dev;
 }

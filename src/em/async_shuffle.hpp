@@ -21,11 +21,13 @@
 //  2. *Double-buffered asynchronous scatter.*  Data blocks are streamed
 //     through a depth-bounded async_io_queue (em/block_device.hpp): each
 //     worker keeps kReadAhead = 2 reads in flight ahead of the block it is
-//     scattering, and bucket output is staged in block-aligned buffers
-//     that are flushed through a second queue as fire-and-forget writes.
-//     Compute (label regeneration + scatter staging + leaf Fisher-Yates)
-//     runs on an smp::thread_pool; transfers run on the queues' I/O
-//     threads; neither waits for the other except at level barriers.
+//     scattering, and bucket output is staged (bucket_stage: a
+//     block-sized slot per bucket) and written through the other
+//     device's queue as fire-and-forget writes.  Each device has one
+//     queue, and so one I/O thread, for the whole call.  Compute (label
+//     regeneration + scatter staging + leaf Fisher-Yates) runs on an
+//     smp::thread_pool; transfers run on the I/O threads; neither waits
+//     for the other except at level barriers.
 //  3. *Deterministic parallel decomposition.*  The scatter is organized
 //     like smp/parallel_split.hpp: per-chunk label histograms and
 //     column-prefix offsets let every chunk write its slice of every
@@ -46,11 +48,19 @@
 // engine core::backend::sequential uses -- so backend::em with M >= n
 // reproduces backend::sequential bit for bit.
 //
+// Identity input: async_em_permutation builds a permutation of 0..n-1
+// without the identity ever touching the device.  The engine's moves do
+// not depend on item values, so level 0 can take item i's value as i --
+// in its scatter, or in a root leaf -- and leave what the identity
+// written on and shuffled would leave, with the fill's writes and level
+// 0's reads gone.
+//
 // Memory budget (simulated, not enforced): one worker's scatter working
 // set is ~K * B staged items + kReadAhead * B in-flight reads, which
 // K = M/B - 2 keeps within M; with p pool workers the aggregate is ~p * M
-// (the I/O model's M is per scan process).  Leaves materialize at most M
-// items each.
+// (the I/O model's M is per scan process), plus at most 2 * p queued
+// writes of at most B items each.  Leaves materialize at most M items
+// each.  Nothing is kept past the call.
 #pragma once
 
 #include <algorithm>
@@ -58,6 +68,10 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <memory>
+#include <numeric>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -108,49 +122,86 @@ inline constexpr std::uint64_t kLeafSalt = 0x6C65'6166ull;      // 'leaf' (same 
 /// (2 = double buffering); the queues' depth is kReadAhead * workers.
 inline constexpr std::uint32_t kReadAhead = 2;
 
-/// Block-aligned staging cursor over an async write queue: buffers pushed
-/// items and emits the head partial slice once, then only whole aligned
-/// blocks (blind writes on the device), leaving at most one partial tail
-/// for finish().  At most two RMW boundary transfers per cursor, and at
-/// most ~one block of items staged at a time (the emit threshold is one
-/// block, so a worker's fan_ cursors together hold ~fan * B items --
-/// within the K = M/B - 2 frame budget).
-class item_writer {
- public:
-  item_writer(async_io_queue& q, std::uint64_t pos, std::uint32_t block_items)
-      : q_(q), pos_(pos), b_(block_items) {}
+/// body(word, k) with the label word of each of the next `count` items,
+/// read from `e` a keystream window at a time (as seq::fisher_yates_batched
+/// reads it): the same words, in the same order, as `count` calls of e().
+template <typename Body>
+inline void for_each_label(rng::batched_philox& e, std::uint64_t count, Body&& body) {
+  for (std::uint64_t k = 0; k < count;) {
+    const std::span<const std::uint64_t> w = e.window();
+    const auto take = static_cast<std::size_t>(std::min<std::uint64_t>(w.size(), count - k));
+    for (std::size_t m = 0; m < take; ++m) body(w[m], k + m);
+    e.consume(take);
+    k += take;
+  }
+}
 
-  void push(std::uint64_t v) {
-    buf_.push_back(v);
-    if (buf_.size() >= b_) emit(false);
+/// One worker's scatter staging: a slot of B items per bucket, all K
+/// slots in one array at a padded stride (so they do not all start on one
+/// cache set), never value-initialized.  In a chunk, bucket j's items go
+/// to the device run [dest_j, dest_j + count_j).  They leave the slot in
+/// pieces, one queue write each: the slice up to the run's first block
+/// boundary (once the run holds at least a block), then whole blocks
+/// (blind device writes), then the tail; a run shorter than a block
+/// leaves whole.  So a run pays at most two read-modify-write boundary
+/// blocks, and a worker stages at most K * B items -- within the
+/// K = M/B - 2 frame budget.
+class bucket_stage {
+ public:
+  bucket_stage(async_io_queue& q, std::uint32_t fan, std::uint32_t block_items)
+      : q_(q),
+        b_(block_items),
+        stride_(std::size_t{block_items} + kPad),
+        slots_(std::make_unique_for_overwrite<std::uint64_t[]>(fan * stride_)),
+        cursor_(fan),
+        run_(fan) {}
+
+  /// Start a chunk whose bucket runs begin at dest[j] and hold count[j] items.
+  void begin(const std::uint64_t* dest, const std::uint64_t* count) noexcept {
+    for (std::size_t j = 0; j < cursor_.size(); ++j) {
+      run_[j] = {dest[j], count[j]};
+      const std::uint64_t head = (b_ - dest[j] % b_) % b_;
+      cursor_[j] = {slot(j), count[j] < b_ ? count[j] : (head != 0 ? head : b_)};
+    }
   }
 
-  void finish() {
-    if (!buf_.empty()) emit(true);
+  void push(std::uint64_t j, std::uint64_t v) {
+    cursor& c = cursor_[j];
+    *c.at++ = v;
+    if (--c.left == 0) emit(j);
   }
 
  private:
-  void emit(bool final) {
-    std::uint64_t take;
-    if (final) {
-      take = buf_.size();
-    } else {
-      // Head slice up to the next block boundary, then whole blocks only.
-      const std::uint64_t head = (b_ - pos_ % b_) % b_;
-      if (buf_.size() < head) return;
-      take = head + (buf_.size() - head) / b_ * b_;
-      if (take == 0) return;
-    }
-    q_.write_items(pos_, std::vector<std::uint64_t>(
-                             buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(take)));
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(take));
-    pos_ += take;
+  static constexpr std::size_t kPad = 8;  ///< one cache line of items
+
+  struct cursor {
+    std::uint64_t* at;
+    std::uint64_t left;  ///< items until the current piece is complete
+  };
+  struct run {
+    std::uint64_t pos;        ///< device position of the slot's first item
+    std::uint64_t remaining;  ///< items of the run not yet written
+  };
+
+  [[nodiscard]] std::uint64_t* slot(std::size_t j) const noexcept {
+    return slots_.get() + j * stride_;
+  }
+
+  void emit(std::uint64_t j) {
+    std::uint64_t* s = slot(j);
+    const auto staged = static_cast<std::uint64_t>(cursor_[j].at - s);
+    q_.write_items(run_[j].pos, std::vector<std::uint64_t>(s, s + staged));
+    run_[j].pos += staged;
+    run_[j].remaining -= staged;
+    cursor_[j] = {s, std::min<std::uint64_t>(b_, run_[j].remaining)};
   }
 
   async_io_queue& q_;
-  std::uint64_t pos_;
-  std::uint32_t b_;
-  std::vector<std::uint64_t> buf_;
+  std::uint64_t b_;
+  std::size_t stride_;
+  std::unique_ptr<std::uint64_t[]> slots_;
+  std::vector<cursor> cursor_;
+  std::vector<run> run_;
 };
 
 class engine_state {
@@ -164,44 +215,70 @@ class engine_state {
         fan_(adaptive_fan_out(memory_items, main.block_items())),
         leaf_cut_(memory_items) {}
 
-  void run(std::uint64_t n) { shuffle_range(main_, scratch_, 0, n, 0, 0); }
+  /// Shuffle main's first n items; with `identity`, their values are
+  /// taken to be 0..n-1 and never read.
+  void run(std::uint64_t n, bool identity) {
+    shuffle_range(main_, scratch_, 0, n, 0, 0, identity);
+  }
 
   [[nodiscard]] async_report take_report() {
     async_report r = report_;
     r.rng_words = rng_words_.load();
+    for (const auto* q : {&main_q_, &scratch_q_}) {
+      if (!q->has_value()) continue;
+      const async_stats st = (*q)->stats();
+      r.async_reads += st.reads_enqueued;
+      r.async_writes += st.writes_enqueued;
+      r.max_in_flight = std::max(r.max_in_flight, st.max_in_flight);
+    }
     return r;
   }
 
  private:
+  /// The I/O server of `dev`, started at its first use and kept for the
+  /// rest of the call: each scatter level reads through cur's and writes
+  /// through other's, and drains both before it ends.
+  async_io_queue& queue(block_device& dev) {
+    std::optional<async_io_queue>& q = &dev == &main_ ? main_q_ : scratch_q_;
+    if (!q) q.emplace(dev, kReadAhead * pool_.size());
+    return *q;
+  }
+
   /// Fisher-Yates a range in memory; results always land on the MAIN
   /// device.  Thread-safe (device ops serialize); keyed only by the tree
   /// address, so leaf tasks may run concurrently in any order.
   void leaf(block_device& cur, std::uint64_t lo, std::uint64_t hi, std::uint32_t level,
-            std::uint64_t ordinal) {
+            std::uint64_t ordinal, bool identity) {
     const std::uint64_t size = hi - lo;
     if (size == 0) return;
-    std::vector<std::uint64_t> mem(size);
-    cur.read_items(lo, mem);
+    const auto mem = std::make_unique_for_overwrite<std::uint64_t[]>(size);
+    const std::span<std::uint64_t> items(mem.get(), size);
+    if (identity) {
+      std::iota(items.begin(), items.end(), lo);
+    } else {
+      cur.read_items(lo, items);
+    }
     // Level 0 means the whole input fit in memory: use the stream the
     // sequential backend uses, which gives backend::em == backend::sequential
     // whenever M >= n.
     rng::batched_philox e(seed_, level == 0 ? 0 : rng::nested_stream(level, ordinal, kLeafSalt));
-    const std::uint64_t words = seq::fisher_yates_batched(e, std::span<std::uint64_t>(mem));
+    const std::uint64_t words = seq::fisher_yates_batched(e, items);
     rng_words_.fetch_add(words, std::memory_order_relaxed);
-    main_.write_items(lo, mem);
+    main_.write_items(lo, items);
   }
 
   void shuffle_range(block_device& cur, block_device& other, std::uint64_t lo, std::uint64_t hi,
-                     std::uint32_t level, std::uint64_t ordinal) {
+                     std::uint32_t level, std::uint64_t ordinal, bool identity) {
     const std::uint64_t size = hi - lo;
     report_.levels = std::max(report_.levels, level);
     if (size <= leaf_cut_) {
-      leaf(cur, lo, hi, level, ordinal);
+      leaf(cur, lo, hi, level, ordinal, identity);
       return;
     }
 
     const std::uint32_t b = cur.block_items();
     const std::uint64_t label_stream = rng::nested_stream(level, ordinal, kLabelSalt);
+    const std::uint64_t mask = fan_ - 1;
 
     // Chunking: a block-aligned partition of the range, a few chunks per
     // worker.  The chunking CANNOT affect the output -- item i of label j
@@ -225,8 +302,8 @@ class engine_state {
     };
 
     // --- counting pass: pure computation, zero I/O ---------------------
-    std::vector<std::vector<std::uint64_t>> counts(nchunks,
-                                                   std::vector<std::uint64_t>(fan_, 0));
+    // counts[c * fan_ + j]: items of chunk c with label j.
+    std::vector<std::uint64_t> counts(nchunks * fan_, 0);
     pool_.parallel_for(0, nchunks, [&](std::size_t c_lo, std::size_t c_hi) {
       for (std::size_t c = c_lo; c < c_hi; ++c) {
         const auto [blks, items] = chunk_bounds(c);
@@ -236,9 +313,9 @@ class engine_state {
         // SIMD kernels -- this pass is pure keystream + histogram, so it is
         // where the vector win shows up undiluted.
         rng::batched_philox e(seed_, label_stream, items.first - lo);
-        for (std::uint64_t i = items.first; i < items.second; ++i) {
-          ++counts[c][e() & (fan_ - 1)];
-        }
+        std::uint64_t* hist = counts.data() + c * fan_;
+        for_each_label(e, items.second - items.first,
+                       [&](std::uint64_t w, std::uint64_t) { ++hist[w & mask]; });
         rng_words_.fetch_add(items.second - items.first, std::memory_order_relaxed);
       }
     });
@@ -248,7 +325,7 @@ class engine_state {
     std::vector<std::uint64_t> bucket_lo(fan_ + 1, lo);
     for (std::uint32_t j = 0; j < fan_; ++j) {
       std::uint64_t total = 0;
-      for (std::size_t c = 0; c < nchunks; ++c) total += counts[c][j];
+      for (std::size_t c = 0; c < nchunks; ++c) total += counts[c * fan_ + j];
       bucket_lo[j + 1] = bucket_lo[j] + total;
     }
     CGP_ASSERT(bucket_lo[fan_] == hi);
@@ -257,52 +334,54 @@ class engine_state {
       std::uint64_t at = bucket_lo[j];
       for (std::size_t c = 0; c < nchunks; ++c) {
         dest[c * fan_ + j] = at;
-        at += counts[c][j];
+        at += counts[c * fan_ + j];
       }
       CGP_ASSERT(at == bucket_lo[j + 1]);
     }
 
     // --- scatter pass: prefetched reads, staged async writes -----------
+    // Identity input (level 0 of a fused permutation) reads nothing: item
+    // i's value is i.
     {
       const obs::span sp("scatter-level", "scatter");
-      async_io_queue read_q(cur, kReadAhead * pool_.size());
-      async_io_queue write_q(other, kReadAhead * pool_.size());
+      async_io_queue& write_q = queue(other);
+      async_io_queue* read_q = identity ? nullptr : &queue(cur);
       pool_.parallel_for(0, nchunks, [&](std::size_t c_lo, std::size_t c_hi) {
+        bucket_stage stage(write_q, fan_, b);
         for (std::size_t c = c_lo; c < c_hi; ++c) {
           const auto [blks, items] = chunk_bounds(c);
           rng::batched_philox e(seed_, label_stream, items.first - lo);
-          std::vector<item_writer> out;
-          out.reserve(fan_);
-          for (std::uint32_t j = 0; j < fan_; ++j) out.emplace_back(write_q, dest[c * fan_ + j], b);
-          // Keep up to kReadAhead reads in flight ahead of the block
-          // currently being scattered.
-          std::deque<std::future<std::vector<std::uint64_t>>> window;
-          std::uint64_t next_blk = blks.first;
-          for (std::uint64_t blk = blks.first; blk < blks.second; ++blk) {
-            while (next_blk < blks.second && window.size() < kReadAhead) {
-              window.push_back(read_q.read_block(next_blk));
-              ++next_blk;
-            }
-            const std::vector<std::uint64_t> buf = window.front().get();
-            window.pop_front();
-            const std::uint64_t first = blk * b;
-            const std::uint64_t i_lo = std::max<std::uint64_t>(first, items.first);
-            const std::uint64_t i_hi = std::min<std::uint64_t>(first + b, items.second);
-            for (std::uint64_t i = i_lo; i < i_hi; ++i) {
-              out[e() & (fan_ - 1)].push(buf[static_cast<std::size_t>(i - first)]);
+          stage.begin(dest.data() + c * fan_, counts.data() + c * fan_);
+          if (identity) {
+            for_each_label(e, items.second - items.first, [&](std::uint64_t w, std::uint64_t k) {
+              stage.push(w & mask, items.first + k);
+            });
+          } else {
+            // Keep up to kReadAhead reads in flight ahead of the block
+            // currently being scattered.
+            std::deque<std::future<std::vector<std::uint64_t>>> window;
+            std::uint64_t next_blk = blks.first;
+            for (std::uint64_t blk = blks.first; blk < blks.second; ++blk) {
+              while (next_blk < blks.second && window.size() < kReadAhead) {
+                window.push_back(read_q->read_block(next_blk));
+                ++next_blk;
+              }
+              const std::vector<std::uint64_t> buf = window.front().get();
+              window.pop_front();
+              const std::uint64_t first = blk * b;
+              const std::uint64_t i_lo = std::max<std::uint64_t>(first, items.first);
+              const std::uint64_t i_hi = std::min<std::uint64_t>(first + b, items.second);
+              const std::uint64_t* src = buf.data() + (i_lo - first);
+              for_each_label(e, i_hi - i_lo, [&](std::uint64_t w, std::uint64_t k) {
+                stage.push(w & mask, src[k]);
+              });
             }
           }
-          for (auto& w : out) w.finish();
           rng_words_.fetch_add(items.second - items.first, std::memory_order_relaxed);
         }
       });
-      read_q.drain();
+      if (read_q != nullptr) read_q->drain();
       write_q.drain();
-      const async_stats rs = read_q.stats();
-      const async_stats ws = write_q.stats();
-      report_.async_reads += rs.reads_enqueued;
-      report_.async_writes += ws.writes_enqueued;
-      report_.max_in_flight = std::max({report_.max_in_flight, rs.max_in_flight, ws.max_in_flight});
     }
 
     // --- recurse: big buckets sequentially (each internally parallel),
@@ -314,7 +393,7 @@ class engine_state {
       if (c_hi - c_lo <= leaf_cut_) {
         if (c_hi > c_lo) leaves.push_back(j);
       } else {
-        shuffle_range(other, cur, c_lo, c_hi, level + 1, ordinal * fan_ + j);
+        shuffle_range(other, cur, c_lo, c_hi, level + 1, ordinal * fan_ + j, false);
       }
     }
     if (!leaves.empty()) {
@@ -322,7 +401,7 @@ class engine_state {
       pool_.parallel_for(0, leaves.size(), [&](std::size_t l_lo, std::size_t l_hi) {
         for (std::size_t l = l_lo; l < l_hi; ++l) {
           const std::uint32_t j = leaves[l];
-          leaf(other, bucket_lo[j], bucket_lo[j + 1], level + 1, ordinal * fan_ + j);
+          leaf(other, bucket_lo[j], bucket_lo[j + 1], level + 1, ordinal * fan_ + j, false);
         }
       });
     }
@@ -336,27 +415,27 @@ class engine_state {
   const std::uint64_t leaf_cut_;
   async_report report_;
   std::atomic<std::uint64_t> rng_words_{0};
+  std::optional<async_io_queue> main_q_;
+  std::optional<async_io_queue> scratch_q_;
 };
 
-}  // namespace detail_async
-
-/// Uniformly shuffle the first `n` items of `dev` out of core, overlapping
-/// block transfers with computation on `pool`.  Allocates one scratch
-/// device of the same geometry (the ping-pong scatter target), whose
-/// transfers are included in the report.  Deterministic in (seed, n,
-/// M, B): independent of the pool size.
-[[nodiscard]] inline async_report async_em_shuffle(block_device& dev, std::uint64_t n,
-                                                   std::uint64_t seed, smp::thread_pool& pool,
-                                                   const async_options& opt = {}) {
+/// Both entry points: allocate the ping-pong scratch, run the engine and
+/// fold its transfers into the report and the process-wide metrics.
+[[nodiscard]] inline async_report run_engine(block_device& dev, std::uint64_t n,
+                                             std::uint64_t seed, smp::thread_pool& pool,
+                                             const async_options& opt, bool identity) {
   CGP_EXPECTS(n <= dev.item_capacity());
   CGP_EXPECTS(opt.memory_items >= 4ull * dev.block_items());
   // The ping-pong scratch inherits the main device's hugepage placement:
   // both sides of every scatter level should sit on the same page size.
   block_device scratch(dev.item_capacity(), dev.block_items(), dev.hugepage_backed());
   const std::uint64_t before = dev.stats().transfers() + scratch.stats().transfers();
-  detail_async::engine_state state(dev, scratch, pool, seed, opt.memory_items);
-  state.run(n);
-  async_report report = state.take_report();
+  async_report report;
+  {
+    engine_state state(dev, scratch, pool, seed, opt.memory_items);
+    state.run(n, identity);
+    report = state.take_report();
+  }
   report.block_transfers = dev.stats().transfers() + scratch.stats().transfers() - before;
   // Fold the run's transfer accounting into the process-wide metrics
   // (obs/metrics.hpp): monotone totals across every em shuffle.
@@ -369,6 +448,32 @@ class engine_state {
     obs::get_gauge("em.io.in_flight").note_peak(report.max_in_flight);
   }
   return report;
+}
+
+}  // namespace detail_async
+
+/// Uniformly shuffle the first `n` items of `dev` out of core, overlapping
+/// block transfers with computation on `pool`.  Allocates one scratch
+/// device of the same geometry (the ping-pong scatter target), whose
+/// transfers are included in the report.  Deterministic in (seed, n,
+/// M, B): independent of the pool size.
+[[nodiscard]] inline async_report async_em_shuffle(block_device& dev, std::uint64_t n,
+                                                   std::uint64_t seed, smp::thread_pool& pool,
+                                                   const async_options& opt = {}) {
+  return detail_async::run_engine(dev, n, seed, pool, opt, false);
+}
+
+/// Write a uniform permutation of {0, ..., n-1} onto the first n items of
+/// `dev`: exactly what writing the identity there and running
+/// async_em_shuffle with the same (seed, M, B) leaves, without the
+/// identity's writes or level 0's reads of it -- level 0 takes item i's
+/// value as i, in its scatter or in a root leaf.  The report counts
+/// neither, so it is lower than the two-step path's by exactly those
+/// transfers.  `dev`'s prior content is never read.
+[[nodiscard]] inline async_report async_em_permutation(block_device& dev, std::uint64_t n,
+                                                       std::uint64_t seed, smp::thread_pool& pool,
+                                                       const async_options& opt = {}) {
+  return detail_async::run_engine(dev, n, seed, pool, opt, true);
 }
 
 }  // namespace cgp::em

@@ -137,8 +137,10 @@ class cipher {
   /// Batched evaluation: out[j] = pi(in[j]).  Processes lane blocks round
   /// by round (independent elements, so the round loop runs with full
   /// instruction-level parallelism instead of one serial dependency chain
-  /// per element), then finishes stragglers' cycle walks scalar.  Counts
-  /// into `stats` (if given) and the prp.* obs counters, once per call.
+  /// per element) in the round kernel of rng::active_simd_path(), and
+  /// sends cycle-walk stragglers back through it a block at a time.
+  /// Bit-identical to pi() on every path.  Counts into `stats` (if given)
+  /// and the prp.* obs counters, once per call.
   void eval_many(std::span<const std::uint64_t> in, std::span<std::uint64_t> out,
                  eval_stats* stats = nullptr) const;
 
@@ -153,7 +155,8 @@ class cipher {
   [[nodiscard]] shard_view shard(std::uint64_t k, std::uint64_t num_shards) const;
 
  private:
-  /// One forward pass of all rounds over Z_M (no cycle walk).
+  /// One forward pass of all rounds over Z_M (no cycle walk): the scalar
+  /// reference every batched round kernel (prp/cipher.cpp) must match.
   [[nodiscard]] std::uint64_t encrypt(std::uint64_t x) const noexcept {
     for (std::uint32_t r = 0; r < rounds_; ++r) {
       const std::uint64_t partner = (round_key_[r] - x) & mask_;

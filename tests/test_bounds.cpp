@@ -1,6 +1,7 @@
 // Count ratchets at the entry point: what one cgp::context::shuffle on
-// backend::cgm puts on a socket transport's wire, and the page faults of
-// a warm one on backend::smp.  Every wire count is a pure function of
+// backend::cgm puts on a socket transport's wire, the page faults of a
+// warm one on backend::smp, and the block transfers of backend::em's
+// permutation fill and 8-byte shuffle.  Every wire count is a pure function of
 // (seed, n, p, engine options), so each is pinned at the value the engine
 // reaches today: a change that moves more bytes per item, cuts more
 // frames, posts more messages or adds a superstep fails here.  Lower the
@@ -16,6 +17,8 @@
 
 #include "comm/socket_transport.hpp"
 #include "core/context.hpp"
+#include "core/executor.hpp"
+#include "em/async_shuffle.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/perm_check.hpp"
@@ -102,6 +105,36 @@ TEST(EntryPointBounds, WarmSmpShuffleFaultsInNoScratch) {
   EXPECT_TRUE(stats::is_permutation_of_iota(v));
   EXPECT_LE(faults, kMaxFaults) << "a fresh scratch per call faults " << kScratchPages
                                 << " pages";
+}
+
+// The em backend's block transfers at its two entry points, at a fixed
+// geometry and a fixed pool size (chunking, and with it the count of
+// boundary read-modify-writes, depends on the pool).  For a seed, n, M, B
+// and pool every count is deterministic.  A permutation fill builds its
+// device without writing the identity or reading it back, so it pays 2,345
+// transfers fewer than the 8-byte shuffle, whose payload must go on and
+// come back: 1,173 for the identity fill and 1,172 for level 0's reads.
+TEST(EntryPointBounds, EmFillAndShuffleStayWithinTheirTransferCounts) {
+  constexpr std::uint64_t n = 300'007;
+  core::backend_options opt;
+  opt.which = core::backend::em;
+  opt.parallelism = 2;
+  opt.em_engine.memory_items = 16'384;
+  opt.em_block_items = 256;
+  em::async_report rep;
+  opt.em_report_out = &rep;
+  std::vector<std::uint64_t> v(n);
+
+  core::make_executor(core::resolve_plan(n, 8, opt), opt)->fill_random_permutation(v, 0xB0D);
+  EXPECT_TRUE(stats::is_permutation_of_iota(v));
+  EXPECT_LE(rep.block_transfers, 5'195u);  // 7,540 with the identity filled and read back
+  EXPECT_EQ(rep.levels, 1u);
+
+  std::iota(v.begin(), v.end(), 0);
+  core::make_executor(core::resolve_plan(n, 8, opt), opt)->shuffle_raw(v.data(), n, 8, 0xB0D);
+  EXPECT_TRUE(stats::is_permutation_of_iota(v));
+  EXPECT_LE(rep.block_transfers, 7'540u);  // unchanged: the payload is no identity
+  EXPECT_EQ(rep.levels, 1u);
 }
 
 }  // namespace

@@ -2,16 +2,20 @@
 // the async device substrate it runs on: queue semantics, item-range RMW
 // atomicity, exhaustive S5 uniformity of the async path, bit-identical
 // output across worker counts, the O((n/B) log_K(n/M)) transfer bound and
-// the gap to the naive baseline, and the core::backend::em dispatch
+// the gap to the naive baseline, the identity-fused permutation against
+// the identity filled and shuffled, and the core::backend::em dispatch
 // including the designed em == sequential agreement at M >= n.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "core/apply.hpp"
 #include "core/backend.hpp"
+#include "core/executor.hpp"
 #include "em/async_shuffle.hpp"
 #include "em/block_device.hpp"
 #include "em/naive_shuffle.hpp"
@@ -309,6 +313,58 @@ TEST(BackendEm, DispatchMatchesDirectEngineOnSameSeed) {
   std::vector<std::uint64_t> direct(5000);
   for (std::uint64_t i = 0; i < 5000; ++i) direct[i] = dev.peek(i);
   EXPECT_EQ(via_dispatch, direct);
+}
+
+// The identity-fused first pass: em_shuffled_identity_device builds its
+// device without writing 0..n-1 or reading it back.  At every tree shape
+// (a root leaf, one level, two levels), at n off a multiple of B and at
+// pool sizes 1 and 3, it must leave the content the two-step path leaves
+// (fill_iota_streamed, then async_em_shuffle), and report exactly the
+// identity fill's transfers plus level 0's block reads fewer.
+TEST(AsyncEmPermutation, FusedIdentityEqualsFillThenShuffle) {
+  const struct {
+    std::uint64_t n;
+    std::uint64_t m;
+    std::uint32_t b;
+    std::uint32_t levels;
+  } shapes[] = {
+      {900, 1024, 64, 0},    // n <= M: a root leaf
+      {5003, 1024, 64, 1},   // K = 8 buckets of ~625 <= M
+      {20'011, 512, 32, 2},  // buckets of ~2,500 > M split once more
+  };
+  for (const auto& shape : shapes) {
+    for (const unsigned workers : {1u, 3u}) {
+      smp::thread_pool pool(workers);
+      em::async_options opt;
+      opt.memory_items = shape.m;
+      const std::uint64_t seed = 0xF05E ^ shape.n;
+
+      em::block_device two_step(shape.n, shape.b);
+      core::fill_iota_streamed(two_step, shape.n, shape.m);
+      const std::uint64_t fill_transfers = two_step.stats().transfers();
+      const em::async_report shuffled = em::async_em_shuffle(two_step, shape.n, seed, pool, opt);
+
+      em::async_report fused;
+      const auto dev =
+          core::em_shuffled_identity_device(shape.n, seed, {opt, shape.b, &pool}, &fused);
+
+      std::vector<std::uint64_t> want(shape.n);
+      std::vector<std::uint64_t> got(shape.n);
+      two_step.read_items(0, want);
+      dev->read_items(0, got);
+      const std::string where = "n=" + std::to_string(shape.n) + " workers=" +
+                                std::to_string(workers);
+      EXPECT_TRUE(stats::is_permutation_of_iota(got)) << where;
+      EXPECT_EQ(got, want) << where;
+      EXPECT_EQ(fused.levels, shape.levels) << where;
+      EXPECT_EQ(fused.levels, shuffled.levels) << where;
+      EXPECT_EQ(fused.rng_words, shuffled.rng_words) << where;
+      const std::uint64_t level0_reads = (shape.n + shape.b - 1) / shape.b;
+      EXPECT_EQ(fill_transfers + shuffled.block_transfers - fused.block_transfers,
+                fill_transfers + level0_reads)
+          << where;
+    }
+  }
 }
 
 // --- wide-record apply layer: record sizes that do not divide B --------------

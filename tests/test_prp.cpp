@@ -8,11 +8,13 @@
 //    and sampled at n = 10^9 (where nothing could ever materialize);
 //  * shard views jointly tile pi exactly once, and the batched fill path
 //    equals the iterator path;
-//  * bit-identity across SIMD paths, and backend plumbing: the prp
-//    executor's fill/shuffle agree with the raw cipher, backend::automatic
-//    with a sparse-access declaration picks prp and equals the explicit
-//    choice bit for bit, the plan cache keys on accessed_fraction, and
-//    plan::explain() surfaces the prp win conditions;
+//  * an absolute output digest, every round kernel against the scalar
+//    one (outputs and walk counts), bit-identity across SIMD paths, and
+//    backend plumbing: the prp executor's fill/shuffle agree with the
+//    raw cipher, backend::automatic with a sparse-access declaration
+//    picks prp and equals the explicit choice bit for bit, the plan
+//    cache keys on accessed_fraction, and plan::explain() surfaces the
+//    prp win conditions;
 //  * the service surface: submit_shard windows replay against a local
 //    cipher under job_seed, and prp-planned streams serve cipher content.
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/context.hpp"
@@ -313,6 +316,59 @@ TEST(PrpCipher, OutputDigestIsPinned) {
   EXPECT_EQ(h, 0x040057509E536CC6ull) << "digest 0x" << std::hex << h;
   EXPECT_EQ(st.evals, 135'526u);
   EXPECT_EQ(st.walk_retries, 19'639u);
+}
+
+// Every round kernel the host can run (each path rng::simd_path_supported
+// allows, forced through set_simd_override) against the scalar kernel and
+// pointwise pi(): window lengths around the 64-lane block and the 8- and
+// 4-lane vectors, at lane-aligned and misaligned offsets, on a power-of-two
+// domain, a heavily walking one and a wire-shard-sized one.  The retry
+// counts must agree too: batching the cycle-walk stragglers may neither
+// skip nor double-count a walk.
+TEST(PrpCipher, EveryKernelPathMatchesScalarAtEveryWindowLength) {
+  const rng::simd_path paths[] = {rng::simd_path::scalar, rng::simd_path::avx2,
+                                  rng::simd_path::neon, rng::simd_path::avx512};
+  const std::size_t lengths[] = {1, 63, 64, 65, 127, 129};
+  for (const std::uint64_t n : {std::uint64_t{256}, std::uint64_t{1025},
+                                std::uint64_t{1'000'000'000}}) {
+    const prp::cipher c(kSeed ^ n, n);
+    for (const std::size_t len : lengths) {
+      for (const std::uint64_t lo : {std::uint64_t{0}, std::uint64_t{37}}) {
+        std::vector<std::uint64_t> in(len);
+        for (std::size_t j = 0; j < len; ++j) in[j] = rng::mix64(j + lo) % n;
+        std::vector<std::uint64_t> ref_range;
+        std::vector<std::uint64_t> ref_many;
+        prp::eval_stats ref_st;
+        for (const rng::simd_path p : paths) {
+          if (!rng::simd_path_supported(p)) continue;
+          rng::set_simd_override(p);
+          std::vector<std::uint64_t> range(len);
+          std::vector<std::uint64_t> many(len);
+          prp::eval_stats st;
+          c.eval_range(lo, std::span<std::uint64_t>(range), &st);
+          c.eval_many(in, std::span<std::uint64_t>(many), &st);
+          rng::clear_simd_override();
+          const std::string where = std::string(rng::simd_path_name(p)) +
+                                    " n=" + std::to_string(n) + " len=" + std::to_string(len) +
+                                    " lo=" + std::to_string(lo);
+          if (p == rng::simd_path::scalar) {
+            for (std::size_t j = 0; j < len; ++j) {
+              ASSERT_EQ(range[j], c.pi(lo + j)) << where << " j=" << j;
+              ASSERT_EQ(many[j], c.pi(in[j])) << where << " j=" << j;
+            }
+            ref_range = range;
+            ref_many = many;
+            ref_st = st;
+            continue;
+          }
+          EXPECT_EQ(range, ref_range) << where;
+          EXPECT_EQ(many, ref_many) << where;
+          EXPECT_EQ(st.evals, ref_st.evals) << where;
+          EXPECT_EQ(st.walk_retries, ref_st.walk_retries) << where;
+        }
+      }
+    }
+  }
 }
 
 // --- executor + planner integration ------------------------------------------
