@@ -13,8 +13,7 @@
 //   * naive -- Fisher-Yates through an LRU pool (em/naive_shuffle.hpp,
 //     Theta(n) transfers);
 //   * async -- the out-of-core engine (em/async_shuffle.hpp): index-keyed
-//     labels need no label device and I/O overlaps compute, ~2-3
-//     transfers per block per pass.
+//     labels need no label device, ~2-3 transfers per block per pass.
 //
 // The speedup over naive must grow ~linearly in B (items per block) --
 // exactly the I/O-model gap the outlook predicts.
@@ -100,17 +99,6 @@ int main(int argc, char** argv) {
                                          static_cast<double>(rep_transfers));
         out.push_back(std::move(rec));
       }
-      json_record rec;  // async engine internals, one record per geometry
-      rec.add("bench", "e12_external_memory")
-          .add("engine", "em_async_queue")
-          .add("n", n)
-          .add("block_items", b)
-          .add("memory_items", mem)
-          .add("workers", static_cast<std::uint32_t>(pool.size()))
-          .add("async_reads", async.async_reads)
-          .add("async_writes", async.async_writes)
-          .add("max_in_flight", async.max_in_flight);
-      out.push_back(std::move(rec));
     }
   }
   t.print(std::cout);

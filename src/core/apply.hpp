@@ -9,14 +9,15 @@
 // This is what lets the out-of-core backend hold at most O(M) staging in
 // RAM:
 //
-//   * records of <= 8 bytes pack one-per-device-word, so the payload
-//     itself streams onto the device, is shuffled there by the async
-//     engine, and streams back -- no index permutation exists at all;
+//   * records of <= 8 bytes take one device word each (zero-padded), so
+//     the payload itself streams onto the device, is shuffled there by the
+//     out-of-core engine, and streams back -- no index permutation exists
+//     at all;
 //   * larger records go through an on-device index permutation that is
 //     *streamed* through `for_each_pi_chunk` in O(chunk) slices -- the
 //     full-n pi vector never materializes in RAM.
 //
-// Shuffle-vs-gather equivalence (why the packed path is exact): the async
+// Shuffle-vs-gather equivalence (why the one-word path is exact): the
 // engine's data movement is value-independent -- labels are keyed by
 // (seed, level, bucket, index) and leaves swap positions by RNG draws --
 // so shuffling the payload in place lands record k exactly where
@@ -28,18 +29,12 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "em/block_device.hpp"
 #include "util/assert.hpp"
 
 namespace cgp::core {
-
-/// True iff T streams through the packed (one record per device word)
-/// fast path.
-template <typename T>
-inline constexpr bool packs_into_word_v = std::is_trivially_copyable_v<T> && sizeof(T) <= 8;
 
 /// Write the identity 0..n-1 onto the device in `chunk_items`-resident
 /// slices of bulk write_items calls (one blind write per covered block;
@@ -55,44 +50,6 @@ inline void fill_iota_streamed(em::block_device& dev, std::uint64_t n,
     stage.resize(static_cast<std::size_t>(hi - lo));
     for (std::uint64_t i = lo; i < hi; ++i) stage[static_cast<std::size_t>(i - lo)] = i;
     dev.write_items(lo, stage);
-  }
-}
-
-/// Stream `src` onto the device, one record per device word (records are
-/// zero-extended into the low bytes).  O(chunk_items) resident staging.
-template <typename T>
-void write_packed_streamed(em::block_device& dev, std::span<const T> src,
-                           std::uint64_t chunk_items) {
-  static_assert(packs_into_word_v<T>);
-  CGP_EXPECTS(src.size() <= dev.item_capacity());
-  chunk_items = std::max<std::uint64_t>(chunk_items, dev.block_items());
-  std::vector<std::uint64_t> stage;
-  for (std::uint64_t lo = 0; lo < src.size(); lo += chunk_items) {
-    const std::uint64_t hi = std::min<std::uint64_t>(src.size(), lo + chunk_items);
-    stage.assign(static_cast<std::size_t>(hi - lo), 0);
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      std::memcpy(&stage[static_cast<std::size_t>(i - lo)], &src[static_cast<std::size_t>(i)],
-                  sizeof(T));
-    }
-    dev.write_items(lo, stage);
-  }
-}
-
-/// Stream the first dst.size() device words back into records.
-template <typename T>
-void read_packed_streamed(em::block_device& dev, std::span<T> dst, std::uint64_t chunk_items) {
-  static_assert(packs_into_word_v<T>);
-  CGP_EXPECTS(dst.size() <= dev.item_capacity());
-  chunk_items = std::max<std::uint64_t>(chunk_items, dev.block_items());
-  std::vector<std::uint64_t> stage;
-  for (std::uint64_t lo = 0; lo < dst.size(); lo += chunk_items) {
-    const std::uint64_t hi = std::min<std::uint64_t>(dst.size(), lo + chunk_items);
-    stage.resize(static_cast<std::size_t>(hi - lo));
-    dev.read_items(lo, stage);
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      std::memcpy(&dst[static_cast<std::size_t>(i)], &stage[static_cast<std::size_t>(i - lo)],
-                  sizeof(T));
-    }
   }
 }
 
@@ -149,6 +106,26 @@ inline void write_records_streamed(em::block_device& dev, const unsigned char* s
       std::memcpy(stage.data() + (i - lo) * wpr, src + i * elem_bytes, elem_bytes);
     }
     dev.write_items(lo * wpr, stage);
+  }
+}
+
+/// The mirror of write_records_streamed: stream `n` records of
+/// `elem_bytes` each back off the device into `dst`, in the same slices.
+inline void read_records_streamed(em::block_device& dev, unsigned char* dst, std::uint64_t n,
+                                  std::uint32_t elem_bytes, std::uint64_t chunk_items) {
+  CGP_EXPECTS(elem_bytes >= 1);
+  const std::uint64_t wpr = words_per_record(elem_bytes);
+  CGP_EXPECTS(n * wpr <= dev.item_capacity());
+  const std::uint64_t chunk_records =
+      std::max<std::uint64_t>(1, std::max(chunk_items, std::uint64_t{dev.block_items()}) / wpr);
+  std::vector<std::uint64_t> stage;
+  for (std::uint64_t lo = 0; lo < n; lo += chunk_records) {
+    const std::uint64_t hi = std::min(n, lo + chunk_records);
+    stage.resize(static_cast<std::size_t>((hi - lo) * wpr));
+    dev.read_items(lo * wpr, stage);
+    for (std::uint64_t i = lo; i < hi; ++i) {
+      std::memcpy(dst + i * elem_bytes, stage.data() + (i - lo) * wpr, elem_bytes);
+    }
   }
 }
 

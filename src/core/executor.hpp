@@ -151,28 +151,6 @@ void with_record_span(void* data, std::uint64_t n, std::uint32_t elem_bytes, F&&
   }
 }
 
-/// Like with_record_span but only for records that pack into one device
-/// word (<= 8 bytes), for the em packed streaming path.
-template <typename F, typename G>
-void with_word_record_span(void* data, std::uint64_t n, std::uint32_t elem_bytes, F&& f,
-                           G&& fallback) {
-  const auto span_of = [&](auto tag) {
-    using R = decltype(tag);
-    return std::span<R>(static_cast<R*>(data), static_cast<std::size_t>(n));
-  };
-  switch (elem_bytes) {
-    case 1: f(span_of(record<1>{})); return;
-    case 2: f(span_of(record<2>{})); return;
-    case 3: f(span_of(record<3>{})); return;
-    case 4: f(span_of(record<4>{})); return;
-    case 5: f(span_of(record<5>{})); return;
-    case 6: f(span_of(record<6>{})); return;
-    case 7: f(span_of(record<7>{})); return;
-    case 8: f(span_of(record<8>{})); return;
-    default: fallback(); return;
-  }
-}
-
 /// Fisher-Yates on raw records of arbitrary size: the identical draw
 /// sequence as seq::fisher_yates (one uniform_below per step, consumed
 /// whether or not the swap is trivial), so it extends the sequential
@@ -393,7 +371,7 @@ struct em_exec_config {
 }
 
 /// A fresh device holding a uniform permutation of {0..n-1}: what the
-/// identity streamed on and shuffled in place by the async em engine
+/// identity streamed on and shuffled in place by the em engine
 /// would leave, built by em::async_em_permutation without writing the
 /// identity or reading it back -- the em executor's native fill mode up
 /// to (but not including) its final bulk readback.  `rep_out`, if given,
@@ -413,7 +391,7 @@ struct em_exec_config {
 }
 
 /// The out-of-core engine behind a streaming apply layer (core/apply.hpp):
-/// payloads of <= 8 bytes stream onto the device packed one-per-word and
+/// payloads of <= 8 bytes stream onto the device one record per word and
 /// are shuffled there directly; larger records gather through an on-device
 /// index permutation streamed in O(M) chunks.  Either way no full-n index
 /// vector ever exists in RAM, and every transfer goes through the
@@ -429,57 +407,51 @@ class em_executor final : public executor {
   void shuffle_raw(void* data, std::uint64_t n, std::uint32_t elem_bytes,
                    std::uint64_t seed) override {
     if (n < 2) return;
-    detail::with_word_record_span(
-        data, n, elem_bytes,
-        [&](auto span) {
-          using R = typename decltype(span)::value_type;
-          em::block_device dev(n, block_items_);
-          const std::uint64_t t0 = dev.stats().transfers();
-          {
-            const obs::span sp("fill", "exec");
-            write_packed_streamed(dev, std::span<const R>(span), aopt_.memory_items);
-          }
-          const std::uint64_t t1 = dev.stats().transfers();
-          em::async_report rep;
-          {
-            const obs::span sp("shuffle", "exec");
-            rep = em::async_em_shuffle(dev, n, seed, pool_, aopt_);
-          }
-          const std::uint64_t t2 = dev.stats().transfers();
-          {
-            const obs::span sp("readback", "exec");
-            read_packed_streamed(dev, span, aopt_.memory_items);
-          }
-          rep.block_transfers += (t1 - t0) + (dev.stats().transfers() - t2);
-          if (report_out_ != nullptr) *report_out_ = rep;
-        },
-        [&] {
-          // Records wider than a device word: the payload streams onto
-          // its own device (whole words per record), the index
-          // permutation is built out of core, and the gather reads each
-          // source record back off the payload device -- O(M) resident
-          // staging end to end, no full-n pi vector and no RAM payload
-          // copy, at the price of Theta(n) random-read transfers for the
-          // gather (see core/apply.hpp).
-          auto* base = static_cast<unsigned char*>(data);
-          em::block_device payload_dev(n * words_per_record(elem_bytes), block_items_);
-          {
-            const obs::span sp("fill", "exec");
-            write_records_streamed(payload_dev, base, n, elem_bytes, aopt_.memory_items);
-          }
-          em::async_report rep;
-          const auto pi_dev =
-              em_shuffled_identity_device(n, seed, {aopt_, block_items_, &pool_}, &rep);
-          const std::uint64_t t = pi_dev->stats().transfers();
-          {
-            const obs::span sp("readback", "exec");
-            gather_records_streamed(*pi_dev, payload_dev, base, n, elem_bytes,
-                                    aopt_.memory_items);
-          }
-          rep.block_transfers +=
-              (pi_dev->stats().transfers() - t) + payload_dev.stats().transfers();
-          if (report_out_ != nullptr) *report_out_ = rep;
-        });
+    auto* base = static_cast<unsigned char*>(data);
+    em::async_report rep;
+    if (words_per_record(elem_bytes) == 1) {
+      // Records of <= 8 bytes: the payload itself streams onto the device
+      // one record per word, is shuffled there and streams back.
+      em::block_device dev(n, block_items_);
+      {
+        const obs::span sp("fill", "exec");
+        write_records_streamed(dev, base, n, elem_bytes, aopt_.memory_items);
+      }
+      const std::uint64_t filled = dev.stats().transfers();
+      {
+        const obs::span sp("shuffle", "exec");
+        rep = em::async_em_shuffle(dev, n, seed, pool_, aopt_);
+      }
+      const std::uint64_t t = dev.stats().transfers();
+      {
+        const obs::span sp("readback", "exec");
+        read_records_streamed(dev, base, n, elem_bytes, aopt_.memory_items);
+      }
+      rep.block_transfers += filled + (dev.stats().transfers() - t);
+    } else {
+      // Records wider than a device word: the payload streams onto its
+      // own device (whole words per record), the index permutation is
+      // built out of core, and the gather reads each source record back
+      // off the payload device -- O(M) resident staging end to end, no
+      // full-n pi vector and no RAM payload copy, at the price of
+      // Theta(n) random-read transfers for the gather (see
+      // core/apply.hpp).
+      em::block_device payload_dev(n * words_per_record(elem_bytes), block_items_);
+      {
+        const obs::span sp("fill", "exec");
+        write_records_streamed(payload_dev, base, n, elem_bytes, aopt_.memory_items);
+      }
+      const auto pi_dev =
+          em_shuffled_identity_device(n, seed, {aopt_, block_items_, &pool_}, &rep);
+      const std::uint64_t t = pi_dev->stats().transfers();
+      {
+        const obs::span sp("readback", "exec");
+        gather_records_streamed(*pi_dev, payload_dev, base, n, elem_bytes, aopt_.memory_items);
+      }
+      rep.block_transfers +=
+          (pi_dev->stats().transfers() - t) + payload_dev.stats().transfers();
+    }
+    if (report_out_ != nullptr) *report_out_ = rep;
   }
 
   void fill_random_permutation(std::span<std::uint64_t> out, std::uint64_t seed) override {

@@ -55,7 +55,7 @@ namespace cgp::core {
 /// Which engine executes the permutation.
 enum class backend : std::uint8_t {
   smp,            ///< native shared-memory thread engine
-  em,             ///< out-of-core engine (async block-device scatter)
+  em,             ///< out-of-core engine (block-device distribution passes)
   cgm,            ///< distributed engine over a comm::transport
   sequential,     ///< seq::fisher_yates reference
   prp,            ///< O(1)-memory cipher PRP (src/prp/): pi evaluated, never stored

@@ -2,32 +2,30 @@
 //
 // The out-of-core permutation engine: the paper's coarse-grained split
 // run as distribution passes over a block device (n items, M items of
-// memory, B items per block), with block I/O overlapping computation
-// instead of stalling on every transfer.  Each level scatters its range
-// into K buckets by independent uniform labels (the Rao-Sandelius
-// argument gives exact uniformity) and recurses until a bucket fits in
-// memory, where it is Fisher-Yates'd: O((n/B) log_K(n/M)) block
-// transfers, the external-sorting bound with no comparison sort.  Three
-// ideas carry the design:
+// memory, B items per block).  Each level scatters its range into K
+// buckets by independent uniform labels (the Rao-Sandelius argument gives
+// exact uniformity) and recurses until a bucket fits in memory, where it
+// is Fisher-Yates'd: O((n/B) log_K(n/M)) block transfers, the
+// external-sorting bound with no comparison sort.  Three ideas carry the
+// design:
 //
 //  1. *Index-keyed labels.*  Every bucket label is drawn from a Philox
 //     stream keyed (seed, level, bucket) at counter position `index`, so
 //     the label of item i is a pure function of (seed, level, bucket, i).
 //     Consequences: the counting pass needs NO I/O at all (labels are
 //     recomputed, never stored, so no label device and no extra scan
-//     passes exist), and any worker can jump to any index range of the
-//     stream in O(1) (rng::stream_engine_at), so label generation
-//     parallelizes without hand-off.
-//  2. *Double-buffered asynchronous scatter.*  Data blocks are streamed
-//     through a depth-bounded async_io_queue (em/block_device.hpp): each
-//     worker keeps kReadAhead = 2 reads in flight ahead of the block it is
-//     scattering, and bucket output is staged (bucket_stage: a
-//     block-sized slot per bucket) and written through the other
-//     device's queue as fire-and-forget writes.  Each device has one
-//     queue, and so one I/O thread, for the whole call.  Compute (label
-//     regeneration + scatter staging + leaf Fisher-Yates) runs on an
-//     smp::thread_pool; transfers run on the I/O threads; neither waits
-//     for the other except at level barriers.
+//     passes exist), and any worker can seek to any index of the stream
+//     in O(1) (rng::batched_philox's word-index constructor), so label
+//     generation parallelizes without hand-off.
+//  2. *Staged scatter straight to the device.*  Each worker reads its
+//     chunk a block at a time into one B-item buffer, and stages bucket
+//     output in bucket_stage (a block-sized slot per bucket), whose
+//     block-aligned pieces go to the other device's write_items straight
+//     from the slot.  Everything, compute and transfers, runs on the
+//     caller's smp::thread_pool; the only lock is the device's mutex
+//     (em/block_device.hpp), which serializes each device's transfers
+//     like one disk arm and makes a shared boundary block's
+//     read-modify-write atomic.
 //  3. *Deterministic parallel decomposition.*  The scatter is organized
 //     like smp/parallel_split.hpp: per-chunk label histograms and
 //     column-prefix offsets let every chunk write its slice of every
@@ -56,21 +54,17 @@
 // 0's reads gone.
 //
 // Memory budget (simulated, not enforced): one worker's scatter working
-// set is ~K * B staged items + kReadAhead * B in-flight reads, which
-// K = M/B - 2 keeps within M; with p pool workers the aggregate is ~p * M
-// (the I/O model's M is per scan process), plus at most 2 * p queued
-// writes of at most B items each.  Leaves materialize at most M items
+// set is K * B staged items + a B-item read buffer, which K = M/B - 2
+// keeps within M; with p pool workers the aggregate is ~p * M (the I/O
+// model's M is per scan process).  Leaves materialize at most M items
 // each.  Nothing is kept past the call.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -109,18 +103,12 @@ struct async_report {
   std::uint64_t block_transfers = 0;  ///< device reads + writes (data + scratch)
   std::uint32_t levels = 0;           ///< deepest distribution level used
   std::uint64_t rng_words = 0;        ///< random words consumed
-  std::uint64_t async_reads = 0;      ///< operations that went through the read queues
-  std::uint64_t async_writes = 0;     ///< operations that went through the write queues
-  std::uint32_t max_in_flight = 0;    ///< peak queue occupancy across all levels
 };
 
 namespace detail_async {
 
 inline constexpr std::uint64_t kLabelSalt = 0x6C61'6265'6Cull;  // 'label'
 inline constexpr std::uint64_t kLeafSalt = 0x6C65'6166ull;      // 'leaf' (same as smp)
-/// Reads each worker keeps in flight ahead of the block it is scattering
-/// (2 = double buffering); the queues' depth is kReadAhead * workers.
-inline constexpr std::uint32_t kReadAhead = 2;
 
 /// body(word, k) with the label word of each of the next `count` items,
 /// read from `e` a keystream window at a time (as seq::fisher_yates_batched
@@ -140,16 +128,16 @@ inline void for_each_label(rng::batched_philox& e, std::uint64_t count, Body&& b
 /// slots in one array at a padded stride (so they do not all start on one
 /// cache set), never value-initialized.  In a chunk, bucket j's items go
 /// to the device run [dest_j, dest_j + count_j).  They leave the slot in
-/// pieces, one queue write each: the slice up to the run's first block
-/// boundary (once the run holds at least a block), then whole blocks
-/// (blind device writes), then the tail; a run shorter than a block
-/// leaves whole.  So a run pays at most two read-modify-write boundary
-/// blocks, and a worker stages at most K * B items -- within the
-/// K = M/B - 2 frame budget.
+/// pieces, each written straight from the slot by one write_items call:
+/// the slice up to the run's first block boundary (once the run holds at
+/// least a block), then whole blocks (blind device writes), then the
+/// tail; a run shorter than a block leaves whole.  So a run pays at most
+/// two read-modify-write boundary blocks, and a worker stages at most
+/// K * B items -- within the K = M/B - 2 frame budget.
 class bucket_stage {
  public:
-  bucket_stage(async_io_queue& q, std::uint32_t fan, std::uint32_t block_items)
-      : q_(q),
+  bucket_stage(block_device& dev, std::uint32_t fan, std::uint32_t block_items)
+      : dev_(dev),
         b_(block_items),
         stride_(std::size_t{block_items} + kPad),
         slots_(std::make_unique_for_overwrite<std::uint64_t[]>(fan * stride_)),
@@ -190,13 +178,13 @@ class bucket_stage {
   void emit(std::uint64_t j) {
     std::uint64_t* s = slot(j);
     const auto staged = static_cast<std::uint64_t>(cursor_[j].at - s);
-    q_.write_items(run_[j].pos, std::vector<std::uint64_t>(s, s + staged));
+    dev_.write_items(run_[j].pos, std::span<const std::uint64_t>(s, staged));
     run_[j].pos += staged;
     run_[j].remaining -= staged;
     cursor_[j] = {s, std::min<std::uint64_t>(b_, run_[j].remaining)};
   }
 
-  async_io_queue& q_;
+  block_device& dev_;
   std::uint64_t b_;
   std::size_t stride_;
   std::unique_ptr<std::uint64_t[]> slots_;
@@ -224,26 +212,10 @@ class engine_state {
   [[nodiscard]] async_report take_report() {
     async_report r = report_;
     r.rng_words = rng_words_.load();
-    for (const auto* q : {&main_q_, &scratch_q_}) {
-      if (!q->has_value()) continue;
-      const async_stats st = (*q)->stats();
-      r.async_reads += st.reads_enqueued;
-      r.async_writes += st.writes_enqueued;
-      r.max_in_flight = std::max(r.max_in_flight, st.max_in_flight);
-    }
     return r;
   }
 
  private:
-  /// The I/O server of `dev`, started at its first use and kept for the
-  /// rest of the call: each scatter level reads through cur's and writes
-  /// through other's, and drains both before it ends.
-  async_io_queue& queue(block_device& dev) {
-    std::optional<async_io_queue>& q = &dev == &main_ ? main_q_ : scratch_q_;
-    if (!q) q.emplace(dev, kReadAhead * pool_.size());
-    return *q;
-  }
-
   /// Fisher-Yates a range in memory; results always land on the MAIN
   /// device.  Thread-safe (device ops serialize); keyed only by the tree
   /// address, so leaf tasks may run concurrently in any order.
@@ -307,11 +279,10 @@ class engine_state {
     pool_.parallel_for(0, nchunks, [&](std::size_t c_lo, std::size_t c_hi) {
       for (std::size_t c = c_lo; c < c_hi; ++c) {
         const auto [blks, items] = chunk_bounds(c);
-        // Batched replay of the index-keyed label stream: bit-identical to
-        // rng::stream_engine_at(seed_, label_stream, items.first - lo), but
-        // the keystream is generated kBatchBlocks at a time through the
-        // SIMD kernels -- this pass is pure keystream + histogram, so it is
-        // where the vector win shows up undiluted.
+        // Replay of the index-keyed label stream from word items.first - lo,
+        // generated kBatchBlocks at a time through the SIMD kernels -- this
+        // pass is pure keystream + histogram, so it is where the vector win
+        // shows up undiluted.
         rng::batched_philox e(seed_, label_stream, items.first - lo);
         std::uint64_t* hist = counts.data() + c * fan_;
         for_each_label(e, items.second - items.first,
@@ -339,15 +310,14 @@ class engine_state {
       CGP_ASSERT(at == bucket_lo[j + 1]);
     }
 
-    // --- scatter pass: prefetched reads, staged async writes -----------
+    // --- scatter pass: block reads, staged writes -----------------------
     // Identity input (level 0 of a fused permutation) reads nothing: item
     // i's value is i.
     {
       const obs::span sp("scatter-level", "scatter");
-      async_io_queue& write_q = queue(other);
-      async_io_queue* read_q = identity ? nullptr : &queue(cur);
       pool_.parallel_for(0, nchunks, [&](std::size_t c_lo, std::size_t c_hi) {
-        bucket_stage stage(write_q, fan_, b);
+        bucket_stage stage(other, fan_, b);
+        const auto buf = identity ? nullptr : std::make_unique_for_overwrite<std::uint64_t[]>(b);
         for (std::size_t c = c_lo; c < c_hi; ++c) {
           const auto [blks, items] = chunk_bounds(c);
           rng::batched_philox e(seed_, label_stream, items.first - lo);
@@ -357,31 +327,19 @@ class engine_state {
               stage.push(w & mask, items.first + k);
             });
           } else {
-            // Keep up to kReadAhead reads in flight ahead of the block
-            // currently being scattered.
-            std::deque<std::future<std::vector<std::uint64_t>>> window;
-            std::uint64_t next_blk = blks.first;
+            // One read per block: the chunk's items of that block.
             for (std::uint64_t blk = blks.first; blk < blks.second; ++blk) {
-              while (next_blk < blks.second && window.size() < kReadAhead) {
-                window.push_back(read_q->read_block(next_blk));
-                ++next_blk;
-              }
-              const std::vector<std::uint64_t> buf = window.front().get();
-              window.pop_front();
-              const std::uint64_t first = blk * b;
-              const std::uint64_t i_lo = std::max<std::uint64_t>(first, items.first);
-              const std::uint64_t i_hi = std::min<std::uint64_t>(first + b, items.second);
-              const std::uint64_t* src = buf.data() + (i_lo - first);
+              const std::uint64_t i_lo = std::max<std::uint64_t>(blk * b, items.first);
+              const std::uint64_t i_hi = std::min<std::uint64_t>((blk + 1) * b, items.second);
+              cur.read_items(i_lo, std::span<std::uint64_t>(buf.get(), i_hi - i_lo));
               for_each_label(e, i_hi - i_lo, [&](std::uint64_t w, std::uint64_t k) {
-                stage.push(w & mask, src[k]);
+                stage.push(w & mask, buf[k]);
               });
             }
           }
           rng_words_.fetch_add(items.second - items.first, std::memory_order_relaxed);
         }
       });
-      if (read_q != nullptr) read_q->drain();
-      write_q.drain();
     }
 
     // --- recurse: big buckets sequentially (each internally parallel),
@@ -415,8 +373,6 @@ class engine_state {
   const std::uint64_t leaf_cut_;
   async_report report_;
   std::atomic<std::uint64_t> rng_words_{0};
-  std::optional<async_io_queue> main_q_;
-  std::optional<async_io_queue> scratch_q_;
 };
 
 /// Both entry points: allocate the ping-pong scratch, run the engine and
@@ -442,18 +398,15 @@ class engine_state {
   if (obs::enabled()) {
     obs::get_counter("em.shuffles").add();
     obs::get_counter("em.block_transfers").add(report.block_transfers);
-    obs::get_counter("em.async_reads").add(report.async_reads);
-    obs::get_counter("em.async_writes").add(report.async_writes);
     obs::get_counter("em.rng_words").add(report.rng_words);
-    obs::get_gauge("em.io.in_flight").note_peak(report.max_in_flight);
   }
   return report;
 }
 
 }  // namespace detail_async
 
-/// Uniformly shuffle the first `n` items of `dev` out of core, overlapping
-/// block transfers with computation on `pool`.  Allocates one scratch
+/// Uniformly shuffle the first `n` items of `dev` out of core, computing
+/// and transferring on `pool`.  Allocates one scratch
 /// device of the same geometry (the ping-pong scatter target), whose
 /// transfers are included in the report.  Deterministic in (seed, n,
 /// M, B): independent of the pool size.

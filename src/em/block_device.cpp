@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
-#include <utility>
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -61,9 +59,9 @@ bool env_hugepages() {
   return v == "1" || v == "on" || v == "true";
 }
 
-// Process-wide I/O metrics, shared across every simulated device and
-// queue (per-run accounting stays in io_stats / async_stats).  References
-// are resolved once; mutations are relaxed atomic adds.
+// Process-wide I/O metrics, shared across every simulated device
+// (per-run accounting stays in io_stats).  References are resolved once;
+// mutations are relaxed atomic adds.
 obs::counter& io_reads_counter() {
   static obs::counter& c = obs::get_counter("em.io.reads");
   return c;
@@ -71,10 +69,6 @@ obs::counter& io_reads_counter() {
 obs::counter& io_writes_counter() {
   static obs::counter& c = obs::get_counter("em.io.writes");
   return c;
-}
-obs::gauge& io_queue_gauge() {
-  static obs::gauge& g = obs::get_gauge("em.io.queue_depth");
-  return g;
 }
 
 }  // namespace
@@ -234,92 +228,6 @@ void buffer_pool::flush() {
       ++stats_.block_writes;
       f.dirty = false;
     }
-  }
-}
-
-async_io_queue::async_io_queue(block_device& dev, std::uint32_t depth)
-    : dev_(dev), depth_(depth) {
-  CGP_EXPECTS(depth >= 1);
-  server_ = std::thread([this] { serve(); });
-}
-
-async_io_queue::~async_io_queue() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  pending_.notify_all();
-  server_.join();
-}
-
-void async_io_queue::enqueue(request req) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    space_.wait(lock, [this] { return in_flight_ < depth_; });
-    ++in_flight_;
-    stats_.max_in_flight = std::max(stats_.max_in_flight, in_flight_);
-    io_queue_gauge().add(1);
-    io_queue_gauge().note_peak(in_flight_);
-    if (req.is_read) {
-      ++stats_.reads_enqueued;
-    } else {
-      ++stats_.writes_enqueued;
-    }
-    queue_.push_back(std::move(req));
-  }
-  pending_.notify_one();
-}
-
-std::future<std::vector<std::uint64_t>> async_io_queue::read_block(std::uint64_t b) {
-  request req;
-  req.is_read = true;
-  req.block = b;
-  auto fut = req.out.get_future();
-  enqueue(std::move(req));
-  return fut;
-}
-
-void async_io_queue::write_items(std::uint64_t item_lo, std::vector<std::uint64_t> items) {
-  request req;
-  req.is_read = false;
-  req.item_lo = item_lo;
-  req.items = std::move(items);
-  enqueue(std::move(req));
-}
-
-void async_io_queue::drain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  space_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-async_stats async_io_queue::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-void async_io_queue::serve() {
-  for (;;) {
-    request req;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      pending_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ and nothing left to serve
-      req = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    if (req.is_read) {
-      std::vector<std::uint64_t> buf(dev_.block_items());
-      dev_.read_block(req.block, buf);
-      req.out.set_value(std::move(buf));
-    } else {
-      dev_.write_items(req.item_lo, req.items);
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-    }
-    io_queue_gauge().sub(1);
-    space_.notify_all();
   }
 }
 

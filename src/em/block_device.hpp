@@ -8,29 +8,25 @@
 //
 // `block_device` simulates a disk of fixed-size blocks with exact I/O
 // accounting; `buffer_pool` puts an LRU cache of `frames` blocks in front
-// of it (the "M" of the I/O model, in blocks); `async_io_queue` puts a
-// depth-bounded asynchronous request queue in front of it, which is what
-// the out-of-core engine (em/async_shuffle.hpp) uses to overlap block
-// transfers with computation.  Algorithms built on top are measured in
-// *block transfers*, the currency of the Aggarwal-Vitter I/O model.
+// of it (the "M" of the I/O model, in blocks).  Algorithms built on top
+// are measured in *block transfers*, the currency of the Aggarwal-Vitter
+// I/O model.
 //
 // Thread safety: `read_block` / `write_block` / `read_items` /
-// `write_items` serialize on an internal mutex, and the partial-block
-// read-modify-write of `write_items` holds the lock for the whole RMW
-// cycle -- so concurrent writers patching disjoint item slices of the same
-// boundary block can never lose each other's update, which the parallel
-// scatter of the async engine depends on.  `buffer_pool` itself is
-// single-caller, like before.
+// `write_items` serialize on an internal mutex -- one transfer at a time
+// per device, like one disk arm -- and the partial-block read-modify-write
+// of `write_items` holds the lock for the whole RMW cycle, so concurrent
+// writers patching disjoint item slices of the same boundary block can
+// never lose each other's update.  The out-of-core engine's parallel
+// scatter and leaves call the device from every pool worker and depend on
+// exactly that; the mutex is the only lock they share.  `buffer_pool`
+// itself is single-caller.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <list>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -170,74 +166,6 @@ class buffer_pool {
   std::list<std::size_t> lru_;  // front = most recent
   std::unordered_map<std::uint64_t, std::list<std::size_t>::iterator> where_;
   io_stats stats_;
-};
-
-/// Behavioural statistics of an async queue (the device's own io_stats
-/// still count the transfers themselves).
-struct async_stats {
-  std::uint64_t reads_enqueued = 0;
-  std::uint64_t writes_enqueued = 0;
-  std::uint32_t max_in_flight = 0;  ///< peak queue occupancy observed
-};
-
-/// A depth-bounded asynchronous request queue in front of a device,
-/// served in FIFO order by a dedicated I/O thread.  `depth` bounds the
-/// number of in-flight operations: enqueueing past it blocks the caller
-/// (bounded-buffer backpressure -- depth = 2 is classic double buffering,
-/// deeper queues prefetch further ahead).
-///
-/// The server is a dedicated thread rather than an smp::thread_pool task
-/// on purpose: the out-of-core engine keeps every pool worker busy with
-/// computation (label generation, scatter staging, leaf shuffles), and a
-/// worker blocking on queue backpressure while the queue's own service
-/// task waits behind it in the same pool would deadlock at small pool
-/// sizes.  One server thread per device also serializes that device's
-/// transfers, which is exactly how a single disk behaves.
-class async_io_queue {
- public:
-  async_io_queue(block_device& dev, std::uint32_t depth);
-  ~async_io_queue();
-
-  async_io_queue(const async_io_queue&) = delete;
-  async_io_queue& operator=(const async_io_queue&) = delete;
-
-  /// Enqueue a read of block `b`; the future resolves with the block's
-  /// contents once the I/O thread has performed the transfer.
-  [[nodiscard]] std::future<std::vector<std::uint64_t>> read_block(std::uint64_t b);
-
-  /// Enqueue an item-range write (takes ownership of the buffer; partial
-  /// boundary blocks are merge-written atomically, see
-  /// block_device::write_items).
-  void write_items(std::uint64_t item_lo, std::vector<std::uint64_t> items);
-
-  /// Block until every operation enqueued so far has completed.
-  void drain();
-
-  [[nodiscard]] std::uint32_t depth() const noexcept { return depth_; }
-  [[nodiscard]] async_stats stats() const;
-
- private:
-  struct request {
-    bool is_read = false;
-    std::uint64_t block = 0;                      // read target
-    std::promise<std::vector<std::uint64_t>> out; // read result
-    std::uint64_t item_lo = 0;                    // write target
-    std::vector<std::uint64_t> items;             // write payload
-  };
-
-  void serve();
-  void enqueue(request req);
-
-  block_device& dev_;
-  std::uint32_t depth_;
-  mutable std::mutex mutex_;
-  std::condition_variable space_;   // signalled when an op completes
-  std::condition_variable pending_; // signalled when an op is enqueued
-  std::deque<request> queue_;
-  std::uint32_t in_flight_ = 0;  // queued + currently being served
-  bool stop_ = false;
-  async_stats stats_;
-  std::thread server_;
 };
 
 }  // namespace cgp::em

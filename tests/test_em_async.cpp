@@ -1,16 +1,19 @@
 // Tests for the out-of-core permutation engine (em/async_shuffle.hpp) and
-// the async device substrate it runs on: queue semantics, item-range RMW
-// atomicity, exhaustive S5 uniformity of the async path, bit-identical
-// output across worker counts, the O((n/B) log_K(n/M)) transfer bound and
-// the gap to the naive baseline, the identity-fused permutation against
-// the identity filled and shuffled, and the core::backend::em dispatch
+// the block device it calls directly: item-range transfer accounting and
+// the atomic boundary-block read-modify-write that concurrent writers
+// share, exhaustive S5 uniformity of the engine, bit-identical output
+// across worker counts, the O((n/B) log_K(n/M)) transfer bound and the gap
+// to the naive baseline, the identity-fused permutation against the
+// identity filled and shuffled, and the core::backend::em dispatch
 // including the designed em == sequential agreement at M >= n.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <barrier>
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/apply.hpp"
@@ -53,31 +56,75 @@ TEST(BlockDeviceItems, WriteItemsBlindWritesFullBlocksAndMergesEdges) {
   EXPECT_EQ(dev.stats().block_writes, 3u);
 }
 
-// --- async queue -------------------------------------------------------------
-
-TEST(AsyncIoQueue, ReadFutureDeliversBlockContents) {
-  em::block_device dev(32, 4);
-  for (std::uint64_t i = 0; i < 32; ++i) dev.poke(i, i * 3);
-  em::async_io_queue q(dev, 2);
-  auto fut = q.read_block(2);
-  const std::vector<std::uint64_t> blk = fut.get();
-  ASSERT_EQ(blk.size(), 4u);
-  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(blk[i], (8 + i) * 3);
-  q.drain();
-  EXPECT_EQ(q.stats().reads_enqueued, 1u);
-}
-
-TEST(AsyncIoQueue, WritesLandAfterDrainAndRespectDepth) {
-  em::block_device dev(64, 8);
-  em::async_io_queue q(dev, 2);
-  for (std::uint64_t w = 0; w < 6; ++w) {
-    q.write_items(w * 8, std::vector<std::uint64_t>(8, w + 1));
+// The engine's scatter and leaves write disjoint item slices of one device
+// from every pool worker, and adjacent slices share boundary blocks: the
+// device must make each boundary read-modify-write atomic, or one writer's
+// merge puts back another's stale items.  Four threads write interleaved
+// slices of 1 to B + 1 items (adjacent slices always on different threads)
+// over a few blocks, round after round, with the slice lengths shifting
+// every round so the shared boundaries move; after each round every item
+// must hold its writer's value, and at the end the device must have
+// counted exactly the transfers its calls imply.
+TEST(BlockDeviceItems, ConcurrentWritersComposeOnSharedBoundaryBlocks) {
+  constexpr std::uint32_t b = 8;
+  constexpr std::uint64_t n = 256;
+  constexpr unsigned writers = 4;
+  constexpr std::uint64_t rounds = 5000;
+  em::block_device dev(n, b);
+  const auto value = [](std::uint64_t round, std::uint64_t t, std::uint64_t i) {
+    return (round << 40) | (t << 32) | i;
+  };
+  // Slice s of the current round is [bounds[s], bounds[s + 1]) and belongs
+  // to writer s % writers.
+  std::uint64_t round = 0;
+  std::vector<std::uint64_t> bounds;
+  const auto lay_out = [&] {
+    bounds.assign(1, 0);
+    for (std::uint64_t s = 0; bounds.back() < n; ++s) {
+      bounds.push_back(std::min(n, bounds.back() + 1 + (s + round) % (b + 1)));
+    }
+  };
+  lay_out();
+  std::uint64_t want_reads = 0;
+  std::uint64_t want_writes = 0;
+  std::uint64_t wrong_items = 0;
+  // Runs once per round, after every writer has arrived and before any is
+  // released: check the round, count its calls' transfers, lay out the next.
+  const auto end_round = [&]() noexcept {
+    for (std::size_t s = 0; s + 1 < bounds.size(); ++s) {
+      const std::uint64_t lo = bounds[s];
+      const std::uint64_t hi = bounds[s + 1];
+      for (std::uint64_t i = lo; i < hi; ++i) {
+        wrong_items += dev.peek(i) != value(round, s % writers, i);
+      }
+      for (std::uint64_t blk = lo / b; blk * b < hi; ++blk) {
+        ++want_writes;
+        if (lo > blk * b || hi < (blk + 1) * b) ++want_reads;  // a merged boundary
+      }
+    }
+    ++round;
+    lay_out();
+  };
+  std::barrier sync(writers, end_round);
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < writers; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::uint64_t> in;
+      for (std::uint64_t r = 0; r < rounds; ++r) {
+        for (std::size_t s = t; s + 1 < bounds.size(); s += writers) {
+          in.resize(bounds[s + 1] - bounds[s]);
+          for (std::uint64_t k = 0; k < in.size(); ++k) in[k] = value(round, t, bounds[s] + k);
+          dev.write_items(bounds[s], in);
+        }
+        sync.arrive_and_wait();
+      }
+    });
   }
-  q.drain();
-  for (std::uint64_t i = 0; i < 48; ++i) EXPECT_EQ(dev.peek(i), i / 8 + 1);
-  const auto st = q.stats();
-  EXPECT_EQ(st.writes_enqueued, 6u);
-  EXPECT_LE(st.max_in_flight, 2u) << "backpressure must bound the queue at its depth";
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(round, rounds);
+  EXPECT_EQ(wrong_items, 0u) << "a boundary merge lost a concurrent writer's items";
+  EXPECT_EQ(dev.stats().block_reads, want_reads);
+  EXPECT_EQ(dev.stats().block_writes, want_writes);
 }
 
 // --- async engine: correctness and uniformity --------------------------------
@@ -103,8 +150,6 @@ TEST(AsyncEmShuffle, PreservesMultisetWithDeepRecursion) {
   for (std::uint64_t i = 0; i < 4096; ++i) out[i] = dev.peek(i);
   EXPECT_TRUE(stats::is_permutation_of_iota(out));
   EXPECT_GE(rep.levels, 2u) << "must have recursed";
-  EXPECT_GT(rep.async_reads, 0u);
-  EXPECT_GT(rep.async_writes, 0u);
 }
 
 TEST(AsyncEmShuffle, ExhaustiveUniformityOverS5OnTinyDevice) {
@@ -152,8 +197,7 @@ TEST(AsyncEmShuffle, FixedPointLawAtModerateSize) {
 
 TEST(AsyncEmShuffle, BitIdenticalAcrossWorkerCounts) {
   // Pools of 1, 2 and 4 workers chunk every level differently; the
-  // permutation must not change, and the queues stay within their depth
-  // of two reads in flight per worker (double buffering).
+  // permutation must not change.
   constexpr std::uint64_t n = 6000;
   constexpr std::uint64_t seed = 0xA570;
   const unsigned workers[] = {1u, 2u, 4u};
@@ -165,8 +209,7 @@ TEST(AsyncEmShuffle, BitIdenticalAcrossWorkerCounts) {
         smp::thread_pool pool(workers[i]);
         em::async_options opt;
         opt.memory_items = 256;
-        const auto rep = em::async_em_shuffle(dev, n, seed, pool, opt);
-        EXPECT_LE(rep.max_in_flight, 2u * pool.size());
+        (void)em::async_em_shuffle(dev, n, seed, pool, opt);
         std::vector<std::uint64_t> out(n);
         for (std::uint64_t j = 0; j < n; ++j) out[j] = dev.peek(j);
         return out;
@@ -294,7 +337,6 @@ TEST(BackendEm, OutOfCoreDispatchProducesValidPermutationAndReport) {
   EXPECT_TRUE(stats::is_permutation_of_iota(pi));
   EXPECT_GE(report.levels, 1u);
   EXPECT_GT(report.block_transfers, 0u);
-  EXPECT_GT(report.async_reads, 0u);
 }
 
 TEST(BackendEm, DispatchMatchesDirectEngineOnSameSeed) {
