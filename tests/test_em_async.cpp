@@ -4,8 +4,9 @@
 // share, exhaustive S5 uniformity of the engine, bit-identical output
 // across worker counts, the O((n/B) log_K(n/M)) transfer bound and the gap
 // to the naive baseline, the identity-fused permutation against the
-// identity filled and shuffled, and the core::backend::em dispatch
-// including the designed em == sequential agreement at M >= n.
+// identity filled and shuffled, absolute content and count pins at
+// fan-out 256, and the core::backend::em dispatch including the designed
+// em == sequential agreement at M >= n.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "em/block_device.hpp"
 #include "em/naive_shuffle.hpp"
 #include "rng/philox.hpp"
+#include "rng/splitmix64.hpp"
 #include "seq/fisher_yates.hpp"
 #include "smp/thread_pool.hpp"
 #include "support/perm_check.hpp"
@@ -373,6 +375,8 @@ TEST(AsyncEmPermutation, FusedIdentityEqualsFillThenShuffle) {
       {900, 1024, 64, 0},    // n <= M: a root leaf
       {5003, 1024, 64, 1},   // K = 8 buckets of ~625 <= M
       {20'011, 512, 32, 2},  // buckets of ~2,500 > M split once more
+      {100'003, 2064, 8, 1},    // K = 256 buckets of ~391 <= M
+      {1'000'003, 2064, 8, 2},  // K = 256 buckets of ~3,906 > M split once more
   };
   for (const auto& shape : shapes) {
     for (const unsigned workers : {1u, 3u}) {
@@ -405,6 +409,59 @@ TEST(AsyncEmPermutation, FusedIdentityEqualsFillThenShuffle) {
       EXPECT_EQ(fill_transfers + shuffled.block_transfers - fused.block_transfers,
                 fill_transfers + level0_reads)
           << where;
+    }
+  }
+}
+
+// Absolute pins at fan-out 256, the wire streams' K (every other shape in
+// this file runs K = 8): B = 8 and M = 2,064, one level at n = 100,003
+// and two at n = 1,000,003, both entry points, pools of 1 and 3.  The
+// content digest, levels and rng words cannot depend on the pool; the
+// block transfers are pinned per pool size, because the chunking (and with
+// it the count of boundary read-modify-writes) follows the pool.
+TEST(AsyncEmPermutation, FanOut256ContentAndCountsArePinned) {
+  const struct {
+    std::uint64_t n;
+    bool identity;  ///< async_em_permutation, else async_em_shuffle of mix64(i)
+    std::uint64_t digest;
+    std::uint32_t levels;
+    std::uint64_t rng_words;
+    std::uint64_t transfers[2];  ///< at pools of 1 and 3
+  } pins[] = {
+      {100'003, true, 0x1D9442A33FB357F9ull, 1, 299'753, {39'678, 42'306}},
+      {100'003, false, 0x37A0B43A03E9B34Aull, 1, 299'753, {52'179, 54'807}},
+      {1'000'003, true, 0x3EB8CD9BDC85DFC7ull, 2, 4'934'479, {1'027'631, 1'030'358}},
+      {1'000'003, false, 0x10E13EF9E21491BCull, 2, 4'934'479, {1'152'632, 1'155'359}},
+  };
+  for (const auto& pin : pins) {
+    for (const unsigned w : {0u, 1u}) {
+      smp::thread_pool pool(w == 0 ? 1 : 3);
+      em::async_options opt;
+      opt.memory_items = 2064;
+      const std::uint64_t seed = 0x256 ^ pin.n;
+      em::block_device dev(pin.n, 8);
+      em::async_report rep;
+      if (pin.identity) {
+        rep = em::async_em_permutation(dev, pin.n, seed, pool, opt);
+      } else {
+        for (std::uint64_t i = 0; i < pin.n; ++i) dev.poke(i, rng::mix64(i));
+        rep = em::async_em_shuffle(dev, pin.n, seed, pool, opt);
+      }
+      std::uint64_t h = 0xCBF29CE484222325ull;
+      for (std::uint64_t i = 0; i < pin.n; ++i) {
+        const std::uint64_t v = dev.peek(i);
+        for (unsigned k = 0; k < 8; ++k) {
+          h ^= (v >> (8 * k)) & 0xFF;
+          h *= 0x100000001B3ull;
+        }
+      }
+      const std::string where = std::string(pin.identity ? "permutation" : "shuffle") +
+                                " n=" + std::to_string(pin.n) +
+                                " workers=" + std::to_string(pool.size());
+      EXPECT_EQ(h, pin.digest) << where << " digest 0x" << std::hex << h;
+      EXPECT_EQ(rep.levels, pin.levels) << where;
+      EXPECT_EQ(rep.rng_words, pin.rng_words) << where;
+      EXPECT_EQ(rep.block_transfers, pin.transfers[w]) << where;
     }
   }
 }
