@@ -20,7 +20,7 @@
 //  2. *Staged scatter straight to the device.*  Each worker reads its
 //     chunk a block at a time into one B-item buffer, and stages bucket
 //     output in bucket_stage (a block-sized slot per bucket), whose
-//     block-aligned pieces go to the other device's write_items straight
+//     block-aligned pieces go to the target device's write_items straight
 //     from the slot.  Everything, compute and transfers, runs on the
 //     caller's smp::thread_pool; the only lock is the device's mutex
 //     (em/block_device.hpp), which serializes each device's transfers
@@ -51,13 +51,23 @@
 // not depend on item values, so level 0 can take item i's value as i --
 // in its scatter, or in a root leaf -- and leave what the identity
 // written on and shuffled would leave, with the fill's writes and level
-// 0's reads gone.
+// 0's reads gone.  Reading nothing, that scatter writes its buckets in
+// place, onto the device it was given.
+//
+// Devices: a level that reads its range scatters it onto the other
+// device of a ping-pong pair, the caller's and an n-item scratch device
+// of the same geometry.  The scratch device is created the first time a
+// level needs it (level 0 of async_em_shuffle, or any level >= 1), so a
+// one-level permutation and any n <= M never allocate it.  Leaves read
+// whichever device holds their bucket and write the caller's.
 //
 // Memory budget (simulated, not enforced): one worker's scatter working
 // set is K * B staged items + a B-item read buffer, which K = M/B - 2
 // keeps within M; with p pool workers the aggregate is ~p * M (the I/O
 // model's M is per scan process).  Leaves materialize at most M items
-// each.  Nothing is kept past the call.
+// each, in one buffer per pool part.  The scratch device adds n items
+// only once a level that needs it runs, and lives until the call returns.
+// Nothing is kept past the call.
 #pragma once
 
 #include <algorithm>
@@ -65,6 +75,7 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -126,9 +137,12 @@ inline void for_each_label(rng::batched_philox& e, std::uint64_t count, Body&& b
 
 /// One worker's scatter staging: a slot of B items per bucket, all K
 /// slots in one array at a padded stride (so they do not all start on one
-/// cache set), never value-initialized.  In a chunk, bucket j's items go
-/// to the device run [dest_j, dest_j + count_j).  They leave the slot in
-/// pieces, each written straight from the slot by one write_items call:
+/// cache set), never value-initialized.  At K = 256 and B = 4,096 the
+/// slots span 8.4 MB, past any L2, so every push prefetches its slot a
+/// few lines ahead: without it each new line of a slot is a demand miss.
+/// In a chunk, bucket j's items go to the device run [dest_j, dest_j +
+/// count_j).  They leave the slot in pieces, each written straight from
+/// the slot by one write_items call:
 /// the slice up to the run's first block boundary (once the run holds at
 /// least a block), then whole blocks (blind device writes), then the
 /// tail; a run shorter than a block leaves whole.  So a run pays at most
@@ -140,7 +154,7 @@ class bucket_stage {
       : dev_(dev),
         b_(block_items),
         stride_(std::size_t{block_items} + kPad),
-        slots_(std::make_unique_for_overwrite<std::uint64_t[]>(fan * stride_)),
+        slots_(std::make_unique_for_overwrite<std::uint64_t[]>(fan * stride_ + kAhead)),
         cursor_(fan),
         run_(fan) {}
 
@@ -155,12 +169,18 @@ class bucket_stage {
 
   void push(std::uint64_t j, std::uint64_t v) {
     cursor& c = cursor_[j];
+    // On every push: a branch for "first item of a line" mispredicts and
+    // costs more than the redundant prefetches it saves.
+    __builtin_prefetch(c.at + kAhead, 1);
     *c.at++ = v;
     if (--c.left == 0) emit(j);
   }
 
  private:
   static constexpr std::size_t kPad = 8;  ///< one cache line of items
+  /// Prefetch distance in items; the array is padded by as much, so the
+  /// prefetched address is always inside it.
+  static constexpr std::size_t kAhead = 32;
 
   struct cursor {
     std::uint64_t* at;
@@ -194,10 +214,10 @@ class bucket_stage {
 
 class engine_state {
  public:
-  engine_state(block_device& main, block_device& scratch, smp::thread_pool& pool,
-               std::uint64_t seed, std::uint64_t memory_items)
+  engine_state(block_device& main, smp::thread_pool& pool, std::uint64_t seed,
+               std::uint64_t memory_items)
       : main_(main),
-        scratch_(scratch),
+        main_before_(main.stats().transfers()),
         pool_(pool),
         seed_(seed),
         fan_(adaptive_fan_out(memory_items, main.block_items())),
@@ -205,26 +225,44 @@ class engine_state {
 
   /// Shuffle main's first n items; with `identity`, their values are
   /// taken to be 0..n-1 and never read.
-  void run(std::uint64_t n, bool identity) {
-    shuffle_range(main_, scratch_, 0, n, 0, 0, identity);
-  }
+  void run(std::uint64_t n, bool identity) { shuffle_range(main_, 0, n, 0, 0, identity); }
 
+  /// The run's levels and rng words, and its block transfers: main's since
+  /// construction plus the scratch device's, if one was made.
   [[nodiscard]] async_report take_report() {
     async_report r = report_;
     r.rng_words = rng_words_.load();
+    r.block_transfers = main_.stats().transfers() - main_before_ +
+                        (scratch_ ? scratch_->stats().transfers() : 0);
     return r;
   }
 
  private:
-  /// Fisher-Yates a range in memory; results always land on the MAIN
-  /// device.  Thread-safe (device ops serialize); keyed only by the tree
-  /// address, so leaf tasks may run concurrently in any order.
+  /// Where a level reading `cur` writes its buckets: in place when it
+  /// reads nothing (identity input), else the other device of the pair.
+  /// The scratch device is made on first use, on the calling thread (levels
+  /// recurse there; only leaves and chunks run on the pool), and inherits
+  /// main's hugepage placement: both sides of a level sit on one page size.
+  block_device& scatter_target(block_device& cur, bool identity) {
+    if (identity) return cur;
+    if (&cur != &main_) return main_;
+    if (!scratch_) {
+      scratch_.emplace(main_.item_capacity(), main_.block_items(), main_.hugepage_backed());
+    }
+    return *scratch_;
+  }
+
+  /// Fisher-Yates a range in `mem` (at least hi - lo items); results
+  /// always land on the MAIN device.  Thread-safe (device ops serialize);
+  /// keyed only by the tree address, so leaf tasks may run concurrently in
+  /// any order.  `cur` may be main itself (a bucket written in place): the
+  /// leaf then reads and writes its own range, and concurrent leaves share
+  /// at most boundary blocks, whose merges the device makes atomic.
   void leaf(block_device& cur, std::uint64_t lo, std::uint64_t hi, std::uint32_t level,
-            std::uint64_t ordinal, bool identity) {
+            std::uint64_t ordinal, bool identity, std::span<std::uint64_t> mem) {
     const std::uint64_t size = hi - lo;
     if (size == 0) return;
-    const auto mem = std::make_unique_for_overwrite<std::uint64_t[]>(size);
-    const std::span<std::uint64_t> items(mem.get(), size);
+    const std::span<std::uint64_t> items = mem.first(size);
     if (identity) {
       std::iota(items.begin(), items.end(), lo);
     } else {
@@ -239,12 +277,13 @@ class engine_state {
     main_.write_items(lo, items);
   }
 
-  void shuffle_range(block_device& cur, block_device& other, std::uint64_t lo, std::uint64_t hi,
-                     std::uint32_t level, std::uint64_t ordinal, bool identity) {
+  void shuffle_range(block_device& cur, std::uint64_t lo, std::uint64_t hi, std::uint32_t level,
+                     std::uint64_t ordinal, bool identity) {
     const std::uint64_t size = hi - lo;
     report_.levels = std::max(report_.levels, level);
     if (size <= leaf_cut_) {
-      leaf(cur, lo, hi, level, ordinal, identity);
+      const auto mem = std::make_unique_for_overwrite<std::uint64_t[]>(size);
+      leaf(cur, lo, hi, level, ordinal, identity, std::span(mem.get(), size));
       return;
     }
 
@@ -312,11 +351,12 @@ class engine_state {
 
     // --- scatter pass: block reads, staged writes -----------------------
     // Identity input (level 0 of a fused permutation) reads nothing: item
-    // i's value is i.
+    // i's value is i, and the buckets are written in place.
+    block_device& dst = scatter_target(cur, identity);
     {
       const obs::span sp("scatter-level", "scatter");
       pool_.parallel_for(0, nchunks, [&](std::size_t c_lo, std::size_t c_hi) {
-        bucket_stage stage(other, fan_, b);
+        bucket_stage stage(dst, fan_, b);
         const auto buf = identity ? nullptr : std::make_unique_for_overwrite<std::uint64_t[]>(b);
         for (std::size_t c = c_lo; c < c_hi; ++c) {
           const auto [blks, items] = chunk_bounds(c);
@@ -351,22 +391,30 @@ class engine_state {
       if (c_hi - c_lo <= leaf_cut_) {
         if (c_hi > c_lo) leaves.push_back(j);
       } else {
-        shuffle_range(other, cur, c_lo, c_hi, level + 1, ordinal * fan_ + j, false);
+        shuffle_range(dst, c_lo, c_hi, level + 1, ordinal * fan_ + j, false);
       }
     }
     if (!leaves.empty()) {
       report_.levels = std::max(report_.levels, level + 1);
       pool_.parallel_for(0, leaves.size(), [&](std::size_t l_lo, std::size_t l_hi) {
+        // One buffer for the part's leaves, sized to the largest (<= M).
+        std::uint64_t most = 0;
+        for (std::size_t l = l_lo; l < l_hi; ++l) {
+          most = std::max(most, bucket_lo[leaves[l] + 1] - bucket_lo[leaves[l]]);
+        }
+        const auto mem = std::make_unique_for_overwrite<std::uint64_t[]>(most);
         for (std::size_t l = l_lo; l < l_hi; ++l) {
           const std::uint32_t j = leaves[l];
-          leaf(other, bucket_lo[j], bucket_lo[j + 1], level + 1, ordinal * fan_ + j, false);
+          leaf(dst, bucket_lo[j], bucket_lo[j + 1], level + 1, ordinal * fan_ + j, false,
+               std::span(mem.get(), most));
         }
       });
     }
   }
 
   block_device& main_;
-  block_device& scratch_;
+  const std::uint64_t main_before_;
+  std::optional<block_device> scratch_;
   smp::thread_pool& pool_;
   std::uint64_t seed_;
   const std::uint32_t fan_;
@@ -375,24 +423,19 @@ class engine_state {
   std::atomic<std::uint64_t> rng_words_{0};
 };
 
-/// Both entry points: allocate the ping-pong scratch, run the engine and
-/// fold its transfers into the report and the process-wide metrics.
+/// Both entry points: run the engine and fold its report into the
+/// process-wide metrics.
 [[nodiscard]] inline async_report run_engine(block_device& dev, std::uint64_t n,
                                              std::uint64_t seed, smp::thread_pool& pool,
                                              const async_options& opt, bool identity) {
   CGP_EXPECTS(n <= dev.item_capacity());
   CGP_EXPECTS(opt.memory_items >= 4ull * dev.block_items());
-  // The ping-pong scratch inherits the main device's hugepage placement:
-  // both sides of every scatter level should sit on the same page size.
-  block_device scratch(dev.item_capacity(), dev.block_items(), dev.hugepage_backed());
-  const std::uint64_t before = dev.stats().transfers() + scratch.stats().transfers();
   async_report report;
   {
-    engine_state state(dev, scratch, pool, seed, opt.memory_items);
+    engine_state state(dev, pool, seed, opt.memory_items);
     state.run(n, identity);
     report = state.take_report();
   }
-  report.block_transfers = dev.stats().transfers() + scratch.stats().transfers() - before;
   // Fold the run's transfer accounting into the process-wide metrics
   // (obs/metrics.hpp): monotone totals across every em shuffle.
   if (obs::enabled()) {
@@ -406,10 +449,10 @@ class engine_state {
 }  // namespace detail_async
 
 /// Uniformly shuffle the first `n` items of `dev` out of core, computing
-/// and transferring on `pool`.  Allocates one scratch
-/// device of the same geometry (the ping-pong scatter target), whose
-/// transfers are included in the report.  Deterministic in (seed, n,
-/// M, B): independent of the pool size.
+/// and transferring on `pool`.  When n > M, allocates one scratch device
+/// of the same geometry (the ping-pong scatter target), whose transfers
+/// are included in the report.  Deterministic in (seed, n, M, B):
+/// independent of the pool size.
 [[nodiscard]] inline async_report async_em_shuffle(block_device& dev, std::uint64_t n,
                                                    std::uint64_t seed, smp::thread_pool& pool,
                                                    const async_options& opt = {}) {
@@ -422,7 +465,8 @@ class engine_state {
 /// identity's writes or level 0's reads of it -- level 0 takes item i's
 /// value as i, in its scatter or in a root leaf.  The report counts
 /// neither, so it is lower than the two-step path's by exactly those
-/// transfers.  `dev`'s prior content is never read.
+/// transfers.  `dev`'s prior content is never read.  Level 0 scatters in
+/// place on `dev`, so a tree of one level allocates no scratch device.
 [[nodiscard]] inline async_report async_em_permutation(block_device& dev, std::uint64_t n,
                                                        std::uint64_t seed, smp::thread_pool& pool,
                                                        const async_options& opt = {}) {

@@ -215,6 +215,14 @@ void thread_pool::parallel_for(std::size_t begin, std::size_t end,
   const auto n = static_cast<std::uint64_t>(end - begin);
   const auto parts = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(n, static_cast<std::uint64_t>(size())));
+  if (parts == 1) {
+    // One part has nothing to overlap with: posting it would only cost a
+    // worker's wake-up and the caller's sleep.  Its first-touch pages then
+    // land on the caller's node, not worker 0's, which a multi-node host
+    // would notice if a later pass over the same memory runs on workers.
+    body(begin, end);
+    return;
+  }
   std::vector<std::future<void>> futures;
   futures.reserve(parts);
   for (std::uint32_t part = 0; part < parts; ++part) {

@@ -18,11 +18,13 @@
 // queue of worker `part % size()` -- so across the repeated passes of a
 // recursive split, chunk c is always executed by the same worker, on the
 // same node, and the pages c's first pass faulted in (first-touch policy)
-// stay node-local for every later pass.  Idle workers steal from other
-// queues, so placement is a preference, never a stall; stealing can move a
-// chunk off its home node but cannot change any output (see the
-// determinism contract above).  Single-node hosts and non-Linux builds
-// skip pinning entirely; `CGP_NUMA=off` (or `0`) disables it explicitly.
+// stay node-local for every later pass.  A range of one part runs on the
+// caller instead, so its pages fault in on the caller's node.  Idle
+// workers steal from other queues, so placement is a preference, never a
+// stall; stealing can move a chunk off its home node but cannot change any
+// output (see the determinism contract above).  Single-node hosts and
+// non-Linux builds skip pinning entirely; `CGP_NUMA=off` (or `0`) disables
+// it explicitly.
 #pragma once
 
 #include <cstddef>
@@ -73,8 +75,10 @@ class thread_pool {
   /// them.  The partition depends only on size(), not on scheduling.
   /// Called from a worker thread of this pool (nested parallelism), the body
   /// runs inline as body(begin, end) -- a fixed pool cannot wait for itself
-  /// without risking deadlock.  The first exception thrown by any chunk is
-  /// rethrown to the caller after all chunks finish.
+  /// without risking deadlock.  A partition of one part (a one-item range
+  /// or a one-worker pool) runs inline too, on the calling thread.  The
+  /// first exception thrown by any chunk is rethrown to the caller after
+  /// all chunks finish.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& body);
 

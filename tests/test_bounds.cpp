@@ -1,10 +1,12 @@
 // Count ratchets at the entry point: what one cgp::context::shuffle on
 // backend::cgm puts on a socket transport's wire, the page faults of a
-// warm one on backend::smp, and the block transfers of backend::em's
-// permutation fill and 8-byte shuffle.  Every wire count is a pure function of
-// (seed, n, p, engine options), so each is pinned at the value the engine
-// reaches today: a change that moves more bytes per item, cuts more
-// frames, posts more messages or adds a superstep fails here.  Lower the
+// warm one on backend::smp and of a one-level em permutation build, the
+// random words per hypergeometric draw of the engines' split plan, and the
+// block transfers of backend::em's permutation fill and 8-byte shuffle.
+// Every wire count is a pure function of (seed, n, p, engine options), so
+// each is pinned at the value the engine reaches today: a change that
+// moves more bytes per item, cuts more frames, posts more messages or adds
+// a superstep fails here.  Lower the
 // pins when the engine gets leaner (sending runs instead of (pos, value)
 // pairs halves the bytes).  No clock is read.
 #include <gtest/gtest.h>
@@ -18,9 +20,15 @@
 #include "comm/socket_transport.hpp"
 #include "core/context.hpp"
 #include "core/executor.hpp"
+#include "core/sample_matrix.hpp"
 #include "em/async_shuffle.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "rng/counting.hpp"
+#include "rng/philox.hpp"
+#include "smp/engine.hpp"
+#include "smp/parallel_split.hpp"
+#include "smp/thread_pool.hpp"
 #include "support/perm_check.hpp"
 
 namespace {
@@ -105,6 +113,75 @@ TEST(EntryPointBounds, WarmSmpShuffleFaultsInNoScratch) {
   EXPECT_TRUE(stats::is_permutation_of_iota(v));
   EXPECT_LE(faults, kMaxFaults) << "a fresh scratch per call faults " << kScratchPages
                                 << " pages";
+}
+
+// A one-level em permutation writes its level-0 buckets in place: no level
+// reads one device and writes another, so no scratch device is made and
+// the build touches one device.  2^23 items (64 MiB, above glibc's
+// 32 MiB mmap ceiling, so every call maps fresh pages) with M = 2 Mi and
+// B = 4,096 build one level of K = 256 buckets of ~2^15 items.  The bound
+// is a multiple of the faults one fresh zero-filled 2^23-word buffer takes
+// in this process, so sanitizer shadow pages count on both sides; the
+// slack above 1 covers the 8.4 MB scatter stage and the leaf buffers.  With
+// a scratch device the build faulted in two devices (ratio 2.1 in the
+// plain build).  A fault count is a count, not a clock.
+TEST(EntryPointBounds, OneLevelEmPermutationFaultsInOneDevice) {
+  constexpr std::uint64_t n = std::uint64_t{1} << 23;
+  smp::thread_pool pool(4);
+  core::em_exec_config cfg;
+  cfg.aopt.memory_items = std::uint64_t{1} << 21;
+  cfg.block_items = 4096;
+  cfg.pool = &pool;
+  em::async_report rep;
+  (void)core::em_shuffled_identity_device(n, 0x1E7, cfg);  // warm: stacks, arenas, thresholds
+
+  const long f0 = minor_faults();
+  {
+    std::vector<std::uint64_t> one(n);
+    asm volatile("" : : "g"(one.data()) : "memory");  // the zero fill must happen
+  }
+  const long one_buffer = minor_faults() - f0;
+  const long f1 = minor_faults();
+  {
+    const auto dev = core::em_shuffled_identity_device(n, 0x1E7, cfg, &rep);
+  }
+  const long faults = minor_faults() - f1;
+
+  EXPECT_EQ(rep.levels, 1u);
+  EXPECT_LE(static_cast<double>(faults), 1.5 * static_cast<double>(one_buffer))
+      << faults << " faults; one fresh " << n << "-word buffer faults " << one_buffer;
+}
+
+// Hypergeometric words per draw at the engines' default law: the split
+// plan of n = 6,000,000 items at K = 16 samples its 16 x 16 matrix with
+// matrix_hyp_call_count(16, 16) = 225 univariate draws.  Counted through
+// rng::counting_engine over eight seeds, the words per draw must stay under
+// the paper's 1.5 and at today's ratio plus a small epsilon (lower the pin
+// when a sampler gets leaner).  Counts only, no clock.
+TEST(EntryPointBounds, HypergeometricWordsPerDrawStayUnderThePapersBound) {
+  constexpr std::uint64_t n = 6'000'000;
+  constexpr double kPin = 2446.0 / 1800.0;  // 1.3589 words per draw today
+  const smp::split_options sopt;  // the engines' default law
+  std::uint64_t words = 0;
+  std::uint64_t draws = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const smp::split_plan plan = smp::make_split_plan(n, seed, smp::kShuffleRoot, sopt);
+    rng::counting_engine<rng::philox4x64> counted(
+        smp::detail::node_engine(seed, smp::kShuffleRoot, smp::detail::kMatrixSalt));
+    const core::comm_matrix a =
+        core::sample_matrix_rowwise(counted, plan.margins, plan.margins, sopt.sampling);
+    for (std::uint32_t i = 0; i < plan.k; ++i) {
+      for (std::uint32_t j = 0; j < plan.k; ++j) {
+        ASSERT_EQ(a(i, j), plan.a(i, j)) << "the counted matrix is the plan's, seed " << seed;
+      }
+    }
+    words += counted.count();
+    draws += core::matrix_hyp_call_count(plan.k, plan.k);
+  }
+  const double per_draw = static_cast<double>(words) / static_cast<double>(draws);
+  EXPECT_EQ(draws, 8u * 225u);
+  EXPECT_LE(per_draw, kPin + 0.005) << words << " words for " << draws << " draws";
+  EXPECT_LT(per_draw, 1.5);
 }
 
 // The em backend's block transfers at its two entry points, at a fixed

@@ -79,6 +79,38 @@ TEST(ThreadPool, ParallelForRethrowsBodyException) {
       std::invalid_argument);
 }
 
+// A partition of one part -- a one-item range, or any range on a
+// one-worker pool -- runs whole on the calling thread instead of being
+// handed to worker 0, and its exception reaches the caller.
+TEST(ThreadPool, OnePartRangeRunsOnTheCaller) {
+  const struct {
+    unsigned workers;
+    std::size_t begin, end;
+  } cases[] = {{4, 7, 8}, {1, 3, 1000}};
+  for (const auto& c : cases) {
+    smp::thread_pool pool(c.workers);
+    std::thread::id ran_on;
+    std::size_t lo_seen = 0;
+    std::size_t hi_seen = 0;
+    int calls = 0;
+    pool.parallel_for(c.begin, c.end, [&](std::size_t lo, std::size_t hi) {
+      ran_on = std::this_thread::get_id();
+      lo_seen = lo;
+      hi_seen = hi;
+      ++calls;
+    });
+    EXPECT_EQ(ran_on, std::this_thread::get_id()) << "workers=" << c.workers;
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(lo_seen, c.begin);
+    EXPECT_EQ(hi_seen, c.end);
+    EXPECT_THROW(pool.parallel_for(c.begin, c.end,
+                                   [](std::size_t, std::size_t) {
+                                     throw std::invalid_argument("one part");
+                                   }),
+                 std::invalid_argument);
+  }
+}
+
 // --- parallel split ----------------------------------------------------------
 
 TEST(ParallelSplit, PreservesContentAndReturnsConsistentOffsets) {
