@@ -77,8 +77,8 @@ inline constexpr std::uint32_t kTagGatherBase = 0xD158'0000;   // + node ordinal
 inline constexpr std::uint32_t kTagScatterBase = 0xD159'0000;  // + node ordinal
 
 /// An item in flight: its destination slot in the global index space plus
-/// its payload.  No member initializers: staging arrays of these are
-/// written record by record and never zero-filled.  (Shipping
+/// its payload.  No member initializers: staged records are written field
+/// by field and read back with memcpy.  (Shipping
 /// per-destination runs instead of (pos, value) pairs would halve the
 /// wire bytes; the pair format is what the transports carry today.)
 template <typename T>
@@ -94,6 +94,15 @@ struct dist_node {
   std::uint64_t node = 0;
 };
 
+/// The staging and received payloads a rank thread keeps across levels and
+/// calls (at most 2p, freed when the thread exits).  Without them every
+/// level allocates p buffers of ~n/p^2 records, glibc hands their pages
+/// back between calls, and each call faults them in again.
+inline comm::vector_pool& stage_pool() {
+  thread_local comm::vector_pool pool;
+  return pool;
+}
+
 }  // namespace detail_dist
 
 /// SPMD collective: uniformly permute the distributed global array of `n`
@@ -107,6 +116,8 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
                          std::uint64_t seed, const distributed_options& opt = {}) {
   static_assert(std::is_trivially_copyable_v<T>);
   namespace dd = detail_dist;
+  // Records are staged in byte vectors: operator new's alignment must do.
+  static_assert(alignof(dd::routed<T>) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
   const std::uint32_t p = ep.size();
   const std::uint32_t r = ep.rank();
   const std::uint64_t my_lo = balanced_block_offset(n, p, r);
@@ -166,7 +177,26 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
   std::vector<std::uint64_t> bounds(p + 1);
   for (std::uint32_t d = 0; d <= p; ++d) bounds[d] = balanced_block_offset(n, p, d);
 
-  const auto scratch = std::make_unique_for_overwrite<T[]>(block.size());
+  // A subtree of at most cache_items items is one leaf, shuffled in place
+  // without scratch; only a subtree that splits borrows scratch of its
+  // size.  So the block-sized scratch is made on first use, and a call
+  // whose local subtrees are all leaves allocates none.
+  const auto splits = [&](std::uint64_t len) { return len >= 2 && len > opt.engine.cache_items; };
+  std::unique_ptr<T[]> scratch;
+  // Messages are staged in byte vectors from this rank thread's pool, and
+  // every payload placed goes back to it, so a warm call allocates none.
+  comm::vector_pool& pool = dd::stage_pool();
+  const std::size_t keep = 2 * std::size_t{p};
+  // Post a copy of `count` items at `items` in a pooled vector.  The
+  // endpoint keeps the vector (a self-send, a body written in place) or
+  // copies it and leaves it to be kept here.
+  const auto post_copy = [&](std::uint32_t d, std::uint32_t tag, const T* items,
+                             std::uint64_t count) {
+    std::vector<std::byte> v = pool.take(static_cast<std::size_t>(count) * sizeof(T));
+    if (count != 0) std::memcpy(v.data(), items, v.size());
+    ep.send_owned(d, tag, std::move(v));
+    pool.give(std::move(v), keep);
+  };
   smp::split_options sopt;
   sopt.fan_out = opt.engine.fan_out;
   sopt.sampling = opt.engine.sampling;
@@ -188,9 +218,11 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
     // The slots of (chunk c, label j) are the contiguous run
     // [dest(c, j), dest(c, j) + a(c, j)), so a label's owner changes only
     // where its cursor crosses a rank-block end.  Each destination's
-    // staging is sized up front from those runs (a boundary chunk counts
-    // whole, so the size is an upper bound) and written through a cursor.
-    std::vector<std::uint64_t> stage_at(p + 1, 0);  // stage_at[d + 1]: records for rank d
+    // staging is sized up front from those runs: per chunk, the run slots
+    // in its block, but never more than this rank's items of the chunk
+    // (exact for a chunk inside the block, an upper bound at its ends).
+    std::vector<std::uint64_t> stage_n(p, 0);  // records bound for rank d, at most
+    std::vector<std::uint64_t> in_chunk(p);
     for (std::size_t ni = 0; ni < level.size(); ++ni) {
       const auto& nd = level[ni];
       const auto& plan = plans[ni];
@@ -199,28 +231,54 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
       if (a >= b) continue;
       for (std::uint32_t c = 0; c < plan.k; ++c) {
         const std::uint64_t c_lo = nd.lo + balanced_block_offset(nd.len, plan.k, c);
-        if (c_lo + plan.margins[c] <= a) continue;
+        const std::uint64_t c_hi = c_lo + plan.margins[c];
+        if (c_hi <= a) continue;
         if (c_lo >= b) break;
+        std::fill(in_chunk.begin(), in_chunk.end(), 0);
         for (std::uint32_t j = 0; j < plan.k; ++j) {
           std::uint64_t lo = nd.lo + plan.dest[static_cast<std::size_t>(c) * plan.k + j];
           const std::uint64_t hi = lo + plan.a(c, j);
           if (lo == hi) continue;
           for (std::uint32_t d = owner(lo); lo < hi; ++d) {
             const std::uint64_t e = std::min(hi, bounds[d + 1]);
-            stage_at[d + 1] += e - lo;
+            in_chunk[d] += e - lo;
             lo = e;
           }
         }
+        const std::uint64_t mine = std::min(b, c_hi) - std::max(a, c_lo);
+        for (std::uint32_t d = 0; d < p; ++d) stage_n[d] += std::min(in_chunk[d], mine);
       }
     }
-    inclusive_prefix_sum(std::span<const std::uint64_t>(stage_at).subspan(1),
-                         std::span<std::uint64_t>(stage_at).subspan(1));
-    // stage_at[d] .. stage_at[d + 1] is destination d's region; `fill`
-    // is its write cursor.
-    const auto stage =
-        std::make_unique_for_overwrite<dd::routed<T>[]>(static_cast<std::size_t>(stage_at[p]));
-    std::vector<std::uint64_t> fill(stage_at.begin(), stage_at.end() - 1);
+    // One byte vector per destination from the pool: the remote ones are
+    // handed to the transport, and the received payloads refill the pool
+    // once placed.
+    std::vector<std::vector<std::byte>> stage(p);
+    for (std::uint32_t d = 0; d < p; ++d) {
+      stage[d] = pool.take(static_cast<std::size_t>(stage_n[d]) * sizeof(dd::routed<T>));
+    }
+    std::vector<std::uint64_t> fill(p, 0);  // records staged for rank d
 
+    // Route by label: label j's slots in this rank's part of a chunk are
+    // one run, cut at rank-block ends into segments.  A segment gets a
+    // contiguous range of its destination's staging when the label first
+    // reaches it, so an item's record goes to out[slot - off] with one
+    // cursor per label, and a label's state changes only at a block end.
+    struct lane {
+      std::uint64_t slot;  // global slot of the label's next item
+      std::uint64_t end;   // end of its current segment
+      std::uint64_t off;   // slot - off indexes the segment's range (mod 2^64)
+      dd::routed<T>* out;  // staging of the segment's destination
+    };
+    std::vector<lane> lanes(opt.engine.fan_out);
+    std::vector<std::uint64_t> run_end(opt.engine.fan_out);  // end of label j's slots here
+    const auto open_segment = [&](lane& ln, std::uint64_t slot, std::uint64_t stop) {
+      const std::uint32_t d = owner(slot);
+      ln.end = std::min(stop, bounds[d + 1]);
+      ln.off = slot - fill[d];
+      ln.out = reinterpret_cast<dd::routed<T>*>(stage[d].data());
+      fill[d] += ln.end - slot;
+      CGP_ASSERT(fill[d] <= stage_n[d]);
+    };
     std::vector<std::uint8_t> labels;  // reused across chunks and nodes
     for (std::size_t ni = 0; ni < level.size(); ++ni) {
       const auto& nd = level[ni];
@@ -228,64 +286,61 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
       const std::uint64_t a = std::max(nd.lo, my_lo);
       const std::uint64_t b = std::min(nd.lo + nd.len, my_lo + my_len);
       if (a >= b) continue;
-      std::vector<std::uint64_t> cursor(plan.k);  // global slot of label j's next item
-      std::vector<std::uint32_t> to(plan.k);      // rank owning that slot
-      std::vector<std::uint64_t> to_end(plan.k);  // end of that rank's block
       for (std::uint32_t c = 0; c < plan.k; ++c) {
         const std::uint64_t c_lo = nd.lo + balanced_block_offset(nd.len, plan.k, c);
         const std::uint64_t c_len = plan.margins[c];
         if (c_lo + c_len <= a) continue;
         if (c_lo >= b) break;
         smp::split_chunk_labels_into(plan, seed, nd.node, c, labels);
-        for (std::uint32_t j = 0; j < plan.k; ++j)
-          cursor[j] = nd.lo + plan.dest[static_cast<std::size_t>(c) * plan.k + j];
-        // Items of the chunk before my block: replay only.
+        for (std::uint32_t j = 0; j < plan.k; ++j) {
+          lanes[j].slot = nd.lo + plan.dest[static_cast<std::size_t>(c) * plan.k + j];
+          run_end[j] = lanes[j].slot + plan.a(c, j);
+        }
+        // Items of the chunk outside my block: replay only, trimming each
+        // label's run to the slots of my items.
         const std::uint64_t i0 = std::max(a, c_lo) - c_lo;
         const std::uint64_t i1 = std::min(b, c_lo + c_len) - c_lo;
-        for (std::uint64_t i = 0; i < i0; ++i) ++cursor[labels[static_cast<std::size_t>(i)]];
-        for (std::uint32_t j = 0; j < plan.k; ++j) {
-          // A label with no items left may sit at slot n (the end of the
-          // last bucket), which no rank owns.
-          to[j] = cursor[j] < n ? owner(cursor[j]) : p - 1;
-          to_end[j] = bounds[to[j] + 1];
-        }
+        for (std::uint64_t i = 0; i < i0; ++i) ++lanes[labels[static_cast<std::size_t>(i)]].slot;
+        for (std::uint64_t i = i1; i < c_len; ++i) --run_end[labels[static_cast<std::size_t>(i)]];
+        for (std::uint32_t j = 0; j < plan.k; ++j) lanes[j].end = lanes[j].slot;
         const T* src = block.data() + (c_lo + i0 - my_lo);
         for (std::uint64_t i = i0; i < i1; ++i) {
           const std::uint8_t j = labels[static_cast<std::size_t>(i)];
-          const std::uint64_t slot = cursor[j]++;
-          while (slot >= to_end[j]) to_end[j] = bounds[++to[j] + 1];  // skips empty blocks
-          dd::routed<T>& rec = stage[fill[to[j]]++];
+          lane& ln = lanes[j];
+          const std::uint64_t slot = ln.slot++;
+          if (slot == ln.end) open_segment(ln, slot, run_end[j]);
+          dd::routed<T>& rec = ln.out[slot - ln.off];
           rec.pos = slot;
           rec.value = *src++;
         }
       }
     }
-    for (std::uint32_t d = 0; d < p; ++d) CGP_ASSERT(fill[d] <= stage_at[d + 1]);
 
     // Records for this rank are placed after the exchange, never posted to
     // self; everything else arrives as (pos, value) records and is read
     // straight out of the payload.
-    const auto place = [&](const std::byte* recs, std::size_t count) {
-      for (std::size_t i = 0; i < count; ++i) {
+    const auto place = [&](const std::vector<std::byte>& recs) {
+      CGP_ASSERT(recs.size() % sizeof(dd::routed<T>) == 0);
+      for (std::size_t at = 0; at < recs.size(); at += sizeof(dd::routed<T>)) {
         dd::routed<T> rec;
-        std::memcpy(&rec, recs + i * sizeof(rec), sizeof(rec));
+        std::memcpy(&rec, recs.data() + at, sizeof(rec));
         CGP_ASSERT(rec.pos >= my_lo && rec.pos < my_lo + my_len);
         block[static_cast<std::size_t>(rec.pos - my_lo)] = rec.value;
       }
     };
     for (std::uint32_t d = 0; d < p; ++d) {
+      stage[d].resize(static_cast<std::size_t>(fill[d]) * sizeof(dd::routed<T>));
       if (d == r) continue;
-      ep.send_span(d, dd::kTagMove,
-                   std::span<const dd::routed<T>>(
-                       stage.get() + stage_at[d], static_cast<std::size_t>(fill[d] - stage_at[d])));
+      ep.send_owned(d, dd::kTagMove, std::move(stage[d]));
+      pool.give(std::move(stage[d]), keep);  // kept only if the endpoint copied it
     }
-    for (const auto& msg : ep.exchange()) {
+    for (auto& msg : ep.exchange()) {
       CGP_ASSERT(msg.tag == dd::kTagMove);
-      CGP_ASSERT(msg.payload.size() % sizeof(dd::routed<T>) == 0);
-      place(msg.payload.data(), msg.payload.size() / sizeof(dd::routed<T>));
+      place(msg.payload);
+      pool.give(std::move(msg.payload), keep);
     }
-    place(reinterpret_cast<const std::byte*>(stage.get() + stage_at[r]),
-          static_cast<std::size_t>(fill[r] - stage_at[r]));
+    place(stage[r]);
+    pool.give(std::move(stage[r]), keep);
 
     // ---- classify the children ----------------------------------------
     std::vector<dd::dist_node> next;
@@ -300,11 +355,15 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
         if (owner(ch.lo) == owner(ch.lo + ch.len - 1)) {
           // Single-rank child: its owner finishes the subtree locally.
           if (owner(ch.lo) == r) {
-            smp::shuffle_subtree(
-                block.subspan(static_cast<std::size_t>(ch.lo - my_lo),
-                              static_cast<std::size_t>(ch.len)),
-                std::span<T>(scratch.get() + (ch.lo - my_lo), static_cast<std::size_t>(ch.len)),
-                seed, ch.node, opt.engine, nullptr, false);
+            const auto at = static_cast<std::size_t>(ch.lo - my_lo);
+            const auto len = static_cast<std::size_t>(ch.len);
+            std::span<T> scr;
+            if (splits(ch.len)) {
+              if (!scratch) scratch = std::make_unique_for_overwrite<T[]>(block.size());
+              scr = std::span<T>(scratch.get() + at, len);
+            }
+            smp::shuffle_subtree(block.subspan(at, len), scr, seed, ch.node, opt.engine, nullptr,
+                                 false);
           }
         } else if (ch.len <= gather_cut) {
           gathered.push_back(ch);
@@ -324,29 +383,30 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
         const std::uint64_t a = std::max(g.lo, my_lo);
         const std::uint64_t b = std::min(g.lo + g.len, my_lo + my_len);
         if (a < b) {
-          ep.send_span(owner(g.lo),
-                       dd::kTagGatherBase + static_cast<std::uint32_t>(gi),
-                       std::span<const T>(block.data() + (a - my_lo),
-                                          static_cast<std::size_t>(b - a)));
+          post_copy(owner(g.lo), dd::kTagGatherBase + static_cast<std::uint32_t>(gi),
+                    block.data() + (a - my_lo), b - a);
         }
       }
       std::vector<comm::message> msgs = ep.exchange();
       for (std::size_t gi = 0; gi < gathered.size(); ++gi) {
         const auto& g = gathered[gi];
         if (owner(g.lo) != r) continue;
-        const auto buf = std::make_unique_for_overwrite<T[]>(static_cast<std::size_t>(g.len));
-        for (const auto& msg : msgs) {
+        std::vector<std::byte> staged = pool.take(static_cast<std::size_t>(g.len) * sizeof(T));
+        T* const buf = reinterpret_cast<T*>(staged.data());
+        for (auto& msg : msgs) {
           if (msg.tag != dd::kTagGatherBase + static_cast<std::uint32_t>(gi)) continue;
           const std::uint64_t src_lo = balanced_block_offset(n, p, msg.source);
           const std::uint64_t src_len = balanced_block_size(n, p, msg.source);
           const std::uint64_t a = std::max(g.lo, src_lo);
           CGP_ASSERT(msg.payload.size() ==
                      (std::min(g.lo + g.len, src_lo + src_len) - a) * sizeof(T));
-          std::memcpy(buf.get() + (a - g.lo), msg.payload.data(), msg.payload.size());
+          std::memcpy(buf + (a - g.lo), msg.payload.data(), msg.payload.size());
+          pool.give(std::move(msg.payload), keep);
         }
-        const auto scr = std::make_unique_for_overwrite<T[]>(static_cast<std::size_t>(g.len));
-        smp::shuffle_subtree(std::span<T>(buf.get(), static_cast<std::size_t>(g.len)),
-                             std::span<T>(scr.get(), static_cast<std::size_t>(g.len)), seed,
+        const auto len = static_cast<std::size_t>(g.len);
+        std::unique_ptr<T[]> scr;
+        if (splits(g.len)) scr = std::make_unique_for_overwrite<T[]>(len);
+        smp::shuffle_subtree(std::span<T>(buf, len), std::span<T>(scr.get(), scr ? len : 0), seed,
                              g.node, opt.engine, nullptr, false);
         for (std::uint32_t o = owner(g.lo); o <= owner(g.lo + g.len - 1); ++o) {
           const std::uint64_t o_lo = balanced_block_offset(n, p, o);
@@ -354,10 +414,10 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
           const std::uint64_t a = std::max(g.lo, o_lo);
           const std::uint64_t b = std::min(g.lo + g.len, o_lo + o_len);
           if (a >= b) continue;
-          ep.send_span(o, dd::kTagScatterBase + static_cast<std::uint32_t>(gi),
-                       std::span<const T>(buf.get() + (a - g.lo),
-                                          static_cast<std::size_t>(b - a)));
+          post_copy(o, dd::kTagScatterBase + static_cast<std::uint32_t>(gi), buf + (a - g.lo),
+                    b - a);
         }
+        pool.give(std::move(staged), keep);
       }
       msgs = ep.exchange();
       for (std::size_t gi = 0; gi < gathered.size(); ++gi) {
@@ -365,11 +425,12 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
         const std::uint64_t a = std::max(g.lo, my_lo);
         const std::uint64_t b = std::min(g.lo + g.len, my_lo + my_len);
         if (a >= b) continue;
-        for (const auto& msg : msgs) {
+        for (auto& msg : msgs) {
           if (msg.tag != dd::kTagScatterBase + static_cast<std::uint32_t>(gi)) continue;
           CGP_ASSERT(msg.source == owner(g.lo));
           CGP_ASSERT(msg.payload.size() == (b - a) * sizeof(T));
           std::memcpy(block.data() + (a - my_lo), msg.payload.data(), msg.payload.size());
+          pool.give(std::move(msg.payload), keep);
         }
       }
     }

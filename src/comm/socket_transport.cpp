@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 
 #include <algorithm>
 #include <atomic>
@@ -12,8 +13,10 @@
 #include <exception>
 #include <future>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -145,6 +148,18 @@ class byte_buffer {
 /// header (and trace extension) lands in place before its records.
 constexpr std::size_t kFrameRoom = sizeof(frame_header) + sizeof(frame_trace_ext);
 
+/// Payloads of at least this many bytes cross without a user-space copy.
+/// A frame that carries one such record has its payload received straight
+/// into the message, and a `send_owned` body of this size whose record
+/// cuts a frame by size is written from the caller's vector.  Smaller
+/// payloads ride the aggregation and parse buffers, where coalescing pays.
+constexpr std::size_t kDirectBody = 64 * 1024;
+
+/// Whether a frame's one record is received straight into its message.
+[[nodiscard]] bool direct_frame(const frame_header& h) noexcept {
+  return h.message_count == 1 && h.body_bytes >= kRecordHeader + kDirectBody;
+}
+
 }  // namespace
 
 namespace detail {
@@ -165,6 +180,7 @@ class socket_endpoint final : public endpoint {
         agg_(ranks),
         out_(ranks),
         in_(ranks),
+        body_in_(ranks),
         cur_(ranks),
         next_(ranks),
         fin_cur_(ranks, 0),
@@ -192,30 +208,11 @@ class socket_endpoint final : public endpoint {
   [[nodiscard]] std::uint32_t size() const noexcept override { return ranks_; }
 
   void send(std::uint32_t dest, std::uint32_t tag, std::span<const std::byte> bytes) override {
-    CGP_EXPECTS(dest < ranks_);
-    count_send_obs(bytes.size());
-    sc_.messages.fetch_add(1, std::memory_order_relaxed);
-    if (dest == rank_) {
-      // Self-sends never touch the wire; they are staged like the
-      // loopback transport's and delivered at the next exchange.
-      message msg;
-      msg.source = rank_;
-      msg.tag = tag;
-      msg.payload.assign(bytes.begin(), bytes.end());
-      self_.push_back(std::move(msg));
-      return;
-    }
-    agg_buf& a = agg_[dest];
-    std::byte* rec = a.frame.grow(kRecordHeader + bytes.size());
-    const auto len = static_cast<std::uint32_t>(bytes.size());
-    std::memcpy(rec, &tag, sizeof(tag));
-    std::memcpy(rec + 4, &len, sizeof(len));
-    if (!bytes.empty()) std::memcpy(rec + kRecordHeader, bytes.data(), bytes.size());
-    ++a.count;
-    if (a.frame.size() - kFrameRoom >= opt_.aggregation_bytes) {  // always at 0: frame per send
-      cut_frame(dest, 0, /*by_size=*/true);
-      pump_write(dest);  // opportunistic: overlap communication with posting
-    }
+    post(dest, tag, bytes, nullptr);
+  }
+
+  void send_owned(std::uint32_t dest, std::uint32_t tag, std::vector<std::byte>&& bytes) override {
+    post(dest, tag, bytes, &bytes);
   }
 
   [[nodiscard]] std::vector<message> exchange() override {
@@ -238,9 +235,11 @@ class socket_endpoint final : public endpoint {
       q.clear();
     }
     // Advance the superstep: frames that arrived one step ahead become
-    // the current step's opening state.
+    // the current step's opening state.  A body still arriving belongs to
+    // the next step: its FIN-carrying successor has not come yet.
     ++step_;
     for (std::uint32_t p = 0; p < ranks_; ++p) {
+      CGP_ASSERT(!body_in_[p].active || body_in_[p].superstep == step_);
       std::swap(cur_[p], next_[p]);
       fin_cur_[p] = fin_next_[p];
       fin_next_[p] = 0;
@@ -253,18 +252,89 @@ class socket_endpoint final : public endpoint {
     byte_buffer frame;  // kFrameRoom free bytes, then the concatenated records
     std::uint32_t count = 0;
   };
+  /// A caller's vector written to the wire in place, after the queued
+  /// bytes before offset `at`.
+  struct spliced_body {
+    std::size_t at = 0;
+    std::vector<std::byte> bytes;
+    std::size_t done = 0;  // bytes already written
+  };
+  /// Framed bytes awaiting the wire: `buf` from `head` on, with the
+  /// unwritten bodies from `first` on spliced in at their offsets.
+  struct out_queue {
+    byte_buffer buf;
+    std::size_t head = 0;
+    std::vector<spliced_body> bodies;
+    std::size_t first = 0;
+    [[nodiscard]] bool drained() const noexcept {
+      return head == buf.size() && first == bodies.size();
+    }
+  };
   struct byte_queue {
     byte_buffer buf;
     std::size_t head = 0;  // bytes before `head` are consumed
   };
+  /// The payload of a one-record frame (`direct_frame`), received straight
+  /// into its message.  Which superstep's queue it joins is decided when
+  /// the last byte lands, against the superstep current then.
+  struct body_in {
+    bool active = false;
+    message msg;
+    std::size_t got = 0;  // payload bytes received
+    std::uint32_t superstep = 0;
+    bool fin = false;
+  };
 
-  /// Seal the aggregation buffer of `dest` into one wire frame on its
-  /// outgoing queue.  The header is written into the room kept in front of
-  /// the records; a drained queue takes the whole buffer without a copy.
-  void cut_frame(std::uint32_t dest, std::uint32_t flags, bool by_size) {
+  /// Stage one record for `dest`.  `owned`, if set, holds `bytes` and may
+  /// be taken: delivered as a self-send, or written to the wire in place
+  /// when the record is large and cuts a frame by size.  Wire bytes,
+  /// frames and flushes are the same either way.
+  void post(std::uint32_t dest, std::uint32_t tag, std::span<const std::byte> bytes,
+            std::vector<std::byte>* owned) {
+    CGP_EXPECTS(dest < ranks_);
+    count_send_obs(bytes.size());
+    sc_.messages.fetch_add(1, std::memory_order_relaxed);
+    if (dest == rank_) {
+      // Self-sends never touch the wire; they are staged like the
+      // loopback transport's and delivered at the next exchange.
+      message msg;
+      msg.source = rank_;
+      msg.tag = tag;
+      if (owned != nullptr) {
+        msg.payload = std::move(*owned);
+      } else {
+        msg.payload.assign(bytes.begin(), bytes.end());
+      }
+      self_.push_back(std::move(msg));
+      return;
+    }
+    agg_buf& a = agg_[dest];
+    // Always at aggregation_bytes = 0: frame per send.
+    const bool cut =
+        a.frame.size() - kFrameRoom + kRecordHeader + bytes.size() >= opt_.aggregation_bytes;
+    const bool splice = owned != nullptr && cut && bytes.size() >= kDirectBody;
+    std::byte* rec = a.frame.grow(kRecordHeader + (splice ? 0 : bytes.size()));
+    const auto len = static_cast<std::uint32_t>(bytes.size());
+    std::memcpy(rec, &tag, sizeof(tag));
+    std::memcpy(rec + 4, &len, sizeof(len));
+    if (!splice && !bytes.empty()) std::memcpy(rec + kRecordHeader, bytes.data(), bytes.size());
+    ++a.count;
+    if (cut) {
+      cut_frame(dest, 0, /*by_size=*/true, splice ? owned : nullptr);
+      pump_write(dest);  // opportunistic: overlap communication with posting
+    }
+  }
+
+  /// Seal the aggregation buffer of `dest`, followed by `tail` if given,
+  /// into one wire frame on its outgoing queue.  The header is written
+  /// into the room kept in front of the records; a drained queue takes the
+  /// whole buffer without a copy, and `tail` is queued, not copied.
+  void cut_frame(std::uint32_t dest, std::uint32_t flags, bool by_size,
+                 std::vector<std::byte>* tail = nullptr) {
     agg_buf& a = agg_[dest];
     if (a.count == 0 && flags == 0) return;  // nothing staged, no barrier to signal
-    const std::size_t body = a.frame.size() - kFrameRoom;
+    const std::size_t tail_len = tail != nullptr ? tail->size() : 0;
+    const std::size_t body = a.frame.size() - kFrameRoom + tail_len;
     CGP_ASSERT(body <= UINT32_MAX);
     const obs::trace_context tc = obs::current_trace();
     const bool traced = obs::tracing() && tc.trace_id != 0;
@@ -282,13 +352,17 @@ class socket_endpoint final : public endpoint {
     std::memcpy(a.frame.data() + start, &h, sizeof(h));
     if (traced) std::memcpy(a.frame.data() + start + sizeof(h), &ext, sizeof(ext));
     const std::size_t frame_len = sizeof(h) + ext_len + body;
-    byte_queue& o = out_[dest];
-    if (o.head == o.buf.size()) {
+    const std::size_t queued = frame_len - tail_len;
+    out_queue& o = out_[dest];
+    if (o.drained()) {
       std::swap(o.buf, a.frame);
       o.head = start;
+      o.bodies.clear();
+      o.first = 0;
     } else {
-      std::memcpy(o.buf.grow(frame_len), a.frame.data() + start, frame_len);
+      std::memcpy(o.buf.grow(queued), a.frame.data() + start, queued);
     }
+    if (tail != nullptr) o.bodies.push_back(spliced_body{o.buf.size(), std::move(*tail), 0});
     a.frame.resize(kFrameRoom);
     a.count = 0;
     sc_.frames.fetch_add(1, std::memory_order_relaxed);
@@ -301,15 +375,33 @@ class socket_endpoint final : public endpoint {
   }
 
   /// Drain `out_[peer]` into the (nonblocking) socket as far as the
-  /// kernel will take it right now.
+  /// kernel will take it right now: one `sendmsg` gathers the queued
+  /// bytes and the spliced bodies between them.  A body written in full
+  /// is kept to receive a later body into.
   void pump_write(std::uint32_t peer) {
-    byte_queue& o = out_[peer];
+    constexpr int kMaxIov = 8;
+    out_queue& o = out_[peer];
     const int fd = conn_[peer].get();
-    while (o.head < o.buf.size()) {
-      const ssize_t n =
-          ::send(fd, o.buf.data() + o.head, o.buf.size() - o.head, MSG_NOSIGNAL);
+    while (!o.drained()) {
+      iovec iov[kMaxIov];
+      int cnt = 0;
+      std::size_t at = o.head;
+      std::size_t b = o.first;
+      for (; b < o.bodies.size() && cnt + 2 <= kMaxIov; ++b) {
+        spliced_body& s = o.bodies[b];
+        if (s.at > at) iov[cnt++] = iovec{o.buf.data() + at, s.at - at};
+        iov[cnt++] = iovec{s.bytes.data() + s.done, s.bytes.size() - s.done};
+        at = s.at;
+      }
+      if (b == o.bodies.size() && at < o.buf.size()) {
+        iov[cnt++] = iovec{o.buf.data() + at, o.buf.size() - at};
+      }
+      msghdr mh{};
+      mh.msg_iov = iov;
+      mh.msg_iovlen = static_cast<std::size_t>(cnt);
+      const ssize_t n = ::sendmsg(fd, &mh, MSG_NOSIGNAL);
       if (n > 0) {
-        o.head += static_cast<std::size_t>(n);
+        consume(o, static_cast<std::size_t>(n));
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
@@ -318,36 +410,75 @@ class socket_endpoint final : public endpoint {
     }
     o.buf.clear();
     o.head = 0;
+    o.bodies.clear();
+    o.first = 0;
   }
 
-  /// Pull whatever the socket has into the parse buffer and consume every
-  /// complete frame.  Once a frame's header is in hand, the buffer is
-  /// sized for the rest of that frame before the next read, so a frame
-  /// never grows its storage twice.
+  /// Advance `o` past `n` written bytes, in queue order.
+  void consume(out_queue& o, std::size_t n) {
+    while (n > 0) {
+      if (o.first < o.bodies.size() && o.head == o.bodies[o.first].at) {
+        spliced_body& s = o.bodies[o.first];
+        const std::size_t k = std::min(n, s.bytes.size() - s.done);
+        s.done += k;
+        n -= k;
+        if (s.done == s.bytes.size()) {
+          spare_.give(std::move(s.bytes), 2 * std::size_t{ranks_});
+          ++o.first;
+        }
+      } else {
+        const std::size_t stop = o.first < o.bodies.size() ? o.bodies[o.first].at : o.buf.size();
+        const std::size_t k = std::min(n, stop - o.head);
+        o.head += k;
+        n -= k;
+      }
+    }
+  }
+
+  /// Pull whatever the socket has and consume every complete frame.  The
+  /// payload of a direct frame is read straight into its message; other
+  /// bytes go to the parse buffer, which, once a frame's header is in
+  /// hand, is sized for the rest of that frame before the next read, so a
+  /// frame never grows its storage twice.  The parse buffer therefore
+  /// holds headers and small frames only.
   void pump_read(std::uint32_t peer) {
     constexpr std::size_t kChunk = 64 * 1024;
     byte_queue& iq = in_[peer];
+    body_in& bi = body_in_[peer];
     const int fd = conn_[peer].get();
     for (;;) {
-      std::size_t want = kChunk;
-      const std::size_t held = iq.buf.size() - iq.head;
-      if (held >= sizeof(frame_header)) {
-        frame_header h;  // parse_frames already validated it
-        std::memcpy(&h, iq.buf.data() + iq.head, sizeof(h));
-        const std::size_t ext_len = (h.flags & kFlagTrace) != 0 ? sizeof(frame_trace_ext) : 0;
-        want = std::max(want, sizeof(h) + ext_len + h.body_bytes - held);
+      std::byte* to = nullptr;
+      std::size_t room = 0;
+      if (bi.active) {
+        to = bi.msg.payload.data() + bi.got;
+        room = bi.msg.payload.size() - bi.got;
+      } else {
+        std::size_t want = kChunk;
+        const std::size_t held = iq.buf.size() - iq.head;
+        if (held >= sizeof(frame_header)) {
+          frame_header h;  // parse_frames already validated it
+          std::memcpy(&h, iq.buf.data() + iq.head, sizeof(h));
+          const std::size_t ext_len = (h.flags & kFlagTrace) != 0 ? sizeof(frame_trace_ext) : 0;
+          if (!direct_frame(h)) want = std::max(want, sizeof(h) + ext_len + h.body_bytes - held);
+        }
+        if (iq.buf.capacity() - iq.buf.size() < want && iq.head != 0) {
+          // Move the unparsed tail to the front before growing.
+          std::memmove(iq.buf.data(), iq.buf.data() + iq.head, held);
+          iq.buf.resize(held);
+          iq.head = 0;
+        }
+        iq.buf.reserve(iq.buf.size() + want);
+        to = iq.buf.data() + iq.buf.size();
+        room = iq.buf.capacity() - iq.buf.size();
       }
-      if (iq.buf.capacity() - iq.buf.size() < want && iq.head != 0) {
-        // Move the unparsed tail to the front before growing.
-        std::memmove(iq.buf.data(), iq.buf.data() + iq.head, held);
-        iq.buf.resize(held);
-        iq.head = 0;
-      }
-      iq.buf.reserve(iq.buf.size() + want);
-      const std::size_t room = iq.buf.capacity() - iq.buf.size();
-      const ssize_t n = ::recv(fd, iq.buf.data() + iq.buf.size(), room, 0);
+      const ssize_t n = ::recv(fd, to, room, 0);
       if (n > 0) {
-        iq.buf.resize(iq.buf.size() + static_cast<std::size_t>(n));
+        if (bi.active) {
+          bi.got += static_cast<std::size_t>(n);
+          if (bi.got == bi.msg.payload.size()) finish_body(peer);
+        } else {
+          iq.buf.resize(iq.buf.size() + static_cast<std::size_t>(n));
+        }
         parse_frames(peer);
         if (static_cast<std::size_t>(n) < room) return;  // drained for now
         continue;
@@ -365,13 +496,18 @@ class socket_endpoint final : public endpoint {
 
   void parse_frames(std::uint32_t peer) {
     byte_queue& iq = in_[peer];
-    while (iq.buf.size() - iq.head >= sizeof(frame_header)) {
+    body_in& bi = body_in_[peer];
+    while (!bi.active && iq.buf.size() - iq.head >= sizeof(frame_header)) {
       frame_header h;
       std::memcpy(&h, iq.buf.data() + iq.head, sizeof(h));
       CGP_ASSERT(h.magic == kFrameMagic && "corrupt frame on transport socket");
       CGP_ASSERT(h.source == peer);
       const std::size_t ext_len = (h.flags & kFlagTrace) != 0 ? sizeof(frame_trace_ext) : 0;
-      if (iq.buf.size() - iq.head < sizeof(h) + ext_len + h.body_bytes) break;  // partial
+      const bool direct = direct_frame(h);
+      const std::size_t held = iq.buf.size() - iq.head;
+      // A direct frame starts once its record header is in; any other
+      // frame is parsed whole.
+      if (held < sizeof(h) + ext_len + (direct ? kRecordHeader : h.body_bytes)) break;  // partial
       if (ext_len != 0) {
         // A context-free parsing thread joins the sender's trace; a thread
         // already inside a trace (the normal case: run() installed the
@@ -385,9 +521,28 @@ class socket_endpoint final : public endpoint {
       // its step-(s+2) frames would need our FIN(s+1).
       CGP_ASSERT((h.superstep == step_ || h.superstep == step_ + 1) &&
                  "frame from an impossible superstep");
+      const std::byte* body = iq.buf.data() + iq.head + sizeof(h) + ext_len;
+      if (direct) {
+        std::uint32_t tag = 0;
+        std::uint32_t len = 0;
+        std::memcpy(&tag, body, sizeof(tag));
+        std::memcpy(&len, body + 4, sizeof(len));
+        CGP_ASSERT(kRecordHeader + len == h.body_bytes && "frame body length mismatch");
+        bi.active = true;
+        bi.msg.source = peer;
+        bi.msg.tag = tag;
+        bi.msg.payload = spare_.take(len);
+        bi.superstep = h.superstep;
+        bi.fin = (h.flags & kFlagFin) != 0;
+        // The part of the payload the last read already brought in.
+        bi.got = std::min<std::size_t>(len, held - (sizeof(h) + ext_len + kRecordHeader));
+        std::memcpy(bi.msg.payload.data(), body + kRecordHeader, bi.got);
+        iq.head += sizeof(h) + ext_len + kRecordHeader + bi.got;
+        if (bi.got == len) finish_body(peer);
+        continue;
+      }
       const bool ahead = h.superstep != step_;
       auto& dst = ahead ? next_[peer] : cur_[peer];
-      const std::byte* body = iq.buf.data() + iq.head + sizeof(h) + ext_len;
       std::size_t off = 0;
       for (std::uint32_t i = 0; i < h.message_count; ++i) {
         std::uint32_t tag = 0;
@@ -413,6 +568,19 @@ class socket_endpoint final : public endpoint {
     }
   }
 
+  /// A direct frame's payload is complete: queue it for the superstep its
+  /// frame names, judged against the superstep current now.  A body that
+  /// started one step ahead may finish after that step became current.
+  void finish_body(std::uint32_t peer) {
+    body_in& bi = body_in_[peer];
+    CGP_ASSERT((bi.superstep == step_ || bi.superstep == step_ + 1) &&
+               "frame from an impossible superstep");
+    const bool ahead = bi.superstep != step_;
+    (ahead ? next_ : cur_)[peer].push_back(std::move(bi.msg));
+    if (bi.fin) (ahead ? fin_next_ : fin_cur_)[peer] = 1;
+    bi.active = false;
+  }
+
   /// The barrier: drive reads and writes together until every outgoing
   /// byte is handed to the kernel and every peer's FIN for this superstep
   /// has arrived.  One loop for both directions is the deadlock-freedom
@@ -430,7 +598,7 @@ class socket_endpoint final : public endpoint {
         if (p == rank_) continue;
         short events = 0;
         if (fin_cur_[p] == 0) events |= POLLIN;
-        if (out_[p].head < out_[p].buf.size()) events |= POLLOUT;
+        if (!out_[p].drained()) events |= POLLOUT;
         if (events != 0) {
           pfds.push_back(pollfd{conn_[p].get(), events, 0});
           who.push_back(p);
@@ -458,8 +626,10 @@ class socket_endpoint final : public endpoint {
   std::uint32_t step_ = 0;           // current superstep
   std::vector<message> self_;        // staged self-sends
   std::vector<agg_buf> agg_;         // per-destination aggregation buffers
-  std::vector<byte_queue> out_;      // per-peer framed bytes awaiting the wire
+  std::vector<out_queue> out_;       // per-peer framed bytes awaiting the wire
   std::vector<byte_queue> in_;       // per-peer received bytes awaiting parse
+  std::vector<body_in> body_in_;     // per-peer direct payload being received
+  vector_pool spare_;                // written bodies, kept to receive into (<= 2p)
   std::vector<std::vector<message>> cur_;   // delivered, this superstep
   std::vector<std::vector<message>> next_;  // delivered one step ahead
   std::vector<std::uint8_t> fin_cur_;

@@ -29,6 +29,14 @@
 // each; `aggregation_bytes = 0` degrades to frame-per-send (the bench
 // baseline bench/e16_transport.cpp compares against).
 //
+// Large bodies (64 KiB or more) cross without a user-space copy: a
+// `send_owned` body whose record cuts a frame by size is written with
+// `sendmsg` straight from the caller's vector behind the frame's header,
+// and a frame carrying one such record is received straight into the
+// message's payload.  The frames on the wire are the same as with `send`.
+// Each endpoint keeps the bodies it finished writing (at most 2p) and
+// receives the next ones into them.
+//
 // exchange() is a distributed barrier without any central step: each rank
 // flushes a FIN-flagged frame to every peer, then runs a poll() loop that
 // simultaneously drains its outgoing queues and parses incoming frames

@@ -1,5 +1,6 @@
 #include "comm/transport.hpp"
 
+#include <algorithm>
 #include <barrier>
 #include <cstdio>
 #include <exception>
@@ -30,6 +31,42 @@ void count_exchange() {
 
 }  // namespace
 
+std::vector<std::byte> vector_pool::take(std::size_t n) {
+  std::vector<std::byte> v;
+  if (!kept_.empty()) {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < kept_.size(); ++i) {
+      const std::size_t c = kept_[i].capacity();
+      const std::size_t b = kept_[best].capacity();
+      if (c >= n ? (b < n || c < b) : (b < n && c > b)) best = i;
+    }
+    std::swap(kept_[best], kept_.back());
+    v = std::move(kept_.back());
+    kept_.pop_back();
+  }
+  if (v.capacity() < n) {
+    // Growing: nothing worth copying, and room for the next body to be a
+    // little larger than this one without another allocation.
+    v.clear();
+    v.reserve(n + n / 8);
+  }
+  v.resize(n);
+  return v;
+}
+
+void vector_pool::give(std::vector<std::byte>&& v, std::size_t cap) {
+  if (v.capacity() == 0) return;
+  if (kept_.size() < cap) {
+    kept_.push_back(std::move(v));
+    return;
+  }
+  // Full: the larger vector is the one whose allocation would fault.
+  const auto smallest = std::min_element(kept_.begin(), kept_.end(), [](const auto& x, const auto& y) {
+    return x.capacity() < y.capacity();
+  });
+  if (smallest != kept_.end() && smallest->capacity() < v.capacity()) *smallest = std::move(v);
+}
+
 std::vector<std::vector<std::byte>> endpoint::alltoallv(
     std::span<const std::vector<std::byte>> chunks) {
   CGP_EXPECTS(chunks.size() == size());
@@ -56,12 +93,16 @@ class loopback_endpoint final : public endpoint {
   [[nodiscard]] std::uint32_t size() const noexcept override { return 1; }
 
   void send(std::uint32_t dest, std::uint32_t tag, std::span<const std::byte> bytes) override {
+    send_owned(dest, tag, std::vector<std::byte>(bytes.begin(), bytes.end()));
+  }
+
+  void send_owned(std::uint32_t dest, std::uint32_t tag, std::vector<std::byte>&& bytes) override {
     CGP_EXPECTS(dest == 0);
     count_send(bytes.size());
     message msg;
     msg.source = 0;
     msg.tag = tag;
-    msg.payload.assign(bytes.begin(), bytes.end());
+    msg.payload = std::move(bytes);
     staged_.push_back(std::move(msg));
   }
 
@@ -130,12 +171,16 @@ class threaded_endpoint final : public endpoint {
   [[nodiscard]] std::uint32_t size() const noexcept override { return ranks_; }
 
   void send(std::uint32_t dest, std::uint32_t tag, std::span<const std::byte> bytes) override {
+    send_owned(dest, tag, std::vector<std::byte>(bytes.begin(), bytes.end()));
+  }
+
+  void send_owned(std::uint32_t dest, std::uint32_t tag, std::vector<std::byte>&& bytes) override {
     CGP_EXPECTS(dest < ranks_);
     count_send(bytes.size());
     message msg;
     msg.source = dest;  // destination while staged; fixed by the router
     msg.tag = tag;
-    msg.payload.assign(bytes.begin(), bytes.end());
+    msg.payload = std::move(bytes);
     state_.boxes[rank_].outbox_.push_back(std::move(msg));
   }
 

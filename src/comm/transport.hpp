@@ -70,6 +70,17 @@ class endpoint {
   /// Post `bytes` for `dest`; delivered by the next `exchange()`.
   virtual void send(std::uint32_t dest, std::uint32_t tag, std::span<const std::byte> bytes) = 0;
 
+  /// Post `bytes` like `send`, handing the vector to the transport, which
+  /// may deliver it or write it to the wire without a copy: the in-process
+  /// transports move it into the message, the socket transport writes a
+  /// large body straight from it.  The default copies through `send` and
+  /// leaves `bytes` as it was, so a decorator that overrides only `send`
+  /// still sees every byte.  (A distinct name rather than an overload of
+  /// `send`, so such a decorator hides no virtual function.)
+  virtual void send_owned(std::uint32_t dest, std::uint32_t tag, std::vector<std::byte>&& bytes) {
+    send(dest, tag, std::span<const std::byte>(bytes));
+  }
+
   /// Superstep barrier: block until every rank has arrived, then return
   /// the messages posted to this rank during the step, ordered by
   /// (source rank, post order).
@@ -99,6 +110,29 @@ class endpoint {
          std::span<const std::byte>(reinterpret_cast<const std::byte*>(values.data()),
                                     values.size_bytes()));
   }
+};
+
+/// Byte vectors kept for reuse, Grappa's `LocalVector::reserve` rule: a
+/// kept vector keeps its capacity, so a body of the size it held before
+/// needs no allocation and faults in no page.  The socket endpoint keeps
+/// the bodies it finished writing and receives the next ones into them;
+/// the distributed shuffle keeps the payloads it placed and stages the
+/// next ones in them.  Not thread-safe: one owner per pool.
+class vector_pool {
+ public:
+  /// A vector of `n` bytes with unspecified contents: the kept one of
+  /// least capacity that holds `n`, else the largest kept one, else a new
+  /// one.  Only bytes past the vector's old size are zero-filled.
+  [[nodiscard]] std::vector<std::byte> take(std::size_t n);
+
+  /// Keep `v` for a later `take`.  At `cap` kept vectors, `v` replaces
+  /// the one of least capacity if it has more, and is freed otherwise, so
+  /// small payloads never displace the large buffers.  A vector without
+  /// capacity is dropped.
+  void give(std::vector<std::byte>&& v, std::size_t cap);
+
+ private:
+  std::vector<std::vector<std::byte>> kept_;
 };
 
 /// Wire-level traffic totals of a transport: what actually crossed the

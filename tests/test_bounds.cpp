@@ -1,8 +1,9 @@
 // Count ratchets at the entry point: what one cgp::context::shuffle on
 // backend::cgm puts on a socket transport's wire, the page faults of a
-// warm one on backend::smp and of a one-level em permutation build, the
-// random words per hypergeometric draw of the engines' split plan, and the
-// block transfers of backend::em's permutation fill and 8-byte shuffle.
+// warm one on backend::cgm over sockets and on backend::smp and of a
+// one-level em permutation build, the random words per hypergeometric
+// draw of the engines' split plan, and the block transfers of
+// backend::em's permutation fill and 8-byte shuffle.
 // Every wire count is a pure function of (seed, n, p, engine options), so
 // each is pinned at the value the engine reaches today: a change that
 // moves more bytes per item, cuts more frames, posts more messages or adds
@@ -115,6 +116,35 @@ TEST(EntryPointBounds, WarmSmpShuffleFaultsInNoScratch) {
   EXPECT_TRUE(stats::is_permutation_of_iota(v));
   EXPECT_LE(faults, kMaxFaults) << "a fresh scratch per call faults " << kScratchPages
                                 << " pages";
+}
+
+// A warm cgm shuffle over sockets stages and receives its (pos, value)
+// records in buffers kept from the first call: the engine's per-thread
+// pool and each socket endpoint's written bodies.  At n = 1,000,003 and
+// p = 4 each rank stages and receives about 1 MB per peer.  With a fresh
+// buffer per message, glibc's arena trimming returns those pages between
+// calls and the warm call faulted ~3,000 of them in again; with the
+// buffers kept it faults ~50.  A fault count is a count, not a clock.
+TEST(EntryPointBounds, WarmCgmShuffleOverSocketMapsNoMessageBuffers) {
+  constexpr std::uint64_t n = 1'000'003;
+  constexpr long kMaxFaults = 500;
+  comm::socket_transport sock(4);
+  context_options copt;
+  copt.which = core::backend::cgm;
+  copt.parallelism = 4;
+  copt.seed = 17;
+  copt.engine.transport = &sock;
+  cgp::context ctx(copt);
+  std::vector<std::uint64_t> v(n);
+  std::iota(v.begin(), v.end(), 0);
+  (void)ctx.shuffle(std::span<std::uint64_t>(v));  // warm: the first call allocates the buffers
+
+  const long before = minor_faults();
+  (void)ctx.shuffle(std::span<std::uint64_t>(v));
+  const long faults = minor_faults() - before;
+
+  EXPECT_TRUE(stats::is_permutation_of_iota(v));
+  EXPECT_LE(faults, kMaxFaults);
 }
 
 // A one-level em permutation writes its level-0 buckets in place: no level

@@ -1,7 +1,9 @@
 // Tests for the comm/ transport layer and the distributed CGM engine
 // behind backend::cgm: transport primitives (send/exchange ordering,
-// ragged alltoallv round-trips), rank-count and transport independence of
-// the distributed shuffle (loopback == threaded, p in {1, 2, 4, 8}),
+// ragged alltoallv round-trips, owned sends through send-only decorators,
+// large bodies keeping their superstep at an uneven pace), rank-count and
+// transport independence of the distributed shuffle (loopback ==
+// threaded, p in {1, 2, 4, 8}),
 // bit-agreement with backend::sequential at/below the leaf cutoff and
 // with smp::engine above it (ragged and empty rank blocks included),
 // transports reused across runs and shared by concurrent callers,
@@ -9,6 +11,7 @@
 // (p, g, L) cgm candidate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -276,6 +279,162 @@ TEST(SocketTransport, AggregatorCoalescesSmallSendsOntoFewerFrames) {
   EXPECT_GE(off.frames, 4 * on.frames);
   EXPECT_GT(on.wire_bytes, 0u);
   EXPECT_LT(on.wire_bytes, off.wire_bytes);
+}
+
+// --- owned sends (endpoint::send_owned) --------------------------------------
+
+/// Forwards to a transport's endpoint and counts the payload bytes posted.
+/// It overrides only `send`, as perfbench's accounting endpoint does, so
+/// `send_owned` reaches it through the base class's copying default.
+class send_counting_endpoint final : public comm::endpoint {
+ public:
+  explicit send_counting_endpoint(comm::endpoint& inner) : inner_(inner) {}
+
+  [[nodiscard]] std::uint32_t rank() const noexcept override { return inner_.rank(); }
+  [[nodiscard]] std::uint32_t size() const noexcept override { return inner_.size(); }
+  void send(std::uint32_t dest, std::uint32_t tag, std::span<const std::byte> bytes) override {
+    bytes_ += bytes.size();
+    inner_.send(dest, tag, bytes);
+  }
+  [[nodiscard]] std::vector<comm::message> exchange() override { return inner_.exchange(); }
+
+  [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
+
+ private:
+  comm::endpoint& inner_;
+  std::uint64_t bytes_ = 0;
+};
+
+/// Body `i` of four from rank `src` to rank `dest`.  On the socket
+/// transport the first is a one-record frame (written from the caller's
+/// vector and received straight into the message), the empty and the odd
+/// one are aggregated, and the last cuts a frame behind them (written in
+/// place, parsed from the frame on receive).
+std::vector<std::byte> owned_body(std::uint32_t src, std::uint32_t dest, std::uint32_t i) {
+  constexpr std::size_t kSizes[] = {(std::size_t{1} << 20) + 7, 0, 3, (std::size_t{1} << 18) + 5};
+  std::vector<std::byte> b(kSizes[i] + (kSizes[i] > 3 ? 16 * src + dest : 0));
+  for (std::size_t k = 0; k < b.size(); ++k) {
+    b[k] = static_cast<std::byte>((k * 131 + 7 * src + 3 * dest + i) & 0xFF);
+  }
+  return b;
+}
+
+void check_send_owned(comm::transport& tr) {
+  tr.run([](comm::endpoint& ep) {
+    const std::uint32_t p = ep.size();
+    const std::uint32_t r = ep.rank();
+    // Every rank posts the four bodies to every rank, itself included:
+    // by send, by send_owned, and by send_owned through the decorator.
+    const auto post_all = [&](const std::function<void(std::uint32_t, std::uint32_t,
+                                                        std::vector<std::byte>)>& post) {
+      for (std::uint32_t d = 0; d < p; ++d) {
+        for (std::uint32_t i = 0; i < 4; ++i) post(d, i, owned_body(r, d, i));
+      }
+    };
+    std::uint64_t posted = 0;
+    post_all([&](std::uint32_t d, std::uint32_t tag, std::vector<std::byte> b) {
+      posted += b.size();
+      ep.send(d, tag, std::span<const std::byte>(b));
+    });
+    const std::vector<comm::message> by_send = ep.exchange();
+    post_all([&](std::uint32_t d, std::uint32_t tag, std::vector<std::byte> b) {
+      ep.send_owned(d, tag, std::move(b));
+    });
+    const std::vector<comm::message> by_owned = ep.exchange();
+    send_counting_endpoint dec(ep);
+    post_all([&](std::uint32_t d, std::uint32_t tag, std::vector<std::byte> b) {
+      dec.send_owned(d, tag, std::move(b));
+    });
+    const std::vector<comm::message> by_dec = dec.exchange();
+
+    EXPECT_EQ(dec.bytes(), posted) << "rank " << r;
+    ASSERT_EQ(by_send.size(), 4u * p);
+    for (std::size_t m = 0; m < by_send.size(); ++m) {
+      const auto src = static_cast<std::uint32_t>(m / 4);
+      const auto i = static_cast<std::uint32_t>(m % 4);
+      EXPECT_EQ(by_send[m].source, src);
+      EXPECT_EQ(by_send[m].tag, i);
+      EXPECT_TRUE(by_send[m].payload == owned_body(src, r, i))
+          << "rank " << r << " from " << src << ", body " << i;
+    }
+    for (const std::vector<comm::message>* got : {&by_owned, &by_dec}) {
+      ASSERT_EQ(got->size(), by_send.size());
+      for (std::size_t m = 0; m < by_send.size(); ++m) {
+        EXPECT_EQ((*got)[m].source, by_send[m].source);
+        EXPECT_EQ((*got)[m].tag, by_send[m].tag);
+        EXPECT_TRUE((*got)[m].payload == by_send[m].payload) << "rank " << r << ", message " << m;
+      }
+    }
+  });
+}
+
+TEST(Transport, SendOwnedReachesSendOnlyDecoratorsAndDeliversLikeSend) {
+  comm::loopback_transport lo;
+  check_send_owned(lo);
+  comm::threaded_transport th(3);
+  check_send_owned(th);
+  comm::socket_transport so(3);
+  check_send_owned(so);
+}
+
+/// Three supersteps in which every rank posts an 8 MiB body, more than
+/// the kernel takes in one write, to every peer with send_owned.  The ranks
+/// run at an uneven pace: in superstep s, rank r dawdles between posting
+/// and exchanging when s + r is odd, and a rank posts as soon as its
+/// previous superstep completes.  A peer's next body then sits half
+/// written right behind the FIN its reader waits for, so the reader
+/// completes s with a body of s + 1 still arriving.  Each body must arrive
+/// in the superstep it was posted in.  (Filing the body by the superstep
+/// current when its header arrives fails here every time.)  The checks
+/// wait until the last superstep: between supersteps they would delay the
+/// next post.
+void check_bodies_keep_their_superstep(comm::transport& tr) {
+  constexpr std::uint32_t kSteps = 3;
+  tr.run([](comm::endpoint& ep) {
+    const std::uint32_t p = ep.size();
+    const std::uint32_t r = ep.rank();
+    const auto body_size = [](std::uint32_t step, std::uint32_t src, std::uint32_t dest) {
+      return (std::size_t{8} << 20) + 4096 * step + 64 * src + dest;
+    };
+    const auto fill = [](std::uint32_t step, std::uint32_t src) {
+      return static_cast<std::byte>(16 * step + src + 1);
+    };
+    const auto bodies_for = [&](std::uint32_t step) {
+      std::vector<std::vector<std::byte>> b(p);
+      for (std::uint32_t d = 0; d < p; ++d) {
+        if (d != r) b[d].assign(body_size(step, r, d), fill(step, r));
+      }
+      return b;
+    };
+    std::vector<std::vector<std::byte>> next = bodies_for(0);
+    std::vector<std::vector<comm::message>> got(kSteps);
+    for (std::uint32_t step = 0; step < kSteps; ++step) {
+      for (std::uint32_t d = 0; d < p; ++d) {
+        if (d != r) ep.send_owned(d, step, std::move(next[d]));
+      }
+      if ((step + r) % 2 == 1) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      if (step + 1 < kSteps) next = bodies_for(step + 1);  // ready to post at once
+      got[step] = ep.exchange();
+    }
+    for (std::uint32_t step = 0; step < kSteps; ++step) {
+      ASSERT_EQ(got[step].size(), p - 1) << "rank " << r << ", superstep " << step;
+      for (const comm::message& m : got[step]) {
+        EXPECT_EQ(m.tag, step) << "rank " << r << " from " << m.source;
+        ASSERT_EQ(m.payload.size(), body_size(step, m.source, r));
+        const std::byte want = fill(step, m.source);
+        EXPECT_TRUE(std::all_of(m.payload.begin(), m.payload.end(),
+                                [want](std::byte x) { return x == want; }))
+            << "rank " << r << " from " << m.source << ", superstep " << step;
+      }
+    }
+  });
+}
+
+TEST(Transport, LargeBodiesArriveInTheirOwnSuperstepAtUnevenPace) {
+  comm::threaded_transport th(2);
+  check_bodies_keep_their_superstep(th);
+  comm::socket_transport so(2);
+  for (int round = 0; round < 2; ++round) check_bodies_keep_their_superstep(so);
 }
 
 TEST(SocketTransportDeathTest, KilledRankAbortsTheJobLoudly) {
