@@ -94,15 +94,6 @@ struct dist_node {
   std::uint64_t node = 0;
 };
 
-/// The staging and received payloads a rank thread keeps across levels and
-/// calls (at most 2p, freed when the thread exits).  Without them every
-/// level allocates p buffers of ~n/p^2 records, glibc hands their pages
-/// back between calls, and each call faults them in again.
-inline comm::vector_pool& stage_pool() {
-  thread_local comm::vector_pool pool;
-  return pool;
-}
-
 }  // namespace detail_dist
 
 /// SPMD collective: uniformly permute the distributed global array of `n`
@@ -183,9 +174,12 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
   // whose local subtrees are all leaves allocates none.
   const auto splits = [&](std::uint64_t len) { return len >= 2 && len > opt.engine.cache_items; };
   std::unique_ptr<T[]> scratch;
-  // Messages are staged in byte vectors from this rank thread's pool, and
-  // every payload placed goes back to it, so a warm call allocates none.
-  comm::vector_pool& pool = dd::stage_pool();
+  // Messages are staged in byte vectors from the endpoint's pool, and
+  // every payload placed goes back to it.  Without it every level
+  // allocates p buffers of ~n/p^2 records, glibc hands their pages back
+  // between calls, and each call faults them in again; an endpoint that
+  // outlives the call (a socket transport's) keeps them instead.
+  comm::vector_pool& pool = ep.buffers();
   const std::size_t keep = 2 * std::size_t{p};
   // Post a copy of `count` items at `items` in a pooled vector.  The
   // endpoint keeps the vector (a self-send, a body written in place) or
@@ -221,6 +215,8 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
     // staging is sized up front from those runs: per chunk, the run slots
     // in its block, but never more than this rank's items of the chunk
     // (exact for a chunk inside the block, an upper bound at its ends).
+    // The bound is kept tight because a pooled vector zero-fills the bytes
+    // it is taken with, so an overcount costs resident pages.
     std::vector<std::uint64_t> stage_n(p, 0);  // records bound for rank d, at most
     std::vector<std::uint64_t> in_chunk(p);
     for (std::size_t ni = 0; ni < level.size(); ++ni) {
@@ -251,34 +247,16 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
     }
     // One byte vector per destination from the pool: the remote ones are
     // handed to the transport, and the received payloads refill the pool
-    // once placed.
+    // once placed.  `out[d]` is destination d's staging, `fill[d]` its
+    // write cursor.
     std::vector<std::vector<std::byte>> stage(p);
+    std::vector<dd::routed<T>*> out(p);
     for (std::uint32_t d = 0; d < p; ++d) {
       stage[d] = pool.take(static_cast<std::size_t>(stage_n[d]) * sizeof(dd::routed<T>));
+      out[d] = reinterpret_cast<dd::routed<T>*>(stage[d].data());
     }
     std::vector<std::uint64_t> fill(p, 0);  // records staged for rank d
 
-    // Route by label: label j's slots in this rank's part of a chunk are
-    // one run, cut at rank-block ends into segments.  A segment gets a
-    // contiguous range of its destination's staging when the label first
-    // reaches it, so an item's record goes to out[slot - off] with one
-    // cursor per label, and a label's state changes only at a block end.
-    struct lane {
-      std::uint64_t slot;  // global slot of the label's next item
-      std::uint64_t end;   // end of its current segment
-      std::uint64_t off;   // slot - off indexes the segment's range (mod 2^64)
-      dd::routed<T>* out;  // staging of the segment's destination
-    };
-    std::vector<lane> lanes(opt.engine.fan_out);
-    std::vector<std::uint64_t> run_end(opt.engine.fan_out);  // end of label j's slots here
-    const auto open_segment = [&](lane& ln, std::uint64_t slot, std::uint64_t stop) {
-      const std::uint32_t d = owner(slot);
-      ln.end = std::min(stop, bounds[d + 1]);
-      ln.off = slot - fill[d];
-      ln.out = reinterpret_cast<dd::routed<T>*>(stage[d].data());
-      fill[d] += ln.end - slot;
-      CGP_ASSERT(fill[d] <= stage_n[d]);
-    };
     std::vector<std::uint8_t> labels;  // reused across chunks and nodes
     for (std::size_t ni = 0; ni < level.size(); ++ni) {
       const auto& nd = level[ni];
@@ -286,35 +264,40 @@ void distributed_shuffle(comm::endpoint& ep, std::span<T> block, std::uint64_t n
       const std::uint64_t a = std::max(nd.lo, my_lo);
       const std::uint64_t b = std::min(nd.lo + nd.len, my_lo + my_len);
       if (a >= b) continue;
+      std::vector<std::uint64_t> cursor(plan.k);  // global slot of label j's next item
+      std::vector<std::uint32_t> to(plan.k);      // rank owning that slot
+      std::vector<std::uint64_t> to_end(plan.k);  // end of that rank's block
       for (std::uint32_t c = 0; c < plan.k; ++c) {
         const std::uint64_t c_lo = nd.lo + balanced_block_offset(nd.len, plan.k, c);
         const std::uint64_t c_len = plan.margins[c];
         if (c_lo + c_len <= a) continue;
         if (c_lo >= b) break;
         smp::split_chunk_labels_into(plan, seed, nd.node, c, labels);
-        for (std::uint32_t j = 0; j < plan.k; ++j) {
-          lanes[j].slot = nd.lo + plan.dest[static_cast<std::size_t>(c) * plan.k + j];
-          run_end[j] = lanes[j].slot + plan.a(c, j);
-        }
-        // Items of the chunk outside my block: replay only, trimming each
-        // label's run to the slots of my items.
+        for (std::uint32_t j = 0; j < plan.k; ++j)
+          cursor[j] = nd.lo + plan.dest[static_cast<std::size_t>(c) * plan.k + j];
+        // Items of the chunk before my block: replay only.
         const std::uint64_t i0 = std::max(a, c_lo) - c_lo;
         const std::uint64_t i1 = std::min(b, c_lo + c_len) - c_lo;
-        for (std::uint64_t i = 0; i < i0; ++i) ++lanes[labels[static_cast<std::size_t>(i)]].slot;
-        for (std::uint64_t i = i1; i < c_len; ++i) --run_end[labels[static_cast<std::size_t>(i)]];
-        for (std::uint32_t j = 0; j < plan.k; ++j) lanes[j].end = lanes[j].slot;
+        for (std::uint64_t i = 0; i < i0; ++i) ++cursor[labels[static_cast<std::size_t>(i)]];
+        for (std::uint32_t j = 0; j < plan.k; ++j) {
+          // A label with no items left may sit at slot n (the end of the
+          // last bucket), which no rank owns.
+          to[j] = cursor[j] < n ? owner(cursor[j]) : p - 1;
+          to_end[j] = bounds[to[j] + 1];
+        }
         const T* src = block.data() + (c_lo + i0 - my_lo);
         for (std::uint64_t i = i0; i < i1; ++i) {
           const std::uint8_t j = labels[static_cast<std::size_t>(i)];
-          lane& ln = lanes[j];
-          const std::uint64_t slot = ln.slot++;
-          if (slot == ln.end) open_segment(ln, slot, run_end[j]);
-          dd::routed<T>& rec = ln.out[slot - ln.off];
+          const std::uint64_t slot = cursor[j]++;
+          while (slot >= to_end[j]) to_end[j] = bounds[++to[j] + 1];  // skips empty blocks
+          const std::uint32_t d = to[j];
+          dd::routed<T>& rec = out[d][fill[d]++];
           rec.pos = slot;
           rec.value = *src++;
         }
       }
     }
+    for (std::uint32_t d = 0; d < p; ++d) CGP_ASSERT(fill[d] <= stage_n[d]);
 
     // Records for this rank are placed after the exchange, never posted to
     // self; everything else arrives as (pos, value) records and is read

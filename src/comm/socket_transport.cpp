@@ -377,7 +377,7 @@ class socket_endpoint final : public endpoint {
   /// Drain `out_[peer]` into the (nonblocking) socket as far as the
   /// kernel will take it right now: one `sendmsg` gathers the queued
   /// bytes and the spliced bodies between them.  A body written in full
-  /// is kept to receive a later body into.
+  /// goes back to `buffers()`, where a later received body can land in it.
   void pump_write(std::uint32_t peer) {
     constexpr int kMaxIov = 8;
     out_queue& o = out_[peer];
@@ -387,7 +387,9 @@ class socket_endpoint final : public endpoint {
       int cnt = 0;
       std::size_t at = o.head;
       std::size_t b = o.first;
-      for (; b < o.bodies.size() && cnt + 2 <= kMaxIov; ++b) {
+      // A body takes at most two entries, and one more stays free for the
+      // bytes after the last body.
+      for (; b < o.bodies.size() && cnt + 3 <= kMaxIov; ++b) {
         spliced_body& s = o.bodies[b];
         if (s.at > at) iov[cnt++] = iovec{o.buf.data() + at, s.at - at};
         iov[cnt++] = iovec{s.bytes.data() + s.done, s.bytes.size() - s.done};
@@ -423,7 +425,7 @@ class socket_endpoint final : public endpoint {
         s.done += k;
         n -= k;
         if (s.done == s.bytes.size()) {
-          spare_.give(std::move(s.bytes), 2 * std::size_t{ranks_});
+          buffers().give(std::move(s.bytes), 2 * std::size_t{ranks_});
           ++o.first;
         }
       } else {
@@ -531,7 +533,7 @@ class socket_endpoint final : public endpoint {
         bi.active = true;
         bi.msg.source = peer;
         bi.msg.tag = tag;
-        bi.msg.payload = spare_.take(len);
+        bi.msg.payload = buffers().take(len);
         bi.superstep = h.superstep;
         bi.fin = (h.flags & kFlagFin) != 0;
         // The part of the payload the last read already brought in.
@@ -629,7 +631,6 @@ class socket_endpoint final : public endpoint {
   std::vector<out_queue> out_;       // per-peer framed bytes awaiting the wire
   std::vector<byte_queue> in_;       // per-peer received bytes awaiting parse
   std::vector<body_in> body_in_;     // per-peer direct payload being received
-  vector_pool spare_;                // written bodies, kept to receive into (<= 2p)
   std::vector<std::vector<message>> cur_;   // delivered, this superstep
   std::vector<std::vector<message>> next_;  // delivered one step ahead
   std::vector<std::uint8_t> fin_cur_;

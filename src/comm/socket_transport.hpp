@@ -34,8 +34,8 @@
 // `sendmsg` straight from the caller's vector behind the frame's header,
 // and a frame carrying one such record is received straight into the
 // message's payload.  The frames on the wire are the same as with `send`.
-// Each endpoint keeps the bodies it finished writing (at most 2p) and
-// receives the next ones into them.
+// A body written in full goes back to the endpoint's `buffers()`, and a
+// large body is received into a vector taken from there.
 //
 // exchange() is a distributed barrier without any central step: each rank
 // flushes a FIN-flagged frame to every peer, then runs a poll() loop that

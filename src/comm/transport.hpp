@@ -58,6 +58,27 @@ struct message {
   }
 };
 
+/// Byte vectors kept for reuse, Grappa's `LocalVector::reserve` rule: a
+/// kept vector keeps its capacity, so a body of the size it held before
+/// needs no allocation and faults in no page.  Every endpoint owns one
+/// (`endpoint::buffers`).  Not thread-safe: one owner per pool.
+class vector_pool {
+ public:
+  /// A vector of `n` bytes with unspecified contents: the kept one of
+  /// least capacity that holds `n`, else the largest kept one, else a new
+  /// one.  Only bytes past the vector's old size are zero-filled.
+  [[nodiscard]] std::vector<std::byte> take(std::size_t n);
+
+  /// Keep `v` for a later `take`.  At `cap` kept vectors, `v` replaces
+  /// the one of least capacity if it has more, and is freed otherwise, so
+  /// small payloads never displace the large buffers.  A vector without
+  /// capacity is dropped.
+  void give(std::vector<std::byte>&& v, std::size_t cap);
+
+ private:
+  std::vector<std::vector<std::byte>> kept_;
+};
+
 /// Per-rank handle of a running transport: identity plus the BSP
 /// messaging primitives.  Valid only inside `transport::run`.
 class endpoint {
@@ -110,29 +131,18 @@ class endpoint {
          std::span<const std::byte>(reinterpret_cast<const std::byte*>(values.data()),
                                     values.size_bytes()));
   }
-};
 
-/// Byte vectors kept for reuse, Grappa's `LocalVector::reserve` rule: a
-/// kept vector keeps its capacity, so a body of the size it held before
-/// needs no allocation and faults in no page.  The socket endpoint keeps
-/// the bodies it finished writing and receives the next ones into them;
-/// the distributed shuffle keeps the payloads it placed and stages the
-/// next ones in them.  Not thread-safe: one owner per pool.
-class vector_pool {
- public:
-  /// A vector of `n` bytes with unspecified contents: the kept one of
-  /// least capacity that holds `n`, else the largest kept one, else a new
-  /// one.  Only bytes past the vector's old size are zero-filled.
-  [[nodiscard]] std::vector<std::byte> take(std::size_t n);
-
-  /// Keep `v` for a later `take`.  At `cap` kept vectors, `v` replaces
-  /// the one of least capacity if it has more, and is freed otherwise, so
-  /// small payloads never displace the large buffers.  A vector without
-  /// capacity is dropped.
-  void give(std::vector<std::byte>&& v, std::size_t cap);
+  /// Byte vectors kept for reuse by this rank, at most 2p of them: the
+  /// distributed shuffle stages its messages in them and gives back every
+  /// payload it has placed; the socket endpoint gives back each body it
+  /// finished writing and receives the next large body into one.  They
+  /// live as long as the endpoint: one run for the in-process transports,
+  /// the transport's life for the socket transport.  A decorator has a
+  /// pool of its own.
+  [[nodiscard]] vector_pool& buffers() noexcept { return buffers_; }
 
  private:
-  std::vector<std::vector<std::byte>> kept_;
+  vector_pool buffers_;
 };
 
 /// Wire-level traffic totals of a transport: what actually crossed the

@@ -119,12 +119,13 @@ TEST(EntryPointBounds, WarmSmpShuffleFaultsInNoScratch) {
 }
 
 // A warm cgm shuffle over sockets stages and receives its (pos, value)
-// records in buffers kept from the first call: the engine's per-thread
-// pool and each socket endpoint's written bodies.  At n = 1,000,003 and
-// p = 4 each rank stages and receives about 1 MB per peer.  With a fresh
-// buffer per message, glibc's arena trimming returns those pages between
-// calls and the warm call faulted ~3,000 of them in again; with the
-// buffers kept it faults ~50.  A fault count is a count, not a clock.
+// records in buffers kept from the first call, in each socket endpoint's
+// pool (comm::endpoint::buffers).  At n = 1,000,003 and p = 4 each rank
+// stages and receives about 1 MB per peer.  With a pool that keeps
+// nothing, glibc maps those buffers anew or trims them between calls, and
+// the second call faulted 1,744-3,605 pages; with the buffers kept it
+// faults 7-9 (ASan+UBSan 87-90, TSan 73-89).  A fault count is a count,
+// not a clock.
 TEST(EntryPointBounds, WarmCgmShuffleOverSocketMapsNoMessageBuffers) {
   constexpr std::uint64_t n = 1'000'003;
   constexpr long kMaxFaults = 500;

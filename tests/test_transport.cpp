@@ -437,6 +437,44 @@ TEST(Transport, LargeBodiesArriveInTheirOwnSuperstepAtUnevenPace) {
   for (int round = 0; round < 2; ++round) check_bodies_keep_their_superstep(so);
 }
 
+// The socket endpoint writes its queue with one sendmsg that gathers the
+// framed bytes and the owned bodies spliced between them, at most eight
+// segments per call.  Rank 0 queues a 16 MiB frame by copy, more than
+// the kernel takes while rank 1 sleeps, then four 1 MiB owned bodies,
+// each behind its own frame header, and the exchange queues its FIN
+// frame last: nine segments, so the gather has to stop short of the FIN
+// and leave it to the next call.  (Four bodies exactly: with a fifth the
+// gather stops before the FIN anyway.  A gather that fills eight entries
+// and then adds the FIN overflows its array, which only AddressSanitizer
+// reports.)
+TEST(SocketTransport, OwnedBodiesQueuedBehindAFullSocketArriveIntact) {
+  constexpr std::uint32_t kBodies = 4;
+  const auto body = [](std::uint32_t tag) {
+    const std::size_t size = tag == 0 ? std::size_t{16} << 20 : (std::size_t{1} << 20) + tag;
+    std::vector<std::byte> b(size);
+    for (std::size_t k = 0; k < size; ++k) b[k] = static_cast<std::byte>((k * 131 + tag) & 0xFF);
+    return b;
+  };
+  comm::socket_transport so(2);
+  so.run([&](comm::endpoint& ep) {
+    if (ep.rank() == 0) {
+      const std::vector<std::byte> big = body(0);
+      ep.send(1, 0, std::span<const std::byte>(big));
+      for (std::uint32_t tag = 1; tag <= kBodies; ++tag) ep.send_owned(1, tag, body(tag));
+      EXPECT_TRUE(ep.exchange().empty());
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const std::vector<comm::message> got = ep.exchange();
+    ASSERT_EQ(got.size(), kBodies + 1);
+    for (std::uint32_t tag = 0; tag <= kBodies; ++tag) {
+      EXPECT_EQ(got[tag].source, 0u);
+      EXPECT_EQ(got[tag].tag, tag);
+      EXPECT_TRUE(got[tag].payload == body(tag)) << "body " << tag;
+    }
+  });
+}
+
 TEST(SocketTransportDeathTest, KilledRankAbortsTheJobLoudly) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   // A rank dying mid-superstep must take the whole job down with a
