@@ -20,7 +20,7 @@
 //
 // Acceptance: for every accessed fraction <= 1% the prp draw must be
 // cheaper than the BEST materializing backend at n = 10^8 (exit 2
-// otherwise -- "measured, out of tolerance", like e15/e18).
+// otherwise -- "measured, out of tolerance", like e2/e15/e20).
 //
 // Output: tables on stdout plus BENCH_prp.json (per-eval records, one
 // record per backend probe, one per (fraction, reps) cell, one summary

@@ -20,7 +20,7 @@
 //     at a tight 10 ms period -- the served-telemetry configuration.
 //
 // Acceptance: telemetry-on overhead vs baseline must stay under 3%
-// (exit 2 beyond it, like e18's gate -- CI treats 2 as "measured, out of
+// (exit 2 beyond it, like e2's gate -- CI treats 2 as "measured, out of
 // tolerance" rather than failure on loaded runners).
 //
 // Output: a table on stdout plus BENCH_telemetry.json.

@@ -7,9 +7,9 @@
 // arithmetic (one Philox word per label) and the scatter's random-access
 // memory traffic -- the two halves the paper's 60..100 cycles split into
 // "arithmetic" and "memory-bound".  This bench measures both halves before
-// and after the PR-8 optimizations, on the SAME timing harness as
-// e14/e15/e16 (cgp::best_of -- the old Google-Benchmark loop measured its
-// own overhead differently from every other bench, so its numbers were not
+// and after the SIMD keystream optimizations, on the SAME timing harness
+// as e15 (cgp::best_of -- the old Google-Benchmark loop measured its own
+// overhead differently from every other bench, so its numbers were not
 // comparable):
 //
 //   * keystream: raw philox4x64_batch words/ns, scalar kernel vs the active
@@ -25,7 +25,7 @@
 // seconds, ns_per_item, cycles_per_item; one summary record with the
 // speedups and the pass/fail verdict).  Exit 0 = vector path present and
 // batched labels >= 2x scalar; exit 2 = "measured, out of tolerance or
-// scalar-only hardware" (CI treats 2 as soft, like e15/e18).
+// scalar-only hardware" (CI treats 2 as soft, like e15/e19/e20).
 //
 // Usage: e2_per_item_cost [mode] [json_path]   mode: full (default) | small
 #include <cstdint>

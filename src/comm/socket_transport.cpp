@@ -160,14 +160,23 @@ constexpr std::size_t kDirectBody = 64 * 1024;
   return h.message_count == 1 && h.body_bytes >= kRecordHeader + kDirectBody;
 }
 
+/// How far a frame's superstep `s` lies ahead of the current one, modulo
+/// 2^32: 0 for the current superstep, 1 for the next, negative for an
+/// earlier one.
+[[nodiscard]] std::int32_t steps_ahead(std::uint32_t s, std::uint32_t now) noexcept {
+  return static_cast<std::int32_t>(s - now);
+}
+
 }  // namespace
 
 namespace detail {
 
 /// One rank's side of the mesh.  It lives as long as the transport: its
-/// buffers keep their high-water capacity across runs, and `reset` starts
-/// each run at superstep 0 (no frame is in flight between runs, so the
-/// outgoing and incoming queues are already drained).
+/// buffers keep their high-water capacity across runs, and supersteps are
+/// numbered across runs.  A send a program posted after its last exchange
+/// may already be cut into a frame and partly written; its bytes still
+/// cross at the next run's first exchange, and the receiver drops them as
+/// a frame from an earlier superstep.
 class socket_endpoint final : public endpoint {
  public:
   socket_endpoint(std::uint32_t rank, std::uint32_t ranks, std::vector<net::socket_fd>& conn,
@@ -190,13 +199,17 @@ class socket_endpoint final : public endpoint {
   socket_endpoint(const socket_endpoint&) = delete;
   socket_endpoint& operator=(const socket_endpoint&) = delete;
 
-  /// Start a program: superstep 0, no FIN seen, nothing staged.  Sends a
-  /// previous program posted after its last exchange are dropped, as a
-  /// fresh endpoint would drop them.
+  /// Start a program one superstep past the previous program's last, with
+  /// no FIN seen and nothing staged or delivered.  Sends a previous program
+  /// posted after its last exchange are dropped, as a fresh endpoint would
+  /// drop them: staged ones here, framed ones by their receiver.  Every
+  /// rank ran the same number of exchanges, so all agree on the numbering.
   void reset() {
-    step_ = 0;
+    ++step_;
     std::fill(fin_cur_.begin(), fin_cur_.end(), 0);
     std::fill(fin_next_.begin(), fin_next_.end(), 0);
+    for (auto& q : cur_) q.clear();
+    for (auto& q : next_) q.clear();
     self_.clear();
     for (agg_buf& a : agg_) {
       a.frame.resize(kFrameRoom);
@@ -520,9 +533,11 @@ class socket_endpoint final : public endpoint {
       }
       // A peer can run at most ONE superstep ahead: its FIN(s+1) needs
       // our FIN(s), which we only send once we are in exchange(s), and
-      // its step-(s+2) frames would need our FIN(s+1).
-      CGP_ASSERT((h.superstep == step_ || h.superstep == step_ + 1) &&
-                 "frame from an impossible superstep");
+      // its step-(s+2) frames would need our FIN(s+1).  A frame from an
+      // earlier superstep is a send a previous program posted after its
+      // last exchange: it is dropped.
+      const std::int32_t ahead_by = steps_ahead(h.superstep, step_);
+      CGP_ASSERT(ahead_by <= 1 && "frame from an impossible superstep");
       const std::byte* body = iq.buf.data() + iq.head + sizeof(h) + ext_len;
       if (direct) {
         std::uint32_t tag = 0;
@@ -543,7 +558,11 @@ class socket_endpoint final : public endpoint {
         if (bi.got == len) finish_body(peer);
         continue;
       }
-      const bool ahead = h.superstep != step_;
+      if (ahead_by < 0) {
+        iq.head += sizeof(h) + ext_len + h.body_bytes;
+        continue;
+      }
+      const bool ahead = ahead_by == 1;
       auto& dst = ahead ? next_[peer] : cur_[peer];
       std::size_t off = 0;
       for (std::uint32_t i = 0; i < h.message_count; ++i) {
@@ -572,15 +591,20 @@ class socket_endpoint final : public endpoint {
 
   /// A direct frame's payload is complete: queue it for the superstep its
   /// frame names, judged against the superstep current now.  A body that
-  /// started one step ahead may finish after that step became current.
+  /// started one step ahead may finish after that step became current, and
+  /// one from an earlier superstep (a previous program's) is dropped.
   void finish_body(std::uint32_t peer) {
     body_in& bi = body_in_[peer];
-    CGP_ASSERT((bi.superstep == step_ || bi.superstep == step_ + 1) &&
-               "frame from an impossible superstep");
-    const bool ahead = bi.superstep != step_;
+    bi.active = false;
+    const std::int32_t ahead_by = steps_ahead(bi.superstep, step_);
+    CGP_ASSERT(ahead_by <= 1 && "frame from an impossible superstep");
+    if (ahead_by < 0) {
+      buffers().give(std::move(bi.msg.payload), 2 * std::size_t{ranks_});
+      return;
+    }
+    const bool ahead = ahead_by == 1;
     (ahead ? next_ : cur_)[peer].push_back(std::move(bi.msg));
     if (bi.fin) (ahead ? fin_next_ : fin_cur_)[peer] = 1;
-    bi.active = false;
   }
 
   /// The barrier: drive reads and writes together until every outgoing
@@ -625,7 +649,7 @@ class socket_endpoint final : public endpoint {
   const socket_options& opt_;
   detail::socket_wire_counters& sc_;
 
-  std::uint32_t step_ = 0;           // current superstep
+  std::uint32_t step_ = 0;           // current superstep, counted across runs
   std::vector<message> self_;        // staged self-sends
   std::vector<agg_buf> agg_;         // per-destination aggregation buffers
   std::vector<out_queue> out_;       // per-peer framed bytes awaiting the wire

@@ -11,7 +11,8 @@
 // exercise), and each rank's endpoint -- its aggregation, outgoing and
 // incoming buffers -- is built with the mesh and lives as long as the
 // transport: buffers keep their high-water capacity across runs, and
-// `run` only resets the superstep state.  One program runs at a time.
+// `run` only resets the superstep state.  One program runs at a time, and
+// supersteps are numbered across programs.
 // The framing deliberately never assumes shared memory: every frame is
 // self-describing
 // ((source, superstep, flags) header + length-prefixed records), byte
@@ -26,8 +27,9 @@
 // frame when it reaches `aggregation_bytes` (flush-on-size) or at
 // `exchange()` (flush-on-sync, carrying the superstep-final FIN flag).
 // Many small sends therefore cost one syscall and one header, not one
-// each; `aggregation_bytes = 0` degrades to frame-per-send (the bench
-// baseline bench/e16_transport.cpp compares against).
+// each; `aggregation_bytes = 0` degrades to frame-per-send (the baseline
+// SocketTransport.AggregatorCoalescesSmallSendsOntoFewerFrames compares
+// against).
 //
 // Large bodies (64 KiB or more) cross without a user-space copy: a
 // `send_owned` body whose record cuts a frame by size is written with
@@ -46,7 +48,10 @@
 // receive buffer fills).  A peer may already be in superstep s+1 while we
 // finish s (its FIN(s+1) needs nothing from us beyond our FIN(s)), so
 // frames one step ahead are stashed; more than one step ahead is
-// impossible by the same dependency argument and asserts.
+// impossible by the same dependency argument and asserts.  A frame from an
+// earlier superstep can only be a send a previous program posted after
+// its last exchange (a large one is cut and partly written at once); it
+// is dropped, as a fresh transport would drop it.
 //
 // Failure: a rank program that throws, or a peer socket that reaches EOF
 // mid-superstep, aborts the process loudly (matching threaded_transport's

@@ -28,8 +28,9 @@
 // their call index atomically, so concurrent sequence draws each get a
 // distinct seed (which draw gets which index is scheduling-dependent --
 // callers that need a deterministic (caller, index) -> seed map should key
-// explicit seeds, as the service layer does).  `reseed` / `recalibrate` /
-// `set_transport` are exclusive: do not run them concurrently with draws.
+// explicit seeds, as the service layer does).  `reseed` is exclusive: do
+// not run it concurrently with draws.  The profile and the transport are
+// fixed at construction.
 //
 // Underneath, every draw is core::shuffle / core::random_permutation
 // (core/backend.hpp) under the options execution_options() projects, so
@@ -138,20 +139,12 @@ class context {
   /// The profile the planner reads.
   [[nodiscard]] const core::machine_profile& profile() const noexcept { return profile_; }
 
-  /// Re-measure the profile with in-process probes.  Also installs the
-  /// measurement as the process-wide shared profile (the cache behind
-  /// core::shared_profile()), so later contexts and servers see it too.
-  void recalibrate() { profile_ = core::recalibrate_shared_profile(); }
-
   /// The transport the distributed cgm backend runs on: the injected one,
   /// else the registry's shared transport for the context's rank count.
   [[nodiscard]] comm::transport& transport() {
     if (opt_.engine.transport != nullptr) return *opt_.engine.transport;
     return core::shared_transport(opt_.parallelism != 0 ? opt_.parallelism : 1);
   }
-
-  /// Run over `t` (not owned; must outlive the context).
-  void set_transport(comm::transport* t) noexcept { opt_.engine.transport = t; }
 
   /// Restart the draw sequence at `seed`.  Exclusive: not safe to run
   /// concurrently with draw-sequence calls (the pair of stores is not one
@@ -180,8 +173,8 @@ class context {
     return k == 0 ? s : rng::mix64(s ^ rng::mix64(k + 0x9E3779B97F4A7C15ull));
   }
 
-  context_options opt_;
-  core::machine_profile profile_;
+  const context_options opt_;
+  const core::machine_profile profile_;
   std::atomic<std::uint64_t> seed_ = 0;
   std::atomic<std::uint64_t> draws_ = 0;
 };

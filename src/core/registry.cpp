@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -59,7 +58,7 @@ struct transport_node {
 };
 
 // Plan-cache key: the workload fields that enter plan_permutation plus the
-// profile fingerprint (recalibration re-keys every entry).
+// profile fingerprint (a different profile re-keys every entry).
 using plan_key = std::array<std::uint64_t, 6>;
 
 struct registry {
@@ -67,10 +66,6 @@ struct registry {
   std::list<engine_node> engines;
   std::size_t engines_ready = 0;  // nodes whose construction completed
   std::list<transport_node> transports;
-
-  // Process-wide machine profile (detect() on first touch).
-  std::mutex profile_mutex;
-  std::optional<machine_profile> profile;
 
   // Plan cache.  Bounded: a multi-tenant server can see arbitrarily many
   // distinct (n, elem) shapes, so on overflow the cache is cleared rather
@@ -149,27 +144,8 @@ std::size_t registered_engine_count() {
 }
 
 machine_profile shared_profile() {
-  registry& reg = instance();
-  const std::lock_guard<std::mutex> lock(reg.profile_mutex);
-  if (!reg.profile.has_value()) reg.profile = machine_profile::detect();
-  return *reg.profile;
-}
-
-machine_profile recalibrate_shared_profile() {
-  // Calibration runs OUTSIDE the profile mutex (it takes milliseconds and
-  // itself touches the engine registry); the swap at the end is atomic
-  // under the lock.  Concurrent recalibrations race benignly: each
-  // installs a complete measured profile.
-  machine_profile measured;
-  {
-    const obs::span sp("calibrate", "plan");
-    measured = machine_profile::calibrate();
-  }
-  obs::get_counter("core.profile.calibrations").add();
-  registry& reg = instance();
-  const std::lock_guard<std::mutex> lock(reg.profile_mutex);
-  reg.profile = measured;
-  return measured;
+  static const machine_profile detected = machine_profile::detect();
+  return detected;
 }
 
 permutation_plan cached_plan(const workload& w, const machine_profile& prof) {

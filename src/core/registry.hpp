@@ -23,8 +23,7 @@
 //
 // The registry also owns two process-wide caches: the detected machine
 // profile (so every context / server construction stops re-running
-// machine_profile::detect(), with explicit invalidation via
-// recalibrate_shared_profile()) and the plan cache behind
+// machine_profile::detect()) and the plan cache behind
 // core::resolve_plan (so repeated request shapes skip
 // core::plan_permutation, keyed by workload + profile fingerprint).
 #pragma once
@@ -62,17 +61,8 @@ namespace cgp::core {
 
 /// The process-wide cached machine profile: machine_profile::detect() run
 /// once on first touch and reused by every cgp::context and svc::server
-/// constructed afterwards.  Returned by value -- the cached object may be
-/// swapped by recalibrate_shared_profile() at any time, so no reference to
-/// registry-internal storage escapes.
+/// constructed afterwards.  It never changes for the life of the process.
 [[nodiscard]] machine_profile shared_profile();
-
-/// Re-measure the shared profile with in-process probes
-/// (machine_profile::calibrate()) and install the result as the new
-/// process-wide profile; returns the freshly measured profile.  The new
-/// fingerprint implicitly invalidates every cached plan keyed under the
-/// old one.
-machine_profile recalibrate_shared_profile();
 
 /// The plan for workload `w` on `prof`, cached under the key
 /// (n, element_bytes, memory_budget, repetitions, prof.fingerprint()).

@@ -241,14 +241,11 @@ class engine_state {
   /// Where a level reading `cur` writes its buckets: in place when it
   /// reads nothing (identity input), else the other device of the pair.
   /// The scratch device is made on first use, on the calling thread (levels
-  /// recurse there; only leaves and chunks run on the pool), and inherits
-  /// main's hugepage placement: both sides of a level sit on one page size.
+  /// recurse there; only leaves and chunks run on the pool).
   block_device& scatter_target(block_device& cur, bool identity) {
     if (identity) return cur;
     if (&cur != &main_) return main_;
-    if (!scratch_) {
-      scratch_.emplace(main_.item_capacity(), main_.block_items(), main_.hugepage_backed());
-    }
+    if (!scratch_) scratch_.emplace(main_.item_capacity(), main_.block_items());
     return *scratch_;
   }
 

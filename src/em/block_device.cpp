@@ -1,63 +1,12 @@
 #include "em/block_device.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
 
 #include "obs/metrics.hpp"
 
 namespace cgp::em {
 
-namespace detail {
-
-device_buffer::device_buffer(std::uint64_t words, bool hugepages) {
-  const std::size_t bytes = static_cast<std::size_t>(words) * sizeof(std::uint64_t);
-#if defined(__linux__)
-  if (hugepages && bytes > 0) {
-    // Round the mapping up to the 2 MiB hugepage granularity so MADV_HUGEPAGE
-    // can cover the whole buffer; anonymous mappings are zero-filled, which
-    // is the same initial content the vector path provides.
-    constexpr std::size_t kHugeSize = 2ull << 20;
-    const std::size_t mapped = (bytes + kHugeSize - 1) / kHugeSize * kHugeSize;
-    void* p = ::mmap(nullptr, mapped, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p != MAP_FAILED) {
-      ptr_ = static_cast<std::uint64_t*>(p);
-      mapped_bytes_ = mapped;
-      // Advisory only: if the kernel has THP disabled the mapping still
-      // works on base pages, so a madvise failure downgrades the report,
-      // not the device.
-      huge_ = ::madvise(p, mapped, MADV_HUGEPAGE) == 0;
-      return;
-    }
-  }
-#else
-  (void)hugepages;
-#endif
-  fallback_.assign(static_cast<std::size_t>(words), 0);
-  ptr_ = fallback_.data();
-}
-
-device_buffer::~device_buffer() {
-#if defined(__linux__)
-  if (mapped_bytes_ != 0) ::munmap(ptr_, mapped_bytes_);
-#endif
-}
-
-}  // namespace detail
-
 namespace {
-
-bool env_hugepages() {
-  const char* env = std::getenv("CGP_EM_HUGEPAGES");
-  if (env == nullptr) return false;
-  const std::string_view v(env);
-  return v == "1" || v == "on" || v == "true";
-}
 
 // Process-wide I/O metrics, shared across every simulated device
 // (per-run accounting stays in io_stats).  References are resolved once;
@@ -74,19 +23,11 @@ obs::counter& io_writes_counter() {
 }  // namespace
 
 block_device::block_device(std::uint64_t item_capacity, std::uint32_t block_items)
-    : block_device(item_capacity, block_items, default_hugepages()) {}
-
-block_device::block_device(std::uint64_t item_capacity, std::uint32_t block_items, bool hugepages)
     : item_capacity_(item_capacity),
       block_items_(block_items),
       blocks_((item_capacity + block_items - 1) / block_items),
-      data_((item_capacity + block_items - 1) / block_items * block_items, hugepages) {
+      data_((item_capacity + block_items - 1) / block_items * block_items, 0) {
   CGP_EXPECTS(block_items >= 1);
-}
-
-bool block_device::default_hugepages() noexcept {
-  static const bool v = env_hugepages();
-  return v;
 }
 
 io_stats block_device::stats() const {

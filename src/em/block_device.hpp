@@ -43,54 +43,12 @@ struct io_stats {
   [[nodiscard]] std::uint64_t transfers() const noexcept { return block_reads + block_writes; }
 };
 
-namespace detail {
-
-/// Flat zero-initialized u64 buffer with an optional hugepage-backed
-/// allocation mode: when requested (and on Linux), the storage is an
-/// anonymous mmap with MADV_HUGEPAGE, so the kernel backs the simulated
-/// disk with 2 MiB pages -- fewer TLB entries for the scatter passes that
-/// stream through the whole device every level.  Any failure (no mmap, no
-/// madvise, non-Linux) falls back silently to ordinary vector storage;
-/// `hugepage_backed()` reports what actually happened.  Content and layout
-/// are identical either way -- this is purely a placement knob.
-class device_buffer {
- public:
-  device_buffer(std::uint64_t words, bool hugepages);
-  ~device_buffer();
-
-  device_buffer(const device_buffer&) = delete;
-  device_buffer& operator=(const device_buffer&) = delete;
-
-  [[nodiscard]] std::uint64_t* data() noexcept { return ptr_; }
-  [[nodiscard]] const std::uint64_t* data() const noexcept { return ptr_; }
-  [[nodiscard]] bool hugepage_backed() const noexcept { return huge_; }
-
- private:
-  std::uint64_t* ptr_ = nullptr;
-  std::size_t mapped_bytes_ = 0;  // nonzero iff ptr_ is an mmap
-  bool huge_ = false;
-  std::vector<std::uint64_t> fallback_;
-};
-
-}  // namespace detail
-
-/// A simulated disk of `u64` items grouped into blocks of `block_items`.
-/// All access is whole-block; partial blocks at the end are materialized
-/// at full size (standard device behaviour).
+/// A simulated disk of `u64` items grouped into blocks of `block_items`,
+/// stored zero-filled in RAM.  All access is whole-block; partial blocks at
+/// the end are materialized at full size (standard device behaviour).
 class block_device {
  public:
-  /// `hugepages` requests hugepage-backed storage (see detail::device_buffer);
-  /// the default comes from the CGP_EM_HUGEPAGES environment variable
-  /// ("1" / "on" / "true" to enable), read once per process.
   block_device(std::uint64_t item_capacity, std::uint32_t block_items);
-  block_device(std::uint64_t item_capacity, std::uint32_t block_items, bool hugepages);
-
-  /// What CGP_EM_HUGEPAGES resolves to (the two-argument constructor's
-  /// default).
-  [[nodiscard]] static bool default_hugepages() noexcept;
-
-  /// Whether this device's storage actually got hugepage placement.
-  [[nodiscard]] bool hugepage_backed() const noexcept { return data_.hugepage_backed(); }
 
   [[nodiscard]] std::uint32_t block_items() const noexcept { return block_items_; }
   [[nodiscard]] std::uint64_t item_capacity() const noexcept { return item_capacity_; }
@@ -123,7 +81,7 @@ class block_device {
   std::uint64_t item_capacity_;
   std::uint32_t block_items_;
   std::uint64_t blocks_;
-  detail::device_buffer data_;
+  std::vector<std::uint64_t> data_;
   io_stats stats_;
   mutable std::mutex mutex_;
 };

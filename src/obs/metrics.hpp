@@ -14,8 +14,8 @@
 //      a function-local static).  The `CGP_OBS_OFF` env var (or
 //      set_enabled(false)) reduces mutations to a single relaxed load.
 //      Per-ITEM work is never instrumented -- only per-call / per-level /
-//      per-block quantities -- so the smp hot path stays within the < 3%
-//      overhead budget bench/e18_obs_overhead.cpp guards.
+//      per-block quantities.  perfbench runs with metrics on, so their
+//      cost is inside every cpu_ns_per_item it reports.
 //   3. *Lifetime = process.*  References returned by the registry stay
 //      valid until exit, like core/registry.hpp's engines.  Counters are
 //      monotone; consumers diff snapshots rather than resetting.

@@ -115,7 +115,7 @@ TEST(SharedProfile, CachedAndStableAcrossCalls) {
   const core::machine_profile a = core::shared_profile();
   const core::machine_profile b = core::shared_profile();
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
-  // The cache serves the detected defaults until someone recalibrates.
+  // The cache serves the detected defaults for the life of the process.
   EXPECT_EQ(a.threads, core::machine_profile::detect().threads);
 }
 

@@ -1,5 +1,5 @@
-// Tests for the SIMD keystream pass (rng/philox_batch.hpp) and the NUMA /
-// hugepage placement knobs that ride with it.
+// Tests for the SIMD keystream pass (rng/philox_batch.hpp) and the NUMA
+// placement that rides with it.
 //
 // The load-bearing claim is lane-order independence: every kernel (scalar,
 // AVX2, NEON) of philox4x64_batch writes the EXACT word sequence
@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <span>
 #include <vector>
 
@@ -20,8 +19,6 @@
 #include "core/backend.hpp"
 #include "core/driver.hpp"
 #include "core/plan.hpp"
-#include "em/async_shuffle.hpp"
-#include "em/block_device.hpp"
 #include "obs/metrics.hpp"
 #include "rng/philox.hpp"
 #include "rng/philox_batch.hpp"
@@ -289,40 +286,6 @@ TEST(NumaPool, ParallelForCoversRangeExactlyOnce) {
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Hugepage-optional device storage: a placement knob, never a content one.
-
-TEST(HugepageDevice, RoundTripsAndReportsMode) {
-  em::block_device dev(4096, 64, /*hugepages=*/true);
-  // MADV_HUGEPAGE is advisory: backed or not, the device must behave
-  // identically.  (On kernels without THP the flag simply reports false.)
-  std::vector<std::uint64_t> in(64), out(64);
-  std::iota(in.begin(), in.end(), 1000);
-  dev.write_block(3, in);
-  dev.read_block(3, out);
-  EXPECT_EQ(in, out);
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(dev.peek(3 * 64 + i), 1000 + i);
-  }
-}
-
-TEST(HugepageDevice, EmPermutationIdenticalAcrossPlacement) {
-  // The em backend's output must not depend on where its buffers live.
-  const std::uint64_t n = 1 << 12;
-  const auto run = [&](bool hugepages) {
-    em::block_device dev(n, 64, hugepages);
-    for (std::uint64_t i = 0; i < n; ++i) dev.poke(i, i);
-    smp::thread_pool pool(2);
-    em::async_options opt;
-    opt.memory_items = 1024;
-    (void)em::async_em_shuffle(dev, n, 0xDE7, pool, opt);
-    std::vector<std::uint64_t> out(n);
-    for (std::uint64_t i = 0; i < n; ++i) out[i] = dev.peek(i);
-    return out;
-  };
-  EXPECT_EQ(run(false), run(true));
 }
 
 }  // namespace

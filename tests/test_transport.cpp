@@ -674,9 +674,12 @@ TEST(DistributedShuffle, ReusedTransportsMatchFreshOnes) {
   // runs.  Calls of mixed sizes -- distributed levels, gathers, root
   // leaves, a single-leaf n = 9 -- on one transport must each equal the
   // same call on a fresh transport: no run sees what an earlier one left.
-  // Before each call, a program posts small sends after its last
-  // exchange; they are never delivered, and the next run must not see
-  // them either (each run is an independent BSP computation).
+  // Before each call, a program runs three supersteps and then posts
+  // sends after its last exchange; they are never delivered, and the next
+  // run must not see them either (each run is an independent BSP
+  // computation).  A 1 MiB send cuts a socket frame at once and is partly
+  // written before the run ends, so its bytes are still on the wire when
+  // the next run starts; the owned one is written from its vector.
   cgm::distributed_options opt;
   opt.engine.fan_out = 8;
   opt.engine.cache_items = 512;
@@ -684,7 +687,17 @@ TEST(DistributedShuffle, ReusedTransportsMatchFreshOnes) {
   comm::threaded_transport thr(3);
   const auto leave_undelivered_sends = [](comm::transport& tr) {
     tr.run([](comm::endpoint& ep) {
+      for (int s = 0; s < 3; ++s) (void)ep.exchange();
       const std::uint64_t word = 0xDEAD;
+      for (std::uint32_t d = 0; d < ep.size(); ++d) {
+        if (d == ep.rank()) continue;
+        std::vector<std::byte> big(std::size_t{1} << 20, std::byte{0xBA});
+        if (d % 2 == 0) {
+          ep.send_owned(d, 0xBAD, std::move(big));
+        } else {
+          ep.send(d, 0xBAD, big);
+        }
+      }
       for (std::uint32_t d = 0; d < ep.size(); ++d) {
         ep.send_span(d, 0xBAD, std::span<const std::uint64_t>(&word, 1));
       }

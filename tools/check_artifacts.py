@@ -23,7 +23,8 @@ def load(path):
 
 
 def check_parses(path):
-    """BENCH_smp.json, BENCH_em.json, BENCH_plan.json: well-formed JSON."""
+    """BENCH_e1_scaling.json, BENCH_em.json, BENCH_plan.json: well-formed
+    JSON."""
     load(path)
 
 
@@ -48,23 +49,6 @@ def check_simd(path):
         f"< {summary[0]['min_speedup']} on SIMD-capable hardware"
 
 
-def check_svc(path):
-    """Per-cell service records carry the plan-cache fields."""
-    cells = [r for r in load(path) if 'summary' not in r]
-    assert cells, 'no per-cell records'
-    for r in cells:
-        for k in ('requests_per_second', 'p50_ms', 'p99_ms',
-                  'plan_cache_lookups', 'plan_cache_hits', 'plan_cache_hit_rate'):
-            assert k in r, f'record missing {k}: {r}'
-
-
-def check_obs(path):
-    """The summary record carries the overhead verdict."""
-    obs = load(path)
-    summary = [r for r in obs if r.get('configuration') == 'summary']
-    assert summary and 'instrumented_overhead' in summary[0], obs
-
-
 def check_prp(path):
     """Per-eval records (scalar + batched), the crossover cells, and a
     summary carrying the verdict."""
@@ -80,28 +64,6 @@ def check_prp(path):
     summary = [r for r in prp if r.get('section') == 'summary']
     assert summary and 'crossover_demonstrated' in summary[0], prp
     assert 'batched_speedup' in summary[0]
-
-
-def check_cgm(path):
-    """Socket rows carry per-shuffle wire counters (bytes on the wire at
-    p >= 2, none at p = 1), and the aggregation section meets the >= 4x
-    coalescing bar (the burst shape makes it ~256)."""
-    cgm = load(path)
-    socket_rows = [r for r in cgm
-                   if r.get('transport') == 'socket' and 'section' not in r]
-    assert socket_rows, 'no socket transport rows'
-    for r in socket_rows:
-        for k in ('wire_messages_per_shuffle', 'wire_frames_per_shuffle',
-                  'wire_bytes_per_shuffle', 'wire_bytes_per_item'):
-            assert k in r, f'socket row missing {k}: {r}'
-        if r['p'] >= 2:
-            assert r['wire_bytes_per_item'] > 0, f'no wire bytes at p >= 2: {r}'
-        else:
-            assert r['wire_bytes_per_item'] == 0, f'wire bytes at p = 1: {r}'
-    agg = [r for r in cgm if r.get('section') == 'aggregation']
-    assert agg, 'no aggregation record'
-    factor = agg[0]['coalescing_factor']
-    assert factor >= 4, f'aggregator coalescing factor {factor} < 4'
 
 
 def check_telemetry(path):
@@ -230,14 +192,11 @@ def check_wire_metrics(path):
 
 
 VALIDATORS = {
-    'BENCH_smp.json': check_parses,
+    'BENCH_e1_scaling.json': check_parses,
     'BENCH_em.json': check_parses,
     'BENCH_plan.json': check_parses,
     'BENCH_simd.json': check_simd,
-    'BENCH_svc.json': check_svc,
-    'BENCH_obs.json': check_obs,
     'BENCH_prp.json': check_prp,
-    'BENCH_cgm.json': check_cgm,
     'BENCH_telemetry.json': check_telemetry,
     'trace.json': check_trace,
     'trace_server.json': check_trace,
