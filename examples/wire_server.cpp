@@ -22,7 +22,9 @@
 //   ./wire_server client <port>      connect to a serve-mode process,
 //                                    run one traced remote job, verify
 //                                    the replay, fetch the telemetry
-//                                    documents, exit
+//                                    documents into
+//                                    WIRE_CLIENT_TELEMETRY.prom and
+//                                    WIRE_CLIENT_TELEMETRY_RING.json, exit
 //
 // Build: part of the default CMake build.  Run: ./wire_server
 #include <chrono>
@@ -102,11 +104,12 @@ int run_client(std::uint16_t port) {
     check(pi == oracle.random_permutation(50'000, cgp::svc::job_seed(kSeed, 7, ordinal)),
           "remote permutation == bare-context replay");
   }
-  std::ofstream("WIRE_TELEMETRY.prom")
+  // Its own file names: the default mode's documents stay for validation.
+  std::ofstream("WIRE_CLIENT_TELEMETRY.prom")
       << cl.telemetry(cgp::svc::wire_client::telemetry_form::prometheus);
-  std::ofstream("WIRE_TELEMETRY_RING.json")
+  std::ofstream("WIRE_CLIENT_TELEMETRY_RING.json")
       << cl.telemetry(cgp::svc::wire_client::telemetry_form::json_ring);
-  std::cout << "client: wrote WIRE_TELEMETRY.prom and WIRE_TELEMETRY_RING.json\n";
+  std::cout << "client: wrote WIRE_CLIENT_TELEMETRY.prom and WIRE_CLIENT_TELEMETRY_RING.json\n";
   return failures == 0 ? 0 : 1;
 }
 

@@ -38,21 +38,6 @@ struct socket_wire_counters {
 
 namespace {
 
-// Same process-wide BSP totals the in-process transports record
-// (transport.cpp keeps its helpers internal, so the names are the shared
-// contract: one kind per name, enforced by the registry).
-void count_send_obs(std::size_t bytes) {
-  static obs::counter& messages = obs::get_counter("comm.messages");
-  static obs::counter& traffic = obs::get_counter("comm.bytes");
-  messages.add();
-  traffic.add(bytes);
-}
-
-void count_exchange_obs() {
-  static obs::counter& exchanges = obs::get_counter("comm.exchanges");
-  exchanges.add();
-}
-
 // ---------------------------------------------------------------------
 // Frame layout.  One frame = header + `message_count` records; a record
 // is never split across frames, so a parser only ever needs one frame in
@@ -83,17 +68,6 @@ struct frame_header {
 };
 static_assert(sizeof(frame_header) == 24);
 static_assert(std::is_trivially_copyable_v<frame_header>);
-
-/// The optional trace extension: the cutting rank's obs::trace_context.
-/// Same 24-byte layout as the RPC plane's (svc/wire.cpp) -- one format to
-/// document, one for a cross-host build to keep.
-struct frame_trace_ext {
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-  std::uint64_t reserved = 0;
-};
-static_assert(sizeof(frame_trace_ext) == 24);
-static_assert(std::is_trivially_copyable_v<frame_trace_ext>);
 
 /// A wedged barrier helps nobody: any wire-level failure mid-superstep
 /// (peer EOF = crashed rank, connection reset) kills the whole process
@@ -146,7 +120,12 @@ class byte_buffer {
 
 /// Bytes kept free at the front of an aggregation buffer, so a cut frame's
 /// header (and trace extension) lands in place before its records.
-constexpr std::size_t kFrameRoom = sizeof(frame_header) + sizeof(frame_trace_ext);
+constexpr std::size_t kFrameRoom = sizeof(frame_header) + sizeof(obs::trace_ext);
+
+/// Aggregation target per destination: a frame is cut when its records
+/// reach this size.  It keeps frames under the 64 KiB socket-buffer sweet
+/// spot with room for the header.
+constexpr std::size_t kAggregationBytes = 60 * 1024;
 
 /// Payloads of at least this many bytes cross without a user-space copy.
 /// A frame that carries one such record has its payload received straight
@@ -180,11 +159,10 @@ namespace detail {
 class socket_endpoint final : public endpoint {
  public:
   socket_endpoint(std::uint32_t rank, std::uint32_t ranks, std::vector<net::socket_fd>& conn,
-                  const socket_options& opt, detail::socket_wire_counters& sc)
+                  detail::socket_wire_counters& sc)
       : rank_(rank),
         ranks_(ranks),
         conn_(conn),
-        opt_(opt),
         sc_(sc),
         agg_(ranks),
         out_(ranks),
@@ -229,7 +207,7 @@ class socket_endpoint final : public endpoint {
   }
 
   [[nodiscard]] std::vector<message> exchange() override {
-    count_exchange_obs();
+    detail::count_exchange();
     const obs::span sp("exchange", "exchange");
     // Flush phase: every peer gets this rank's superstep-final frame
     // (FIN-flagged, possibly empty -- the empty one is the pure barrier
@@ -305,7 +283,7 @@ class socket_endpoint final : public endpoint {
   void post(std::uint32_t dest, std::uint32_t tag, std::span<const std::byte> bytes,
             std::vector<std::byte>* owned) {
     CGP_EXPECTS(dest < ranks_);
-    count_send_obs(bytes.size());
+    detail::count_send(bytes.size());
     sc_.messages.fetch_add(1, std::memory_order_relaxed);
     if (dest == rank_) {
       // Self-sends never touch the wire; they are staged like the
@@ -322,9 +300,8 @@ class socket_endpoint final : public endpoint {
       return;
     }
     agg_buf& a = agg_[dest];
-    // Always at aggregation_bytes = 0: frame per send.
     const bool cut =
-        a.frame.size() - kFrameRoom + kRecordHeader + bytes.size() >= opt_.aggregation_bytes;
+        a.frame.size() - kFrameRoom + kRecordHeader + bytes.size() >= kAggregationBytes;
     const bool splice = owned != nullptr && cut && bytes.size() >= kDirectBody;
     std::byte* rec = a.frame.grow(kRecordHeader + (splice ? 0 : bytes.size()));
     const auto len = static_cast<std::uint32_t>(bytes.size());
@@ -357,7 +334,7 @@ class socket_endpoint final : public endpoint {
     h.flags = flags | (traced ? kFlagTrace : 0);
     h.message_count = a.count;
     h.body_bytes = static_cast<std::uint32_t>(body);
-    frame_trace_ext ext;
+    obs::trace_ext ext;
     ext.trace_id = tc.trace_id;
     ext.span_id = tc.span_id;
     const std::size_t ext_len = traced ? sizeof(ext) : 0;
@@ -473,7 +450,7 @@ class socket_endpoint final : public endpoint {
         if (held >= sizeof(frame_header)) {
           frame_header h;  // parse_frames already validated it
           std::memcpy(&h, iq.buf.data() + iq.head, sizeof(h));
-          const std::size_t ext_len = (h.flags & kFlagTrace) != 0 ? sizeof(frame_trace_ext) : 0;
+          const std::size_t ext_len = (h.flags & kFlagTrace) != 0 ? sizeof(obs::trace_ext) : 0;
           if (!direct_frame(h)) want = std::max(want, sizeof(h) + ext_len + h.body_bytes - held);
         }
         if (iq.buf.capacity() - iq.buf.size() < want && iq.head != 0) {
@@ -517,7 +494,7 @@ class socket_endpoint final : public endpoint {
       std::memcpy(&h, iq.buf.data() + iq.head, sizeof(h));
       CGP_ASSERT(h.magic == kFrameMagic && "corrupt frame on transport socket");
       CGP_ASSERT(h.source == peer);
-      const std::size_t ext_len = (h.flags & kFlagTrace) != 0 ? sizeof(frame_trace_ext) : 0;
+      const std::size_t ext_len = (h.flags & kFlagTrace) != 0 ? sizeof(obs::trace_ext) : 0;
       const bool direct = direct_frame(h);
       const std::size_t held = iq.buf.size() - iq.head;
       // A direct frame starts once its record header is in; any other
@@ -527,7 +504,7 @@ class socket_endpoint final : public endpoint {
         // A context-free parsing thread joins the sender's trace; a thread
         // already inside a trace (the normal case: run() installed the
         // submitter's context) keeps its own.
-        frame_trace_ext ext;
+        obs::trace_ext ext;
         std::memcpy(&ext, iq.buf.data() + iq.head + sizeof(h), sizeof(ext));
         obs::adopt_trace(obs::trace_context{ext.trace_id, ext.span_id});
       }
@@ -646,7 +623,6 @@ class socket_endpoint final : public endpoint {
   std::uint32_t rank_;
   std::uint32_t ranks_;
   std::vector<net::socket_fd>& conn_;  // this rank's row of the mesh
-  const socket_options& opt_;
   detail::socket_wire_counters& sc_;
 
   std::uint32_t step_ = 0;           // current superstep, counted across runs
@@ -663,15 +639,15 @@ class socket_endpoint final : public endpoint {
 
 }  // namespace detail
 
-socket_transport::socket_transport(std::uint32_t ranks, socket_options opt)
-    : ranks_(ranks), opt_(opt), counters_(std::make_unique<detail::socket_wire_counters>()) {
+socket_transport::socket_transport(std::uint32_t ranks)
+    : ranks_(ranks), counters_(std::make_unique<detail::socket_wire_counters>()) {
   CGP_EXPECTS(ranks >= 1);
   conn_.resize(ranks);
   for (auto& row : conn_) row.resize(ranks);  // diagonal (and p=1) stay invalid
   endpoints_.reserve(ranks);
   for (std::uint32_t r = 0; r < ranks; ++r) {
     endpoints_.push_back(
-        std::make_unique<detail::socket_endpoint>(r, ranks, conn_[r], opt_, *counters_));
+        std::make_unique<detail::socket_endpoint>(r, ranks, conn_[r], *counters_));
   }
   pool_ = std::make_unique<smp::thread_pool>(ranks);
   if (ranks == 1) return;

@@ -24,12 +24,9 @@
 // Aggregation (the Grappa RDMAAggregator idea): `send` does not write to
 // the socket -- it appends a (tag, length, payload) record to a
 // per-destination aggregation buffer, and the buffer is cut into one wire
-// frame when it reaches `aggregation_bytes` (flush-on-size) or at
-// `exchange()` (flush-on-sync, carrying the superstep-final FIN flag).
-// Many small sends therefore cost one syscall and one header, not one
-// each; `aggregation_bytes = 0` degrades to frame-per-send (the baseline
-// SocketTransport.AggregatorCoalescesSmallSendsOntoFewerFrames compares
-// against).
+// frame when it reaches 60 KiB (flush-on-size) or at `exchange()`
+// (flush-on-sync, carrying the superstep-final FIN flag).  Many small
+// sends therefore cost one syscall and one header, not one each.
 //
 // Large bodies (64 KiB or more) cross without a user-space copy: a
 // `send_owned` body whose record cuts a frame by size is written with
@@ -82,21 +79,13 @@ struct socket_wire_counters;  // atomic backing of wire() (socket_transport.cpp)
 class socket_endpoint;        // one rank's buffers and superstep state
 }  // namespace detail
 
-struct socket_options {
-  /// Aggregation buffer target per destination: a frame is cut when the
-  /// buffered records reach this size.  0 disables coalescing (one frame
-  /// per send).  The default keeps frames under the 64 KiB socket-buffer
-  /// sweet spot with room for the header.
-  std::size_t aggregation_bytes = 60 * 1024;
-};
-
 class socket_transport final : public transport {
  public:
   /// Builds everything a run needs eagerly: the rank-pair connection mesh
   /// (ranks*(ranks-1)/2 TCP connections over 127.0.0.1), one endpoint per
   /// rank, and a pool of `ranks` rank threads.  `run` only resets the
   /// endpoints and hands each rank program to a pool worker.
-  explicit socket_transport(std::uint32_t ranks, socket_options opt = {});
+  explicit socket_transport(std::uint32_t ranks);
   ~socket_transport() override;
 
   [[nodiscard]] std::uint32_t size() const noexcept override { return ranks_; }
@@ -106,7 +95,6 @@ class socket_transport final : public transport {
 
  private:
   std::uint32_t ranks_;
-  socket_options opt_;
   /// conn_[r][peer]: rank r's socket to `peer` (invalid on the diagonal).
   std::vector<std::vector<net::socket_fd>> conn_;
   std::unique_ptr<detail::socket_wire_counters> counters_;

@@ -13,23 +13,17 @@
 
 namespace cgp::comm {
 
-namespace {
-
-// Process-wide BSP traffic totals, shared by every endpoint implementation
-// (both transports call through these on send/exchange).
-void count_send(std::size_t bytes) {
+void detail::count_send(std::size_t bytes) {
   static obs::counter& messages = obs::get_counter("comm.messages");
   static obs::counter& traffic = obs::get_counter("comm.bytes");
   messages.add();
   traffic.add(bytes);
 }
 
-void count_exchange() {
+void detail::count_exchange() {
   static obs::counter& exchanges = obs::get_counter("comm.exchanges");
   exchanges.add();
 }
-
-}  // namespace
 
 std::vector<std::byte> vector_pool::take(std::size_t n) {
   std::vector<std::byte> v;
@@ -98,7 +92,7 @@ class loopback_endpoint final : public endpoint {
 
   void send_owned(std::uint32_t dest, std::uint32_t tag, std::vector<std::byte>&& bytes) override {
     CGP_EXPECTS(dest == 0);
-    count_send(bytes.size());
+    detail::count_send(bytes.size());
     message msg;
     msg.source = 0;
     msg.tag = tag;
@@ -107,7 +101,7 @@ class loopback_endpoint final : public endpoint {
   }
 
   [[nodiscard]] std::vector<message> exchange() override {
-    count_exchange();
+    detail::count_exchange();
     return std::exchange(staged_, {});
   }
 
@@ -176,7 +170,7 @@ class threaded_endpoint final : public endpoint {
 
   void send_owned(std::uint32_t dest, std::uint32_t tag, std::vector<std::byte>&& bytes) override {
     CGP_EXPECTS(dest < ranks_);
-    count_send(bytes.size());
+    detail::count_send(bytes.size());
     message msg;
     msg.source = dest;  // destination while staged; fixed by the router
     msg.tag = tag;
@@ -185,7 +179,7 @@ class threaded_endpoint final : public endpoint {
   }
 
   [[nodiscard]] std::vector<message> exchange() override {
-    count_exchange();
+    detail::count_exchange();
     const obs::span sp("exchange", "exchange");
     state_.barrier.arrive_and_wait();
     return std::exchange(state_.boxes[rank_].delivered_, {});

@@ -168,6 +168,14 @@ struct wire_counters {
   }
 };
 
+namespace detail {
+/// The process-wide BSP traffic totals (`comm.messages`, `comm.bytes`,
+/// `comm.exchanges`) every endpoint implementation records on send and
+/// exchange.
+void count_send(std::size_t bytes);
+void count_exchange();
+}  // namespace detail
+
 /// A communication substrate for `size()` ranks.  `run` executes the SPMD
 /// program once, giving every rank its endpoint; it may be called
 /// repeatedly (each run is an independent BSP computation).

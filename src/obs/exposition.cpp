@@ -11,17 +11,8 @@ namespace cgp::obs {
 
 namespace {
 
-void append_line(std::string& out, const std::string& name, const std::string& labels,
-                 std::uint64_t v) {
-  out += name;
-  out += labels;
-  out += ' ';
-  out += std::to_string(v);
-  out += '\n';
-}
-
-void append_line(std::string& out, const std::string& name, const std::string& labels,
-                 std::int64_t v) {
+template <typename Int>
+void append_line(std::string& out, const std::string& name, const std::string& labels, Int v) {
   out += name;
   out += labels;
   out += ' ';
@@ -38,24 +29,25 @@ std::string quantile_label(const char* q, const std::string& extra) {
 
 // One summary block: quantiles + _sum + _count, optionally labeled.
 void append_summary(std::string& out, const std::string& name, const std::string& extra,
-                    std::uint64_t p50, std::uint64_t p90, std::uint64_t p99,
-                    std::uint64_t sum, std::uint64_t count, std::uint64_t p99_exemplar) {
-  append_line(out, name, quantile_label("0.5", extra), p50);
-  append_line(out, name, quantile_label("0.9", extra), p90);
-  append_line(out, name, quantile_label("0.99", extra), p99);
+                    const metric_snapshot& s) {
+  append_line(out, name, quantile_label("0.5", extra), s.p50);
+  append_line(out, name, quantile_label("0.9", extra), s.p90);
+  append_line(out, name, quantile_label("0.99", extra), s.p99);
   const std::string plain = extra.empty() ? "" : "{" + extra + "}";
-  append_line(out, name + "_sum", plain, sum);
-  append_line(out, name + "_count", plain, count);
-  if (p99_exemplar != 0) {
+  append_line(out, name + "_sum", plain, s.sum);
+  append_line(out, name + "_count", plain, s.count);
+  if (s.p99_exemplar != 0) {
     char buf[96];
     std::snprintf(buf, sizeof(buf), "# exemplar %s trace_id=0x%016llx\n", name.c_str(),
-                  static_cast<unsigned long long>(p99_exemplar));
+                  static_cast<unsigned long long>(s.p99_exemplar));
     out += buf;
   }
 }
 
-std::string client_label(std::uint64_t id) {
-  return "client_id=\"" + std::to_string(id) + "\"";
+// The label of a family row: client_id="<label>" or client_id="overflow".
+std::string client_label(const metric_snapshot& s) {
+  return "client_id=\"" + (s.overflow ? std::string("overflow") : std::to_string(s.label)) +
+         "\"";
 }
 
 }  // namespace
@@ -72,12 +64,17 @@ std::string prometheus_name(const std::string& name) {
 std::string prometheus_exposition() {
   std::string out;
   out.reserve(1 << 14);
+  bool open = false;  // inside a family's rows, which share one TYPE line
   for (const metric_snapshot& s : snapshot()) {
     const std::string name = prometheus_name(s.name);
+    const bool first = !open;
+    open = s.labeled && !s.overflow;
+    const std::string labels = s.labeled ? client_label(s) : "";
+    const std::string braced = labels.empty() ? "" : "{" + labels + "}";
     switch (s.which) {
       case metric_snapshot::kind::counter:
-        out += "# TYPE " + name + "_total counter\n";
-        append_line(out, name + "_total", "", s.count);
+        if (first) out += "# TYPE " + name + "_total counter\n";
+        if (!s.overflow || s.count != 0) append_line(out, name + "_total", braced, s.count);
         break;
       case metric_snapshot::kind::gauge:
         out += "# TYPE " + name + " gauge\n";
@@ -86,33 +83,14 @@ std::string prometheus_exposition() {
         append_line(out, name + "_peak", "", s.peak);
         break;
       case metric_snapshot::kind::histogram:
-        out += "# TYPE " + name + " summary\n";
-        append_summary(out, name, "", s.p50, s.p90, s.p99, s.sum, s.count, s.p99_exemplar);
+        if (first) out += "# TYPE " + name + " summary\n";
+        // The overflow slot mixes tenants: only its count is exposed.
+        if (!s.overflow) {
+          append_summary(out, name, labels, s);
+        } else if (s.count != 0) {
+          append_line(out, name + "_count", braced, s.count);
+        }
         break;
-      case metric_snapshot::kind::counter_family:
-      case metric_snapshot::kind::histogram_family:
-        break;  // snapshot() never returns these
-    }
-  }
-  for (const family_snapshot& f : family_snapshots()) {
-    const std::string name = prometheus_name(f.name);
-    if (!f.histograms) {
-      out += "# TYPE " + name + "_total counter\n";
-      for (const auto& e : f.entries) {
-        append_line(out, name + "_total", "{" + client_label(e.label) + "}", e.stats.count);
-      }
-      if (f.overflow_count != 0) {
-        append_line(out, name + "_total", "{client_id=\"overflow\"}", f.overflow_count);
-      }
-    } else {
-      out += "# TYPE " + name + " summary\n";
-      for (const auto& e : f.entries) {
-        append_summary(out, name, client_label(e.label), e.stats.p50, e.stats.p90,
-                       e.stats.p99, e.stats.sum, e.stats.count, e.stats.p99_exemplar);
-      }
-      if (f.overflow_count != 0) {
-        append_line(out, name + "_count", "{client_id=\"overflow\"}", f.overflow_count);
-      }
     }
   }
   return out;

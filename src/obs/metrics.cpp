@@ -4,10 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <list>
 #include <memory>
 #include <mutex>
+#include <tuple>
 #include <utility>
+#include <variant>
 
 #include "util/json.hpp"
 
@@ -28,29 +29,18 @@ int resolve_enabled_slow() noexcept {
 }
 
 // One registered metric.  The name and kind are fixed at insertion; the
-// payload lives in-node so the reference survives later registrations
-// (std::list keeps node addresses stable, like core/registry.hpp).
-// Families sit behind unique_ptrs: they are big (64 slots) and rare, so
-// only nodes of a family kind pay for one.
+// metric lives on the heap, so its reference survives later
+// registrations.
 struct metric_node {
-  metric_node(std::string n, metric_snapshot::kind k) : name(std::move(n)), which(k) {
-    if (k == metric_snapshot::kind::counter_family) cf = std::make_unique<counter_family>();
-    if (k == metric_snapshot::kind::histogram_family) {
-      hf = std::make_unique<histogram_family>();
-    }
-  }
   std::string name;
-  metric_snapshot::kind which;
-  counter c;
-  gauge g;
-  histogram h;
-  std::unique_ptr<counter_family> cf;
-  std::unique_ptr<histogram_family> hf;
+  std::variant<std::unique_ptr<counter>, std::unique_ptr<gauge>, std::unique_ptr<histogram>,
+               std::unique_ptr<counter_family>, std::unique_ptr<histogram_family>>
+      metric;
 };
 
 struct metric_registry {
   std::mutex mutex;
-  std::list<metric_node> nodes;
+  std::vector<metric_node> nodes;
 };
 
 metric_registry& instance() {
@@ -58,20 +48,64 @@ metric_registry& instance() {
   return reg;
 }
 
-metric_node& node_for(std::string_view name, metric_snapshot::kind kind) {
+template <typename Metric>
+Metric& lookup(std::string_view name) {
   metric_registry& reg = instance();
   const std::lock_guard<std::mutex> lock(reg.mutex);
   for (auto& n : reg.nodes) {
-    if (n.name == name) {
-      if (n.which != kind) {
-        std::fprintf(stderr, "cgmperm: obs metric '%.*s' registered with two kinds\n",
-                     static_cast<int>(name.size()), name.data());
-        std::abort();
-      }
-      return n;
-    }
+    if (n.name != name) continue;
+    if (auto* m = std::get_if<std::unique_ptr<Metric>>(&n.metric)) return **m;
+    std::fprintf(stderr, "cgmperm: obs metric '%.*s' registered with two kinds\n",
+                 static_cast<int>(name.size()), name.data());
+    std::abort();
   }
-  return reg.nodes.emplace_back(std::string(name), kind);
+  auto m = std::make_unique<Metric>();
+  Metric& ref = *m;
+  reg.nodes.push_back({std::string(name), std::move(m)});
+  return ref;
+}
+
+metric_snapshot row_of(const counter& c) {
+  metric_snapshot s;
+  s.count = c.value();
+  return s;
+}
+
+metric_snapshot row_of(const gauge& g) {
+  metric_snapshot s;
+  s.which = metric_snapshot::kind::gauge;
+  s.level = g.value();
+  s.peak = g.peak();
+  return s;
+}
+
+metric_snapshot row_of(const histogram& h) { return summarize(h); }
+
+template <typename Metric>
+void append_rows(std::vector<metric_snapshot>& out, const std::string& name, const Metric& m) {
+  out.push_back(row_of(m));
+  out.back().name = name;
+}
+
+template <typename Metric>
+void append_rows(std::vector<metric_snapshot>& out, const std::string& name,
+                 const family<Metric>& f) {
+  const auto slot_row = [&](const Metric& m) -> metric_snapshot& {
+    out.push_back(row_of(m));
+    out.back().name = name;
+    out.back().labeled = true;
+    return out.back();
+  };
+  for (const auto& [label, m] : f.entries()) slot_row(*m).label = label;
+  slot_row(f.overflow()).overflow = true;
+}
+
+/// A histogram row's JSON object.
+std::string histogram_json(const metric_snapshot& s) {
+  return "{\"count\": " + std::to_string(s.count) + ", \"sum\": " + std::to_string(s.sum) +
+         ", \"max\": " + std::to_string(s.max) + ", \"p50\": " + std::to_string(s.p50) +
+         ", \"p90\": " + std::to_string(s.p90) + ", \"p99\": " + std::to_string(s.p99) +
+         ", \"p99_exemplar_trace_id\": \"" + std::to_string(s.p99_exemplar) + "\"}";
 }
 
 }  // namespace
@@ -86,9 +120,9 @@ void set_enabled(bool on) noexcept {
   g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
-std::uint64_t histogram::quantile(double q) const noexcept {
+std::size_t histogram::rank_bucket(double q) const noexcept {
   const std::uint64_t total = count();
-  if (total == 0) return 0;
+  if (total == 0) return kBuckets;
   q = std::clamp(q, 0.0, 1.0);
   // Nearest rank: the k-th smallest observation, k = ceil(q * total) >= 1.
   const auto k = std::max<std::uint64_t>(
@@ -96,40 +130,24 @@ std::uint64_t histogram::quantile(double q) const noexcept {
   std::uint64_t seen = 0;
   for (std::size_t b = 0; b < kBuckets; ++b) {
     seen += counts_[b].load(std::memory_order_relaxed);
-    if (seen >= k) return bucket_floor(b);
+    if (seen >= k) return b;
   }
   // Concurrent records can leave count_ ahead of the bucket sums; answer
   // with the highest occupied bucket.
   for (std::size_t b = kBuckets; b-- > 0;) {
-    if (counts_[b].load(std::memory_order_relaxed) != 0) return bucket_floor(b);
+    if (counts_[b].load(std::memory_order_relaxed) != 0) return b;
   }
-  return 0;
+  return kBuckets;
+}
+
+std::uint64_t histogram::quantile(double q) const noexcept {
+  const std::size_t b = rank_bucket(q);
+  return b == kBuckets ? 0 : bucket_floor(b);
 }
 
 std::uint64_t histogram::quantile_exemplar(double q) const noexcept {
-  const std::uint64_t total = count();
-  if (total == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto k = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total))));
-  std::size_t qb = kBuckets;
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    seen += counts_[b].load(std::memory_order_relaxed);
-    if (seen >= k) {
-      qb = b;
-      break;
-    }
-  }
-  if (qb == kBuckets) {
-    for (std::size_t b = kBuckets; b-- > 0;) {
-      if (counts_[b].load(std::memory_order_relaxed) != 0) {
-        qb = b;
-        break;
-      }
-    }
-    if (qb == kBuckets) return 0;
-  }
+  const std::size_t qb = rank_bucket(q);
+  if (qb == kBuckets) return 0;
   for (std::size_t b = qb; b < kBuckets; ++b) {
     const std::uint64_t e = exemplars_[b].load(std::memory_order_relaxed);
     if (e != 0) return e;
@@ -141,82 +159,27 @@ std::uint64_t histogram::quantile_exemplar(double q) const noexcept {
   return 0;
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>> counter_family::values() const {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  for (const family_slot& s : slots_) {
-    const std::uint64_t k = s.key.load(std::memory_order_acquire);
-    if (k != 0) out.emplace_back(k - 1, s.c.value());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+metric_snapshot summarize(const histogram& h) {
+  metric_snapshot s;
+  s.which = metric_snapshot::kind::histogram;
+  s.count = h.count();
+  s.sum = h.sum();
+  s.max = h.max();
+  s.p50 = h.quantile(0.50);
+  s.p90 = h.quantile(0.90);
+  s.p99 = h.quantile(0.99);
+  s.p99_exemplar = h.quantile_exemplar(0.99);
+  return s;
 }
 
-histogram_family::~histogram_family() {
-  for (family_slot& s : slots_) delete s.h.load(std::memory_order_relaxed);
-}
-
-histogram& histogram_family::with(std::uint64_t label) {
-  if (!enabled() || label == std::uint64_t(-1)) return overflow_;
-  std::size_t i = static_cast<std::size_t>(rng::mix64(label)) & (kSlots - 1);
-  const std::uint64_t want = label + 1;
-  for (std::size_t probes = 0; probes < kSlots; ++probes, i = (i + 1) & (kSlots - 1)) {
-    std::uint64_t k = slots_[i].key.load(std::memory_order_acquire);
-    if (k == 0) {
-      std::uint64_t expected = 0;
-      if (slots_[i].key.compare_exchange_strong(expected, want,
-                                                std::memory_order_acq_rel)) {
-        k = want;
-      } else {
-        k = expected;
-      }
-    }
-    if (k == want) {
-      histogram* p = slots_[i].h.load(std::memory_order_acquire);
-      if (p == nullptr) {
-        auto fresh = std::make_unique<histogram>();
-        histogram* expected = nullptr;
-        if (slots_[i].h.compare_exchange_strong(expected, fresh.get(),
-                                                std::memory_order_acq_rel)) {
-          p = fresh.release();
-        } else {
-          p = expected;  // lost the install race; `fresh` is freed
-        }
-      }
-      return *p;
-    }
-  }
-  return overflow_;
-}
-
-std::vector<std::pair<std::uint64_t, const histogram*>> histogram_family::entries() const {
-  std::vector<std::pair<std::uint64_t, const histogram*>> out;
-  for (const family_slot& s : slots_) {
-    const std::uint64_t k = s.key.load(std::memory_order_acquire);
-    const histogram* p = s.h.load(std::memory_order_acquire);
-    if (k != 0 && p != nullptr) out.emplace_back(k - 1, p);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-counter& get_counter(std::string_view name) {
-  return node_for(name, metric_snapshot::kind::counter).c;
-}
-
-gauge& get_gauge(std::string_view name) {
-  return node_for(name, metric_snapshot::kind::gauge).g;
-}
-
-histogram& get_histogram(std::string_view name) {
-  return node_for(name, metric_snapshot::kind::histogram).h;
-}
-
+counter& get_counter(std::string_view name) { return lookup<counter>(name); }
+gauge& get_gauge(std::string_view name) { return lookup<gauge>(name); }
+histogram& get_histogram(std::string_view name) { return lookup<histogram>(name); }
 counter_family& get_counter_family(std::string_view name) {
-  return *node_for(name, metric_snapshot::kind::counter_family).cf;
+  return lookup<counter_family>(name);
 }
-
 histogram_family& get_histogram_family(std::string_view name) {
-  return *node_for(name, metric_snapshot::kind::histogram_family).hf;
+  return lookup<histogram_family>(name);
 }
 
 std::vector<metric_snapshot> snapshot() {
@@ -225,150 +188,57 @@ std::vector<metric_snapshot> snapshot() {
   {
     const std::lock_guard<std::mutex> lock(reg.mutex);
     out.reserve(reg.nodes.size());
-    for (const auto& n : reg.nodes) {
-      metric_snapshot s;
-      s.name = n.name;
-      s.which = n.which;
-      switch (n.which) {
-        case metric_snapshot::kind::counter:
-          s.count = n.c.value();
-          break;
-        case metric_snapshot::kind::gauge:
-          s.level = n.g.value();
-          s.peak = n.g.peak();
-          break;
-        case metric_snapshot::kind::histogram:
-          s.count = n.h.count();
-          s.sum = n.h.sum();
-          s.max = n.h.max();
-          s.p50 = n.h.quantile(0.50);
-          s.p90 = n.h.quantile(0.90);
-          s.p99 = n.h.quantile(0.99);
-          s.p99_exemplar = n.h.quantile_exemplar(0.99);
-          break;
-        case metric_snapshot::kind::counter_family:
-        case metric_snapshot::kind::histogram_family:
-          continue;  // different shape; family_snapshots() covers these
-      }
-      out.push_back(std::move(s));
+    for (const metric_node& n : reg.nodes) {
+      std::visit([&](const auto& m) { append_rows(out, n.name, *m); }, n.metric);
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const metric_snapshot& a, const metric_snapshot& b) { return a.name < b.name; });
-  return out;
-}
-
-std::vector<family_snapshot> family_snapshots() {
-  metric_registry& reg = instance();
-  std::vector<family_snapshot> out;
-  {
-    const std::lock_guard<std::mutex> lock(reg.mutex);
-    for (const auto& n : reg.nodes) {
-      if (n.which == metric_snapshot::kind::counter_family) {
-        family_snapshot f;
-        f.name = n.name;
-        f.histograms = false;
-        for (const auto& [label, v] : n.cf->values()) {
-          family_snapshot::entry e;
-          e.label = label;
-          e.stats.which = metric_snapshot::kind::counter;
-          e.stats.count = v;
-          f.entries.push_back(std::move(e));
-        }
-        f.overflow_count = n.cf->overflow().value();
-        out.push_back(std::move(f));
-      } else if (n.which == metric_snapshot::kind::histogram_family) {
-        family_snapshot f;
-        f.name = n.name;
-        f.histograms = true;
-        for (const auto& [label, h] : n.hf->entries()) {
-          family_snapshot::entry e;
-          e.label = label;
-          e.stats.which = metric_snapshot::kind::histogram;
-          e.stats.count = h->count();
-          e.stats.sum = h->sum();
-          e.stats.max = h->max();
-          e.stats.p50 = h->quantile(0.50);
-          e.stats.p90 = h->quantile(0.90);
-          e.stats.p99 = h->quantile(0.99);
-          e.stats.p99_exemplar = h->quantile_exemplar(0.99);
-          f.entries.push_back(std::move(e));
-        }
-        f.overflow_count = n.hf->overflow().count();
-        out.push_back(std::move(f));
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const family_snapshot& a, const family_snapshot& b) { return a.name < b.name; });
+  // Stable: a family's rows keep their slot order.
+  std::stable_sort(out.begin(), out.end(), [](const metric_snapshot& a, const metric_snapshot& b) {
+    return std::tie(a.labeled, a.name) < std::tie(b.labeled, b.name);
+  });
   return out;
 }
 
 std::string snapshot_json() {
-  const std::vector<metric_snapshot> snap = snapshot();
   std::string counters = "{";
   std::string gauges = "{";
   std::string hists = "{";
-  for (const auto& s : snap) {
-    switch (s.which) {
-      case metric_snapshot::kind::counter: {
-        if (counters.size() > 1) counters += ", ";
-        counters += json_escape_quoted(s.name) + ": " + std::to_string(s.count);
-        break;
-      }
-      case metric_snapshot::kind::gauge: {
-        if (gauges.size() > 1) gauges += ", ";
-        gauges += json_escape_quoted(s.name) + ": {\"value\": " + std::to_string(s.level) +
-                  ", \"peak\": " + std::to_string(s.peak) + "}";
-        break;
-      }
-      case metric_snapshot::kind::histogram: {
-        if (hists.size() > 1) hists += ", ";
-        hists += json_escape_quoted(s.name) + ": {\"count\": " + std::to_string(s.count) +
-                 ", \"sum\": " + std::to_string(s.sum) + ", \"max\": " + std::to_string(s.max) +
-                 ", \"p50\": " + std::to_string(s.p50) + ", \"p90\": " + std::to_string(s.p90) +
-                 ", \"p99\": " + std::to_string(s.p99) +
-                 ", \"p99_exemplar_trace_id\": \"" + std::to_string(s.p99_exemplar) + "\"}";
-        break;
-      }
-      case metric_snapshot::kind::counter_family:
-      case metric_snapshot::kind::histogram_family:
-        break;  // rendered below from family_snapshots()
-    }
-  }
-  counters += "}";
-  gauges += "}";
-  hists += "}";
   std::string cfams = "{";
   std::string hfams = "{";
-  for (const family_snapshot& f : family_snapshots()) {
-    std::string body = "{";
-    for (const auto& e : f.entries) {
-      if (body.size() > 1) body += ", ";
-      if (f.histograms) {
-        body += "\"" + std::to_string(e.label) + "\": {\"count\": " +
-                std::to_string(e.stats.count) + ", \"sum\": " + std::to_string(e.stats.sum) +
-                ", \"max\": " + std::to_string(e.stats.max) +
-                ", \"p50\": " + std::to_string(e.stats.p50) +
-                ", \"p90\": " + std::to_string(e.stats.p90) +
-                ", \"p99\": " + std::to_string(e.stats.p99) +
-                ", \"p99_exemplar_trace_id\": \"" + std::to_string(e.stats.p99_exemplar) +
-                "\"}";
-      } else {
-        body += "\"" + std::to_string(e.label) + "\": " + std::to_string(e.stats.count);
-      }
-    }
-    if (body.size() > 1) body += ", ";
-    body += "\"overflow\": " + std::to_string(f.overflow_count) + "}";
-    std::string& section = f.histograms ? hfams : cfams;
+  const auto next = [](std::string& section) -> std::string& {
     if (section.size() > 1) section += ", ";
-    section += json_escape_quoted(f.name) + ": " + body;
+    return section;
+  };
+  bool open = false;  // a family's object is open until its overflow row
+  for (const metric_snapshot& s : snapshot()) {
+    if (s.labeled) {
+      // A family's rows are consecutive: labels in order, then the
+      // overflow slot, which closes the family's object.
+      const bool hist = s.which == metric_snapshot::kind::histogram;
+      std::string& section = hist ? hfams : cfams;
+      if (!open) next(section) += json_escape_quoted(s.name) + ": {";
+      open = !s.overflow;
+      section += s.overflow ? "\"overflow\": " + std::to_string(s.count) + "}"
+                            : "\"" + std::to_string(s.label) + "\": " +
+                                  (hist ? histogram_json(s) : std::to_string(s.count)) + ", ";
+      continue;
+    }
+    switch (s.which) {
+      case metric_snapshot::kind::counter:
+        next(counters) += json_escape_quoted(s.name) + ": " + std::to_string(s.count);
+        break;
+      case metric_snapshot::kind::gauge:
+        next(gauges) += json_escape_quoted(s.name) + ": {\"value\": " + std::to_string(s.level) +
+                        ", \"peak\": " + std::to_string(s.peak) + "}";
+        break;
+      case metric_snapshot::kind::histogram:
+        next(hists) += json_escape_quoted(s.name) + ": " + histogram_json(s);
+        break;
+    }
   }
-  cfams += "}";
-  hfams += "}";
-  return "{\"counters\": " + counters + ", \"gauges\": " + gauges +
-         ", \"histograms\": " + hists + ", \"counter_families\": " + cfams +
-         ", \"histogram_families\": " + hfams + "}";
+  return "{\"counters\": " + counters + "}, \"gauges\": " + gauges + "}, \"histograms\": " +
+         hists + "}, \"counter_families\": " + cfams + "}, \"histogram_families\": " + hfams +
+         "}}";
 }
 
 }  // namespace cgp::obs

@@ -28,6 +28,7 @@
 // string, which is what keeps cardinality bounded by construction.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -152,10 +153,6 @@ class histogram {
   [[nodiscard]] std::uint64_t max() const noexcept {
     return max_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] double mean() const noexcept {
-    const std::uint64_t c = count();
-    return c == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(c);
-  }
 
   /// Nearest-rank quantile, q in [0, 1]: the lower bound of the bucket
   /// holding the ceil(q * count)-th smallest recorded value (so the answer
@@ -163,9 +160,6 @@ class histogram {
   /// statistic).  0 when empty.  A concurrent record() can skew the rank
   /// by the in-flight observation -- acceptable for monitoring readout.
   [[nodiscard]] std::uint64_t quantile(double q) const noexcept;
-
-  [[nodiscard]] std::uint64_t p50() const noexcept { return quantile(0.50); }
-  [[nodiscard]] std::uint64_t p99() const noexcept { return quantile(0.99); }
 
   /// The exemplar trace_id stored in bucket `b` (0 when none was recorded).
   [[nodiscard]] std::uint64_t exemplar(std::size_t b) const noexcept {
@@ -179,6 +173,10 @@ class histogram {
   [[nodiscard]] std::uint64_t quantile_exemplar(double q) const noexcept;
 
  private:
+  /// The bucket holding the q-quantile's nearest-rank value; kBuckets
+  /// when empty.
+  [[nodiscard]] std::size_t rank_bucket(double q) const noexcept;
+
   std::array<std::atomic<std::uint64_t>, kBuckets> counts_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
@@ -186,85 +184,83 @@ class histogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> exemplars_{};
 };
 
-/// A bounded family of counters keyed by a numeric label (client_id,
+/// A bounded family of metrics keyed by a numeric label (client_id,
 /// rank, ...): per-tenant metrics without per-tenant registration churn.
 /// Slots are claimed lock-free on first use (open addressing over a fixed
-/// array, one CAS); after the claim, a hit is the same single relaxed RMW
-/// as a plain counter.  When all kSlots labels are taken -- or the
-/// registry is disabled -- hits land on the shared overflow counter, so
-/// with() never fails and cardinality is bounded by construction.
-class counter_family {
+/// array, one CAS); the slot's metric is allocated on that first use and
+/// installed with a second CAS (a histogram is several KB; 64 eager copies
+/// per family would be wasteful), and the family frees them.  After the
+/// claim, a hit is a short probe plus the metric's own relaxed RMW.  When
+/// all kSlots labels are taken -- or the registry is disabled -- hits land
+/// on the shared overflow metric, so with() never fails and cardinality
+/// is bounded by construction.
+template <typename Metric>
+class family {
  public:
   static constexpr std::size_t kSlots = 64;  ///< distinct labels per family
 
-  /// The counter for `label`.  Hot callers cache the reference per tenant
+  family() = default;
+  family(const family&) = delete;
+  family& operator=(const family&) = delete;
+  ~family() {
+    for (slot& s : slots_) delete s.metric.load(std::memory_order_relaxed);
+  }
+
+  /// The metric for `label`.  Hot callers cache the reference per tenant
   /// where possible; an uncached call costs one mix + a short probe.
-  [[nodiscard]] counter& with(std::uint64_t label) noexcept {
-    // Disabled: skip the probe entirely (adds on the result are no-ops
-    // anyway).  UINT64_MAX would collide with the empty-slot encoding.
+  [[nodiscard]] Metric& with(std::uint64_t label) {
+    // Disabled: skip the probe entirely (mutations of the result are
+    // no-ops anyway).  UINT64_MAX would collide with the empty-slot encoding.
     if (!enabled() || label == std::uint64_t(-1)) return overflow_;
     std::size_t i = static_cast<std::size_t>(rng::mix64(label)) & (kSlots - 1);
     const std::uint64_t want = label + 1;  // key 0 means "empty"
     for (std::size_t probes = 0; probes < kSlots; ++probes, i = (i + 1) & (kSlots - 1)) {
-      const std::uint64_t k = slots_[i].key.load(std::memory_order_acquire);
-      if (k == want) return slots_[i].c;
-      if (k == 0) {
-        std::uint64_t expected = 0;
-        if (slots_[i].key.compare_exchange_strong(expected, want,
-                                                  std::memory_order_acq_rel)) {
-          return slots_[i].c;
-        }
-        if (expected == want) return slots_[i].c;
+      std::uint64_t k = slots_[i].key.load(std::memory_order_acquire);
+      if (k == 0 && slots_[i].key.compare_exchange_strong(k, want, std::memory_order_acq_rel)) {
+        k = want;  // claimed; a lost race leaves the winner's key in `k`
       }
+      if (k == want) return installed(slots_[i]);
     }
     return overflow_;
   }
 
-  /// (label, value) pairs for every claimed slot, sorted by label.
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>> values() const;
+  /// (label, metric) pairs for every claimed slot, sorted by label.
+  [[nodiscard]] std::vector<std::pair<std::uint64_t, const Metric*>> entries() const {
+    std::vector<std::pair<std::uint64_t, const Metric*>> out;
+    for (const slot& s : slots_) {
+      const std::uint64_t k = s.key.load(std::memory_order_acquire);
+      const Metric* m = s.metric.load(std::memory_order_acquire);
+      if (k != 0 && m != nullptr) out.emplace_back(k - 1, m);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
 
   /// Hits that could not get a dedicated slot (or arrived while disabled).
-  [[nodiscard]] const counter& overflow() const noexcept { return overflow_; }
+  [[nodiscard]] const Metric& overflow() const noexcept { return overflow_; }
 
  private:
-  struct family_slot {
-    std::atomic<std::uint64_t> key{0};  ///< label + 1; 0 = empty
-    counter c;
+  struct slot {
+    std::atomic<std::uint64_t> key{0};      ///< label + 1; 0 = empty
+    std::atomic<Metric*> metric{nullptr};  ///< allocated on the key's first use
   };
-  std::array<family_slot, kSlots> slots_{};
-  counter overflow_;
+
+  static Metric& installed(slot& s) {
+    Metric* m = s.metric.load(std::memory_order_acquire);
+    if (m != nullptr) return *m;
+    auto fresh = std::make_unique<Metric>();
+    if (s.metric.compare_exchange_strong(m, fresh.get(), std::memory_order_acq_rel)) {
+      return *fresh.release();
+    }
+    return *m;  // lost the install race; `fresh` is freed
+  }
+
+  std::array<slot, kSlots> slots_{};
+  Metric overflow_;
 };
 
-/// counter_family's shape for histograms (per-tenant latency
-/// distributions).  Slot payloads are heap-allocated on first claim (a
-/// histogram is several KB; 64 eager copies per family would be wasteful),
-/// installed with one CAS, and never freed before process exit.
-class histogram_family {
- public:
-  static constexpr std::size_t kSlots = counter_family::kSlots;
-
-  histogram_family() = default;
-  histogram_family(const histogram_family&) = delete;
-  histogram_family& operator=(const histogram_family&) = delete;
-  ~histogram_family();
-
-  /// The histogram for `label` (the shared overflow histogram when the
-  /// family is full, the label unusable, or the registry disabled).
-  [[nodiscard]] histogram& with(std::uint64_t label);
-
-  /// (label, histogram) pairs for every claimed slot, sorted by label.
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, const histogram*>> entries() const;
-
-  [[nodiscard]] const histogram& overflow() const noexcept { return overflow_; }
-
- private:
-  struct family_slot {
-    std::atomic<std::uint64_t> key{0};  ///< label + 1; 0 = empty
-    std::atomic<histogram*> h{nullptr};
-  };
-  std::array<family_slot, kSlots> slots_{};
-  histogram overflow_;
-};
+using counter_family = family<counter>;
+using histogram_family = family<histogram>;
 
 /// Registry lookups: the metric named `name`, created on first use, alive
 /// (and address-stable) until process exit.  A name is one kind only --
@@ -278,16 +274,14 @@ class histogram_family {
 [[nodiscard]] counter_family& get_counter_family(std::string_view name);
 [[nodiscard]] histogram_family& get_histogram_family(std::string_view name);
 
-/// One metric's state in a snapshot.
+/// One row of a snapshot: a plain metric's state, or one slot of a
+/// labeled family's.  Every telemetry document renders from these rows.
 struct metric_snapshot {
   std::string name;
-  enum class kind : std::uint8_t {
-    counter,
-    gauge,
-    histogram,
-    counter_family,
-    histogram_family
-  } which = kind::counter;
+  enum class kind : std::uint8_t { counter, gauge, histogram } which = kind::counter;
+  bool labeled = false;      ///< a slot of a labeled family
+  bool overflow = false;     ///< the family's shared overflow slot (`label` unused)
+  std::uint64_t label = 0;   ///< the family slot's label
   std::uint64_t count = 0;   ///< counter value / histogram count
   std::int64_t level = 0;    ///< gauge value
   std::int64_t peak = 0;     ///< gauge high-water mark
@@ -295,28 +289,15 @@ struct metric_snapshot {
   std::uint64_t p99_exemplar = 0;  ///< trace_id nearest the p99 bucket (0 = none)
 };
 
-/// One labeled family's state: per-label scalar stats plus the overflow
-/// slot.  For counter families only `stats.count` is meaningful; for
-/// histogram families the full histogram summary (and exemplar) is filled.
-struct family_snapshot {
-  std::string name;
-  bool histograms = false;
-  struct entry {
-    std::uint64_t label = 0;
-    metric_snapshot stats;  ///< name empty; which mirrors the family kind
-  };
-  std::vector<entry> entries;     ///< sorted by label
-  std::uint64_t overflow_count = 0;  ///< hits routed to the overflow slot
-};
+/// A histogram's row (name empty): count, sum, max, p50/p90/p99 and the
+/// exemplar nearest the p99.
+[[nodiscard]] metric_snapshot summarize(const histogram& h);
 
-/// Point-in-time snapshot of every registered scalar metric, sorted by
-/// name.  Families are excluded (their per-label fan-out is a different
-/// shape); see family_snapshots().
+/// Point-in-time snapshot of the registry: one row per plain metric,
+/// sorted by name, then one row per slot of each labeled family, families
+/// sorted by name -- a family's claimed labels in order, then its
+/// overflow slot.
 [[nodiscard]] std::vector<metric_snapshot> snapshot();
-
-/// Point-in-time snapshot of every registered labeled family, sorted by
-/// name.
-[[nodiscard]] std::vector<family_snapshot> family_snapshots();
 
 /// The snapshot rendered as one JSON object:
 /// {"counters": {...}, "gauges": {...}, "histograms": {name: {...}, ...},

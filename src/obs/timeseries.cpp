@@ -66,6 +66,7 @@ void sampler::take_sample_locked() {
   if (slot.values.size() < series_.size()) slot.values.resize(series_.size());
   std::fill(slot.values.begin(), slot.values.end(), std::int64_t{0});
   for (const metric_snapshot& s : snap) {
+    if (s.labeled) continue;  // families are served whole via snapshot_json
     std::size_t idx = series_.size();
     for (std::size_t i = 0; i < series_.size(); ++i) {
       if (series_[i] == s.name) {
@@ -77,20 +78,8 @@ void sampler::take_sample_locked() {
       series_.push_back(s.name);
       for (sample_slot& sl : ring_) sl.values.resize(series_.size(), 0);
     }
-    std::int64_t v = 0;
-    switch (s.which) {
-      case metric_snapshot::kind::counter:
-      case metric_snapshot::kind::histogram:
-        v = static_cast<std::int64_t>(s.count);
-        break;
-      case metric_snapshot::kind::gauge:
-        v = s.level;
-        break;
-      case metric_snapshot::kind::counter_family:
-      case metric_snapshot::kind::histogram_family:
-        break;  // not in snapshot(); families are served whole via snapshot_json
-    }
-    slot.values[idx] = v;
+    slot.values[idx] =
+        s.which == metric_snapshot::kind::gauge ? s.level : static_cast<std::int64_t>(s.count);
   }
   ++taken_;
 }

@@ -46,6 +46,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "obs/plan_feedback.hpp"
@@ -67,6 +68,18 @@ struct trace_context {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
 };
+
+/// A trace context's wire form: the optional 24-byte extension that both
+/// the transport frames (comm/socket_transport.cpp) and the RPC requests
+/// (svc/wire.cpp) carry after their header when a flag bit says so.  Host
+/// byte order, like both headers.
+struct trace_ext {
+  std::uint64_t trace_id = 0;
+  std::uint64_t span_id = 0;
+  std::uint64_t reserved = 0;  ///< always 0: room for a future context field
+};
+static_assert(sizeof(trace_ext) == 24);
+static_assert(std::is_trivially_copyable_v<trace_ext>);
 
 /// The calling thread's current trace context ({0, 0} when none).
 [[nodiscard]] trace_context current_trace() noexcept;

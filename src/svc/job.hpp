@@ -13,9 +13,9 @@
 // The seed is a pure function of that triple: it never mentions the
 // scheduler worker that ran the job, the batch it rode in, the queue
 // depth, or any other job -- so a job's output is bit-identical across
-// scheduler worker counts, submission interleavings, and batching on/off,
-// and equals a direct `context::shuffle(data, job_seed(...))` on an
-// identically configured context (tests/test_svc.cpp pins both).
+// scheduler worker counts, submission interleavings and the batches jobs
+// ride in, and equals a direct `context::shuffle(data, job_seed(...))` on
+// an identically configured context (tests/test_svc.cpp pins both).
 //
 // Completion handles: `future<permutation>` (whole-result delivery of a
 // sampled permutation), `future<void>` (in-place shuffle of client-owned

@@ -28,7 +28,6 @@ obs::histogram& batch_histogram() {
 scheduler::scheduler(smp::thread_pool& batch_pool, scheduler_options opt)
     : pool_(batch_pool), opt_(opt) {
   CGP_EXPECTS(opt_.queue_capacity >= 1);
-  CGP_EXPECTS(opt_.batch_max_jobs >= 1);
   if (opt_.workers == 0) opt_.workers = 1;
   workers_.reserve(opt_.workers);
   for (std::uint32_t w = 0; w < opt_.workers; ++w) {
@@ -117,8 +116,8 @@ void scheduler::worker_loop() {
     // runs on that tick, so a sustained stream of small jobs can never
     // starve it.
     std::vector<task> batch;
-    if (opt_.batching && q_.front().small) {
-      for (auto it = q_.begin(); it != q_.end() && batch.size() < opt_.batch_max_jobs;) {
+    if (q_.front().small) {
+      for (auto it = q_.begin(); it != q_.end() && batch.size() < kBatchMaxJobs;) {
         if (it->small) {
           batch.push_back(std::move(*it));
           it = q_.erase(it);

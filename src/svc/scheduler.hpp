@@ -13,14 +13,13 @@
 //
 //   * Scheduling tick: a worker that wakes always services the task at
 //     the HEAD of the queue -- the fairness bound that keeps a sustained
-//     small-job stream from starving a large job.  With batching on and
-//     a small task at the head, the tick drains up to `batch_max_jobs`
-//     SMALL tasks (in submission order) and executes them as ONE pool
-//     dispatch -- `thread_pool::parallel_for` over the batch -- so k
-//     queued small jobs cost one dispatch instead of k.  A large task at
-//     the head (and everything, with batching off) runs singly on the
-//     scheduler worker; the heavy backends fan out over the shared pool
-//     internally.
+//     small-job stream from starving a large job.  With a small task at
+//     the head, the tick drains up to `kBatchMaxJobs` SMALL tasks (in
+//     submission order) and executes them as ONE pool dispatch --
+//     `thread_pool::parallel_for` over the batch -- so k queued small
+//     jobs cost one dispatch instead of k.  A large task at the head runs
+//     singly on the scheduler worker; the heavy backends fan out over the
+//     shared pool internally.
 //
 //   * Determinism: the scheduler never touches a job's randomness.  Tasks
 //     carry self-contained closures whose output is keyed by the job seed
@@ -61,8 +60,6 @@ struct scheduler_options {
   std::uint32_t workers = 1;          ///< scheduler worker threads (>= 1)
   std::size_t queue_capacity = 1024;  ///< bounded queue: admission beyond this
   admission policy = admission::reject;
-  bool batching = true;               ///< batch small tasks per tick
-  std::size_t batch_max_jobs = 64;    ///< cap on one tick's batch
 };
 
 /// Monotone counters (snapshot via stats()).
@@ -77,6 +74,8 @@ struct scheduler_stats {
 
 class scheduler {
  public:
+  static constexpr std::size_t kBatchMaxJobs = 64;  ///< cap on one tick's batch
+
   /// One unit of work.  `run` must be self-contained and must not throw
   /// (the server wraps job execution in its own catch); `small` marks the
   /// task batchable.  `trace` is the submitter's trace context: a worker

@@ -32,8 +32,6 @@ scheduler_options scheduler_options_of(const server_options& opt) {
   so.workers = opt.scheduler_workers;
   so.queue_capacity = opt.queue_capacity;
   so.policy = opt.policy;
-  so.batching = opt.batching;
-  so.batch_max_jobs = opt.batch_max_jobs;
   return so;
 }
 
@@ -48,6 +46,19 @@ core::backend_options job_options(const cgp::context& ctx, std::uint64_t seed) {
   o.plan_out = nullptr;
   o.em_report_out = nullptr;
   return o;
+}
+
+/// A latency histogram's section of metrics_snapshot().
+std::string latency_json(const obs::histogram& h) {
+  const obs::metric_snapshot l = obs::summarize(h);
+  json_record rec;
+  rec.add("count", l.count)
+      .add("p50_ns", l.p50)
+      .add("p90_ns", l.p90)
+      .add("p99_ns", l.p99)
+      .add("max_ns", l.max)
+      .add("p99_exemplar_trace_id", std::to_string(l.p99_exemplar));
+  return rec.to_string();
 }
 
 }  // namespace
@@ -83,7 +94,6 @@ void server::note_done(const detail::job_state& st) {
   lat.record(v, trace_id);
   lat_by.with(st.client).record(v, trace_id);
   latency_hist_.record(v, trace_id);
-  tenant_done_.with(st.client).add();
   tenant_latency_.with(st.client).record(v, trace_id);
 }
 
@@ -138,14 +148,14 @@ void server::enqueue(bool small, std::function<void()> task,
 
 future<permutation> server::submit_permutation(std::uint64_t client_id, std::uint64_t n) {
   auto st = make_state(client_id, n);
-  enqueue(n <= opt_.small_job_items, [this, st] { run_fill(*st, /*streamed=*/false); }, st);
+  enqueue(n <= kSmallJobItems, [this, st] { run_fill(*st, /*streamed=*/false); }, st);
   return future<permutation>(st);
 }
 
 stream server::submit_stream(std::uint64_t client_id, std::uint64_t n) {
   auto st = make_state(client_id, n);
-  enqueue(n <= opt_.small_job_items, [this, st] { run_fill(*st, /*streamed=*/true); }, st);
-  return stream(st, opt_.stream_chunk_items);
+  enqueue(n <= kSmallJobItems, [this, st] { run_fill(*st, /*streamed=*/true); }, st);
+  return stream(st, kStreamChunkItems);
 }
 
 stream server::submit_shard(std::uint64_t client_id, std::uint64_t n, std::uint64_t shard,
@@ -161,14 +171,14 @@ stream server::submit_shard(std::uint64_t client_id, std::uint64_t n, std::uint6
   // Always a small job: opening a shard is O(rounds) key-schedule work
   // regardless of n -- the whole point of the backend.
   enqueue(true, [this, st, n] { run_shard(*st, n); }, st);
-  return stream(st, opt_.stream_chunk_items);
+  return stream(st, kStreamChunkItems);
 }
 
 future<void> server::submit_shuffle_raw(std::uint64_t client_id, void* data, std::uint64_t n,
                                         std::uint32_t elem_bytes) {
   auto st = make_state(client_id, n);
   enqueue(
-      n <= opt_.small_job_items,
+      n <= kSmallJobItems,
       [this, st, data, elem_bytes] { run_shuffle(*st, data, elem_bytes); }, st);
   return future<void>(st);
 }
@@ -263,7 +273,6 @@ server_stats server::stats() const {
   s.sched = sched_.stats();
   s.done = done_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
-  s.rejected = s.sched.rejected;
   return s;
 }
 
@@ -271,22 +280,9 @@ std::string server::metrics_snapshot() const {
   const server_stats s = stats();
   // Per-instance histograms: this server's jobs and ticks only.  The
   // process-wide aggregates remain visible under "metrics".
-  const obs::histogram& lat = latency_hist_;
-  const obs::histogram& bat = sched_.batch_size_histogram();
-
-  json_record lat_rec;
-  lat_rec.add("count", lat.count())
-      .add("p50_ns", lat.p50())
-      .add("p90_ns", lat.quantile(0.90))
-      .add("p99_ns", lat.p99())
-      .add("max_ns", lat.max())
-      .add("p99_exemplar_trace_id", std::to_string(lat.quantile_exemplar(0.99)));
-
+  const obs::metric_snapshot bat = obs::summarize(sched_.batch_size_histogram());
   json_record bat_rec;
-  bat_rec.add("count", bat.count())
-      .add("p50", bat.p50())
-      .add("p99", bat.p99())
-      .add("max", bat.max());
+  bat_rec.add("count", bat.count).add("p50", bat.p50).add("p99", bat.p99).add("max", bat.max);
 
   // The plan cache is process-wide by design (every server benefits from
   // every server's planning), so its counters cannot be attributed to one
@@ -302,35 +298,24 @@ std::string server::metrics_snapshot() const {
 
   // Per-tenant section: union the labels across the per-instance families
   // (a tenant that only ever got rejected still shows up), then render one
-  // object per client_id.
+  // object per client_id.  A tenant's done count is its latency count.
   struct tenant_row {
-    std::uint64_t submitted = 0, done = 0, failed = 0, rejected = 0;
+    std::uint64_t submitted = 0, failed = 0, rejected = 0;
     const obs::histogram* latency = nullptr;
   };
   std::map<std::uint64_t, tenant_row> tenants;
-  for (const auto& [label, v] : tenant_submitted_.values()) tenants[label].submitted = v;
-  for (const auto& [label, v] : tenant_done_.values()) tenants[label].done = v;
-  for (const auto& [label, v] : tenant_failed_.values()) tenants[label].failed = v;
-  for (const auto& [label, v] : tenant_rejected_.values()) tenants[label].rejected = v;
+  for (const auto& [label, c] : tenant_submitted_.entries()) tenants[label].submitted = c->value();
+  for (const auto& [label, c] : tenant_failed_.entries()) tenants[label].failed = c->value();
+  for (const auto& [label, c] : tenant_rejected_.entries()) tenants[label].rejected = c->value();
   for (const auto& [label, h] : tenant_latency_.entries()) tenants[label].latency = h;
   std::string tenants_json = "{";
   for (const auto& [label, row] : tenants) {
     json_record t;
     t.add("submitted", row.submitted)
-        .add("done", row.done)
+        .add("done", row.latency != nullptr ? row.latency->count() : std::uint64_t{0})
         .add("failed", row.failed)
         .add("rejected", row.rejected);
-    if (row.latency != nullptr) {
-      json_record l;
-      l.add("count", row.latency->count())
-          .add("p50_ns", row.latency->p50())
-          .add("p90_ns", row.latency->quantile(0.90))
-          .add("p99_ns", row.latency->p99())
-          .add("max_ns", row.latency->max())
-          .add("p99_exemplar_trace_id",
-               std::to_string(row.latency->quantile_exemplar(0.99)));
-      t.add_raw_json("latency", l.to_string());
-    }
+    if (row.latency != nullptr) t.add_raw_json("latency", latency_json(*row.latency));
     if (tenants_json.size() > 1) tenants_json += ", ";
     tenants_json += "\"" + std::to_string(label) + "\": " + t.to_string();
   }
@@ -346,12 +331,12 @@ std::string server::metrics_snapshot() const {
       .add("submitted", s.sched.submitted)
       .add("done", s.done)
       .add("failed", s.failed)
-      .add("rejected", s.rejected)
+      .add("rejected", s.sched.rejected)
       .add("singles", s.sched.singles)
       .add("batches", s.sched.batches)
       .add("batched_jobs", s.sched.batched_jobs)
       .add_raw_json("plan_cache", cache_rec.to_string())
-      .add_raw_json("job_latency", lat_rec.to_string())
+      .add_raw_json("job_latency", latency_json(latency_hist_))
       .add_raw_json("batch_size", bat_rec.to_string())
       .add_raw_json("tenants", tenants_json)
       .add_raw_json("trace", trace_rec.to_string())

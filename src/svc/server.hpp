@@ -29,9 +29,9 @@
 // job_seed(server_seed, client_id, ordinal) -- `ordinal` counting that
 // client's submissions (accepted or rejected) -- so every output is a
 // pure function of (server seed, client id, ordinal): bit-identical
-// across scheduler worker counts, submission interleavings, and batching
-// on/off, and equal to ctx.shuffle(data, job_seed(...)) on an identically
-// configured context (tests/test_svc.cpp pins all of it).
+// across scheduler worker counts, submission interleavings and the
+// batches jobs ride in, and equal to ctx.shuffle(data, job_seed(...)) on
+// an identically configured context (tests/test_svc.cpp pins all of it).
 #pragma once
 
 #include <atomic>
@@ -68,28 +68,25 @@ struct server_options {
   std::uint32_t scheduler_workers = 1;
   std::size_t queue_capacity = 1024;
   admission policy = admission::reject;
-  bool batching = true;
-  std::size_t batch_max_jobs = 64;
-  /// Jobs with n at or below this are "small": batchable per tick.  The
-  /// default matches the engines' cache cutoff -- exactly the jobs whose
-  /// per-call dispatch overhead batching exists to amortize.
-  std::uint64_t small_job_items = std::uint64_t{1} << 16;
-  /// Chunk size handed to svc::stream consumers.
-  std::uint64_t stream_chunk_items = std::uint64_t{1} << 16;
 };
 
-/// Snapshot of the server's counters.  `rejected` mirrors
-/// `sched.rejected` (admission outcomes are counted once, by the
-/// scheduler).
+/// Snapshot of the server's counters.  Admission outcomes (submitted,
+/// rejected) are counted once, by the scheduler.
 struct server_stats {
   scheduler_stats sched;
   std::uint64_t done = 0;
   std::uint64_t failed = 0;
-  std::uint64_t rejected = 0;
 };
 
 class server {
  public:
+  /// Jobs with n at or below this are "small": batchable per tick.  It
+  /// matches the engines' cache cutoff -- exactly the jobs whose per-call
+  /// dispatch overhead batching exists to amortize.
+  static constexpr std::uint64_t kSmallJobItems = std::uint64_t{1} << 16;
+  /// Chunk size handed to svc::stream consumers.
+  static constexpr std::uint64_t kStreamChunkItems = std::uint64_t{1} << 16;
+
   explicit server(server_options opt = {});
 
   /// close(): drains queued jobs, then joins the scheduler workers.
@@ -153,8 +150,9 @@ class server {
   ///
   /// "tenants" maps client_id -> {submitted, done, failed, rejected,
   /// latency{count, p50_ns, p90_ns, p99_ns, max_ns,
-  /// p99_exemplar_trace_id}}; the exemplar links a tenant's p99 outlier
-  /// straight to its distributed trace.  "trace" reports the ring's
+  /// p99_exemplar_trace_id}}; `done` is the latency count (both are
+  /// recorded on the same event), and the exemplar links a tenant's p99
+  /// outlier straight to its distributed trace.  "trace" reports the ring's
   /// dropped-span count so a reader knows how complete a dump would be.
   [[nodiscard]] std::string metrics_snapshot() const;
 
@@ -208,9 +206,8 @@ class server {
 
   // Per-instance per-tenant accounting (the registry's *.by_client
   // families aggregate across servers; these back the "tenants" section
-  // of metrics_snapshot()).
+  // of metrics_snapshot(), whose done counts are the latency counts).
   obs::counter_family tenant_submitted_;
-  obs::counter_family tenant_done_;
   obs::counter_family tenant_failed_;
   obs::counter_family tenant_rejected_;
   obs::histogram_family tenant_latency_;

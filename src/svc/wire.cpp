@@ -63,16 +63,6 @@ struct rpc_request_header {
 static_assert(sizeof(rpc_request_header) == 40);
 static_assert(std::is_trivially_copyable_v<rpc_request_header>);
 
-/// The optional trace extension (present iff kReqFlagTrace): the caller's
-/// obs::trace_context plus a reserved word for future context fields.
-struct rpc_trace_ext {
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-  std::uint64_t reserved = 0;
-};
-static_assert(sizeof(rpc_trace_ext) == 24);
-static_assert(std::is_trivially_copyable_v<rpc_trace_ext>);
-
 /// Static-storage span name per opcode (ring slots store the pointer).
 [[nodiscard]] const char* op_span_name(std::uint32_t op) noexcept {
   switch (op) {
@@ -157,7 +147,6 @@ wire_server::wire_server(wire_server_options opt)
   if (opt.telemetry_period_ms > 0) {
     obs::sampler_options so;
     so.period_ms = opt.telemetry_period_ms;
-    so.slots = opt.telemetry_slots;
     sampler_ = std::make_unique<obs::sampler>(so);
     sampler_->start();
   }
@@ -237,7 +226,7 @@ void wire_server::serve(std::uint64_t conn_id, net::socket_fd fd) {
     rpc_request_header h;
     if (!net::read_exact(s, &h, sizeof(h))) break;  // client hung up: normal
     if (h.magic != kReqMagic || h.body_bytes > kMaxBody) break;  // protocol breach: drop
-    rpc_trace_ext ext{};
+    obs::trace_ext ext{};
     if ((h.flags & kReqFlagTrace) != 0 && !net::read_exact(s, &ext, sizeof(ext))) break;
     // Only a body the opcode can carry is allocated (never zero-filled);
     // any other is drained and answered as a bad request below.
@@ -411,7 +400,7 @@ wire_client::reply wire_client::call(std::uint32_t opcode, std::uint64_t a, std:
   h.b = b;
   h.c = c;
   h.body_bytes = body.size();
-  rpc_trace_ext ext;
+  obs::trace_ext ext;
   const obs::trace_context tc = obs::current_trace();
   if (tc.trace_id != 0) {
     h.flags |= kReqFlagTrace;

@@ -80,10 +80,10 @@ struct wire_server_options {
   const char* address = "127.0.0.1";   ///< bind address (IPv4 dotted quad)
   std::uint16_t port = 0;              ///< 0 = ephemeral; see port()
   /// Period of the owned obs::sampler feeding `telemetry` form 1 (the
-  /// JSON ring of registry deltas + rates).  0 disables the sampler;
-  /// form 1 then serves an empty ring.
+  /// JSON ring of registry deltas + rates, sampler_options' default depth
+  /// of 120 samples).  0 disables the sampler; form 1 then serves an
+  /// empty ring.
   std::uint32_t telemetry_period_ms = 200;
-  std::size_t telemetry_slots = 120;   ///< ring depth (history = period * slots)
 };
 
 /// One svc::server behind a TCP listener.  Starts serving on

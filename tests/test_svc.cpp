@@ -3,8 +3,8 @@
 //   * service determinism / interleaving invariance: N client threads x M
 //     request shapes submitted in randomized order produce bit-identical
 //     output to serial context::shuffle with the same (client_id,
-//     ordinal) seed keying, under scheduler worker counts {1, 2, 4} and
-//     with batching on and off;
+//     ordinal) seed keying, under scheduler worker counts {1, 2, 4}, with
+//     small jobs riding batches;
 //   * whole, in-place, and chunked (stream) delivery, including the
 //     device-backed stream of an out-of-core-planned job;
 //   * admission control: a full bounded queue rejects (or blocks, per
@@ -85,51 +85,47 @@ TEST(ServiceDeterminism, InterleavingWorkersAndBatchingInvariant) {
   }
 
   for (const std::uint32_t workers : {1u, 2u, 4u}) {
-    for (const bool batching : {false, true}) {
-      svc::server_options so;
-      so.seed = kSeed;
-      so.scheduler_workers = workers;
-      so.batching = batching;
-      svc::server srv(so);
+    svc::server_options so;
+    so.seed = kSeed;
+    so.scheduler_workers = workers;
+    svc::server srv(so);
 
-      std::vector<std::vector<std::vector<std::uint64_t>>> buf(kClients);
-      std::vector<std::vector<svc::future<void>>> futs(kClients);
-      for (int c = 0; c < kClients; ++c) {
-        buf[c].resize(kPerClient);
-        futs[c].resize(kPerClient);
-        for (int k = 0; k < kPerClient; ++k) {
-          buf[c][k] = iota_vec(shapes[static_cast<std::size_t>(k) % shapes.size()]);
-        }
+    std::vector<std::vector<std::vector<std::uint64_t>>> buf(kClients);
+    std::vector<std::vector<svc::future<void>>> futs(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      buf[c].resize(kPerClient);
+      futs[c].resize(kPerClient);
+      for (int k = 0; k < kPerClient; ++k) {
+        buf[c][k] = iota_vec(shapes[static_cast<std::size_t>(k) % shapes.size()]);
       }
-
-      // Each client submits ITS jobs in order from its own thread; the
-      // cross-client interleaving is randomized with per-thread jitter.
-      std::vector<std::thread> clients;
-      for (int c = 0; c < kClients; ++c) {
-        clients.emplace_back([&, c] {
-          std::mt19937 jitter(static_cast<unsigned>(c + 131 * workers + (batching ? 7 : 0)));
-          for (int k = 0; k < kPerClient; ++k) {
-            for (unsigned y = jitter() % 4; y > 0; --y) std::this_thread::yield();
-            futs[c][k] = srv.submit_shuffle(static_cast<std::uint64_t>(c),
-                                            std::span<std::uint64_t>(buf[c][k]));
-          }
-        });
-      }
-      for (auto& t : clients) t.join();
-
-      for (int c = 0; c < kClients; ++c) {
-        for (int k = 0; k < kPerClient; ++k) {
-          ASSERT_NO_THROW(futs[c][k].get());
-          EXPECT_EQ(buf[c][k], expected[c][k])
-              << "client " << c << " ordinal " << k << " workers " << workers
-              << " batching " << batching;
-        }
-      }
-      const svc::server_stats st = srv.stats();
-      EXPECT_EQ(st.done, static_cast<std::uint64_t>(kClients * kPerClient));
-      EXPECT_EQ(st.failed, 0u);
-      EXPECT_EQ(st.rejected, 0u);
     }
+
+    // Each client submits ITS jobs in order from its own thread; the
+    // cross-client interleaving is randomized with per-thread jitter.
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        std::mt19937 jitter(static_cast<unsigned>(c + 131 * workers + 7));
+        for (int k = 0; k < kPerClient; ++k) {
+          for (unsigned y = jitter() % 4; y > 0; --y) std::this_thread::yield();
+          futs[c][k] = srv.submit_shuffle(static_cast<std::uint64_t>(c),
+                                          std::span<std::uint64_t>(buf[c][k]));
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+
+    for (int c = 0; c < kClients; ++c) {
+      for (int k = 0; k < kPerClient; ++k) {
+        ASSERT_NO_THROW(futs[c][k].get());
+        EXPECT_EQ(buf[c][k], expected[c][k])
+            << "client " << c << " ordinal " << k << " workers " << workers;
+      }
+    }
+    const svc::server_stats st = srv.stats();
+    EXPECT_EQ(st.done, static_cast<std::uint64_t>(kClients * kPerClient));
+    EXPECT_EQ(st.failed, 0u);
+    EXPECT_EQ(st.sched.rejected, 0u);
   }
 }
 
@@ -153,14 +149,13 @@ TEST(ServiceDeterminism, PermutationJobMatchesContextRandomPermutation) {
 TEST(ServiceStream, ChunksReassembleTheWholePermutationAtAnyChunkSize) {
   svc::server_options so;
   so.seed = kSeed;
-  so.stream_chunk_items = 4096;
   svc::server srv(so);
   cgp::context ctx;
 
   const std::uint64_t n = 100000;
   svc::stream s = srv.submit_stream(/*client=*/1, n);
   EXPECT_EQ(s.size(), n);
-  EXPECT_EQ(s.chunk_items(), 4096u);
+  EXPECT_EQ(s.chunk_items(), svc::server::kStreamChunkItems);
 
   std::vector<std::uint64_t> assembled;
   assembled.reserve(n);
@@ -367,7 +362,7 @@ TEST(Backpressure, ServerRejectsOverflowAndCompletesTheRest) {
   EXPECT_GT(rejected, 0) << "flood never filled the queue -- raise kFlood";
   const auto st = srv.stats();
   EXPECT_EQ(st.done, static_cast<std::uint64_t>(done));
-  EXPECT_EQ(st.rejected, static_cast<std::uint64_t>(rejected));
+  EXPECT_EQ(st.sched.rejected, static_cast<std::uint64_t>(rejected));
   EXPECT_LE(st.sched.max_queue_depth, so.queue_capacity);
 
   // Rejected submissions still consumed their ordinals: the LAST future's
@@ -403,7 +398,6 @@ TEST(Batching, QueuedSmallJobsRideOneDispatch) {
   svc::scheduler_options so;
   so.workers = 1;
   so.queue_capacity = 64;
-  so.batching = true;
   svc::scheduler sched(core::shared_pool(1), so);
 
   ASSERT_TRUE(sched.submit({false, [&] {
@@ -437,7 +431,6 @@ TEST(Batching, HeadLargeJobIsNotStarvedBySmallJobsBehindIt) {
   svc::scheduler_options so;
   so.workers = 1;
   so.queue_capacity = 64;
-  so.batching = true;
   svc::scheduler sched(core::shared_pool(1), so);
 
   // Occupy the worker, then queue a LARGE job with small jobs behind it.
@@ -535,12 +528,12 @@ TEST(CounterReconciliation, EveryOutcomeIsCountedExactlyOnce) {
 
   const svc::server_stats st = srv.stats();
   // Admission splits the burst exactly in two...
-  EXPECT_EQ(st.sched.submitted + st.rejected, static_cast<std::uint64_t>(kJobs));
+  EXPECT_EQ(st.sched.submitted + st.sched.rejected, static_cast<std::uint64_t>(kJobs));
   // ...every admitted job reached exactly one terminal status...
   EXPECT_EQ(st.sched.submitted, st.done + st.failed);
   // ...the handles saw the same ledger the counters recorded...
   EXPECT_EQ(st.done, done);
-  EXPECT_EQ(st.rejected, rejected);
+  EXPECT_EQ(st.sched.rejected, rejected);
   EXPECT_EQ(st.failed, failed);
   // ...and the latency histogram recorded each done job exactly once.
   EXPECT_EQ(srv.job_latency_histogram().count(), st.done);

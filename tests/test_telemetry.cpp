@@ -32,10 +32,12 @@ TEST(TelemetryFamilies, CounterFamilyIsolatesLabels) {
   fam.with(7).add(3);
   fam.with(42).add(1);
   fam.with(7).add(2);
-  const auto vals = fam.values();
+  const auto vals = fam.entries();
   ASSERT_EQ(vals.size(), 2u);
-  EXPECT_EQ(vals[0], (std::pair<std::uint64_t, std::uint64_t>{7, 5}));  // sorted by label
-  EXPECT_EQ(vals[1], (std::pair<std::uint64_t, std::uint64_t>{42, 1}));
+  EXPECT_EQ(vals[0].first, 7u);  // sorted by label
+  EXPECT_EQ(vals[0].second->value(), 5u);
+  EXPECT_EQ(vals[1].first, 42u);
+  EXPECT_EQ(vals[1].second->value(), 1u);
   EXPECT_EQ(fam.overflow().value(), 0u);
 }
 
@@ -45,9 +47,9 @@ TEST(TelemetryFamilies, CounterFamilyBoundsCardinality) {
   // Claim every slot, then one more label: it must land on overflow, and
   // with() must never fail.
   for (std::uint64_t l = 0; l < obs::counter_family::kSlots; ++l) fam.with(l).add();
-  EXPECT_EQ(fam.values().size(), obs::counter_family::kSlots);
+  EXPECT_EQ(fam.entries().size(), obs::counter_family::kSlots);
   fam.with(1'000'000).add(9);
-  EXPECT_EQ(fam.values().size(), obs::counter_family::kSlots);  // no 65th slot
+  EXPECT_EQ(fam.entries().size(), obs::counter_family::kSlots);  // no 65th slot
   EXPECT_EQ(fam.overflow().value(), 9u);
   // The unusable label (would collide with the empty-slot encoding).
   fam.with(std::uint64_t(-1)).add(1);
@@ -69,10 +71,10 @@ TEST(TelemetryFamilies, CounterFamilyConcurrentClaims) {
     });
   }
   for (auto& th : threads) th.join();
-  const auto vals = fam.values();
+  const auto vals = fam.entries();
   ASSERT_EQ(vals.size(), 4u);
-  for (const auto& [label, v] : vals) {
-    EXPECT_EQ(v, static_cast<std::uint64_t>(kThreads) * kIters / 4) << "label " << label;
+  for (const auto& [label, c] : vals) {
+    EXPECT_EQ(c->value(), static_cast<std::uint64_t>(kThreads) * kIters / 4) << "label " << label;
   }
 }
 
@@ -97,9 +99,9 @@ TEST(TelemetryFamilies, DisabledGateRoutesToOverflowHarmlessly) {
   obs::set_enabled(false);
   fam.with(3).add(100);  // no-op: disabled adds don't count anywhere
   obs::set_enabled(true);
-  const auto vals = fam.values();
+  const auto vals = fam.entries();
   ASSERT_EQ(vals.size(), 1u);
-  EXPECT_EQ(vals[0].second, 1u);
+  EXPECT_EQ(vals[0].second->value(), 1u);
   EXPECT_EQ(fam.overflow().value(), 0u);
 }
 
@@ -111,23 +113,28 @@ TEST(TelemetryFamilies, RegistryFamiliesAreStableAndSnapshot) {
   f1.with(11).add(4);
   obs::get_histogram_family("test.telemetry.lat.by_client").with(11).record(500);
 
-  bool found_cf = false;
-  bool found_hf = false;
-  for (const obs::family_snapshot& f : obs::family_snapshots()) {
-    if (f.name == "test.telemetry.by_client") {
-      found_cf = true;
-      EXPECT_FALSE(f.histograms);
-      ASSERT_GE(f.entries.size(), 1u);
-      EXPECT_EQ(f.entries[0].label, 11u);
-      EXPECT_EQ(f.entries[0].stats.count, 4u);
-    }
-    if (f.name == "test.telemetry.lat.by_client") {
-      found_hf = true;
-      EXPECT_TRUE(f.histograms);
-    }
+  // One row per family slot: the labels in order, then the overflow slot.
+  std::vector<obs::metric_snapshot> cf_rows;
+  std::vector<obs::metric_snapshot> hf_rows;
+  for (const obs::metric_snapshot& s : obs::snapshot()) {
+    if (s.name == "test.telemetry.by_client") cf_rows.push_back(s);
+    if (s.name == "test.telemetry.lat.by_client") hf_rows.push_back(s);
   }
-  EXPECT_TRUE(found_cf);
-  EXPECT_TRUE(found_hf);
+  ASSERT_EQ(cf_rows.size(), 2u);
+  EXPECT_EQ(cf_rows[0].which, obs::metric_snapshot::kind::counter);
+  EXPECT_TRUE(cf_rows[0].labeled);
+  EXPECT_FALSE(cf_rows[0].overflow);
+  EXPECT_EQ(cf_rows[0].label, 11u);
+  EXPECT_EQ(cf_rows[0].count, 4u);
+  EXPECT_TRUE(cf_rows[1].labeled);
+  EXPECT_TRUE(cf_rows[1].overflow);
+  EXPECT_EQ(cf_rows[1].count, 0u);
+  ASSERT_EQ(hf_rows.size(), 2u);
+  EXPECT_EQ(hf_rows[0].which, obs::metric_snapshot::kind::histogram);
+  EXPECT_EQ(hf_rows[0].label, 11u);
+  EXPECT_EQ(hf_rows[0].count, 1u);
+  EXPECT_EQ(hf_rows[0].sum, 500u);
+  EXPECT_TRUE(hf_rows[1].overflow);
 
   const std::string js = obs::snapshot_json();
   EXPECT_NE(js.find("\"counter_families\""), std::string::npos);

@@ -11,6 +11,7 @@ named, the two dumps must also stitch: the client's trace ids must appear
 in the server's dump.  Exits 1 if a named file is missing, has no
 validator, or fails a check; prints one line per file either way.
 """
+import functools
 import json
 import os
 import re
@@ -126,10 +127,11 @@ def check_stitching(server, client):
     return len(shared)
 
 
-def check_prometheus(path):
+def check_prometheus(path, tenant):
     """Prometheus text exposition format 0.0.4: comments are
     HELP/TYPE/exemplar, samples are name{labels} value with numeric values
-    and cgp_-prefixed names, and every sample has a TYPE."""
+    and cgp_-prefixed names, every sample has a TYPE, and the run's
+    `tenant` has per-tenant series."""
     sample_re = re.compile(
         r'^(cgp_[a-zA-Z0-9_]+)(\{[a-zA-Z0-9_]+="[^"]*"'
         r'(,[a-zA-Z0-9_]+="[^"]*")*\})? (-?[0-9]+(\.[0-9]+)?)$')
@@ -153,8 +155,8 @@ def check_prometheus(path):
     stripped = {n for t in typed for n in (t, t + '_sum', t + '_count')}
     assert seen <= stripped, f'samples without TYPE: {seen - stripped}'
     assert 'cgp_svc_jobs_done_total' in seen, sorted(seen)
-    assert any('client_id="7"' in line for line in lines), \
-        'no per-tenant series in the exposition'
+    assert any(f'client_id="{tenant}"' in line for line in lines), \
+        f'no per-tenant series for client_id {tenant} in the exposition'
 
 
 def check_ring(path):
@@ -201,8 +203,12 @@ VALIDATORS = {
     'trace.json': check_trace,
     'trace_server.json': check_trace,
     'trace_client.json': check_trace,
-    'WIRE_TELEMETRY.prom': check_prometheus,
+    # The wire demo's own run serves tenants 1 and 2; the two-process
+    # harness's client is tenant 7.
+    'WIRE_TELEMETRY.prom': functools.partial(check_prometheus, tenant=1),
     'WIRE_TELEMETRY_RING.json': check_ring,
+    'WIRE_CLIENT_TELEMETRY.prom': functools.partial(check_prometheus, tenant=7),
+    'WIRE_CLIENT_TELEMETRY_RING.json': check_ring,
     'SVC_METRICS.json': check_svc_metrics,
     'WIRE_METRICS.json': check_wire_metrics,
 }
