@@ -53,8 +53,13 @@ namespace cgp::obs {
 /// permutation output).
 void set_enabled(bool on) noexcept;
 
+/// Metrics are aligned to a cache line each, so two metrics updated from
+/// different threads never share one (the registry and the families
+/// allocate them one by one).
+inline constexpr std::size_t kMetricAlign = 64;
+
 /// Monotone event count.
-class counter {
+class alignas(kMetricAlign) counter {
  public:
   void add(std::uint64_t d = 1) noexcept {
     if (enabled()) v_.fetch_add(d, std::memory_order_relaxed);
@@ -68,7 +73,7 @@ class counter {
 };
 
 /// Instantaneous level (queue depths, in-flight operations).
-class gauge {
+class alignas(kMetricAlign) gauge {
  public:
   void set(std::int64_t v) noexcept {
     if (enabled()) v_.store(v, std::memory_order_relaxed);
@@ -105,7 +110,7 @@ class gauge {
 /// tests/test_obs.cpp pins this against a sorted-vector oracle).  All
 /// state is atomic; record() is two relaxed RMWs plus two CAS peaks.
 /// Usable standalone (a bench-local histogram) or through the registry.
-class histogram {
+class alignas(kMetricAlign) histogram {
  public:
   static constexpr std::size_t kUnitBuckets = 16;   // values 0..15, exact
   static constexpr std::size_t kSubBuckets = 8;     // per power of two
