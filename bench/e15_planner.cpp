@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "core/backend.hpp"
+#include "core/context.hpp"
 #include "core/plan.hpp"
 #include "stats/lehmer.hpp"
 #include "util/json.hpp"
@@ -44,22 +44,21 @@ struct sweep_row {
 // Best-of-`reps` wall clock of one explicit-backend draw.
 double measure_backend(core::backend which, const sweep_row& row,
                        const core::permutation_plan& plan, int reps) {
-  core::backend_options opt;
-  opt.which = which;
+  context_options copt;
+  copt.which = which;
   if (which == core::backend::em) {
-    opt.em_engine.memory_items = plan.em_memory_items;
-    opt.em_block_items = plan.em_block_items;
+    copt.engine.em_engine.memory_items = plan.em_memory_items;
+    copt.engine.em_block_items = plan.em_block_items;
   }
+  const cgp::context ctx(copt);
   // Validate once, untimed, then time the draws (seed varies per rep so no
   // rep can reuse another's plan-independent state).
-  opt.seed = 0xE15;
-  if (!stats::is_permutation_of_iota(core::random_permutation(row.n, opt))) {
+  if (!stats::is_permutation_of_iota(ctx.random_permutation(row.n, 0xE15))) {
     std::cerr << "INVALID permutation from " << core::backend_name(which) << "\n";
     std::exit(1);
   }
   return best_of(reps, [&](int r) {
-    opt.seed = 0xE15 + static_cast<std::uint64_t>(r);
-    (void)core::random_permutation(row.n, opt);
+    (void)ctx.random_permutation(row.n, 0xE15 + static_cast<std::uint64_t>(r));
   });
 }
 

@@ -35,7 +35,7 @@
 #include <tuple>
 #include <vector>
 
-#include "core/backend.hpp"
+#include "core/context.hpp"
 #include "core/executor.hpp"
 #include "prp/cipher.hpp"
 #include "util/json.hpp"
@@ -139,12 +139,11 @@ int main(int argc, char** argv) {
   table tb({"backend", "probe n", "T_probe [s]", "ns/item", "T @ 1e8 [s] (projected)"});
   double best_item_ns = 1e300;
   for (const probe& p : probes) {
-    core::backend_options opt;
-    opt.which = p.which;
-    opt.seed = kSeed;
+    context_options copt;
+    copt.which = p.which;
+    const cgp::context ctx(copt);
     const double s = best_of(reps, [&](int r) {
-      opt.seed = kSeed + static_cast<std::uint64_t>(r);
-      (void)core::random_permutation(probe_n, opt);
+      (void)ctx.random_permutation(probe_n, kSeed + static_cast<std::uint64_t>(r));
     });
     const double item_ns = s * 1e9 / static_cast<double>(probe_n);
     const double projected = item_ns * static_cast<double>(n_target) * 1e-9;

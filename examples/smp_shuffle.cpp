@@ -1,5 +1,5 @@
 // smp_shuffle: the native shared-memory engine in 30 seconds, and the
-// backend dispatch that picks between it and the sequential reference.
+// context that picks between it and the sequential reference.
 //
 //   $ ./smp_shuffle
 //
@@ -41,26 +41,27 @@ int main() {
   std::cout << "bit-identical at p=1 and p=4: "
             << (single.permute(data, 2026) == shuffled ? "yes" : "NO (bug!)") << "\n\n";
 
-  // Backend dispatch: one entry point, two engines plus the planner.
-  // The SMP engine just goes fast; `automatic` lets the cost model pick.
-  // Repeated calls share warm thread pools through the process-wide
-  // registry.
+  // One entry point, two engines plus the planner: a context per
+  // backend.  The SMP engine just goes fast; `automatic` lets the cost
+  // model pick.  Repeated calls share warm thread pools through the
+  // process-wide registry.
   const std::uint64_t n = 2'000'000;
   cgp::table t({"backend", "T [ms]", "note"});
   for (const auto which : {cgp::core::backend::sequential, cgp::core::backend::smp,
                            cgp::core::backend::automatic}) {
-    cgp::core::backend_options bopt;
-    bopt.which = which;
-    bopt.parallelism = 4;
-    bopt.seed = 7;
-    cgp::core::permutation_plan plan;
-    bopt.plan_out = &plan;
+    cgp::context_options copt;
+    copt.which = which;
+    copt.parallelism = 4;
+    const cgp::context ctx(copt);
     cgp::stopwatch sw;
-    const auto pi = cgp::core::random_permutation(n, bopt);
-    t.add_row({cgp::core::backend_name(which), cgp::fmt(sw.millis(), 1),
+    const auto pi = ctx.random_permutation(n, /*seed=*/7);
+    const double ms = sw.millis();
+    // plan_for names the plan the draw ran: resolve_plan is deterministic.
+    const auto chosen = ctx.plan_for(n, sizeof(std::uint64_t)).chosen;
+    t.add_row({cgp::core::backend_name(which), cgp::fmt(ms, 1),
                which == cgp::core::backend::smp ? "native threads"
                : which == cgp::core::backend::automatic
-                   ? std::string("planner picked ") + cgp::core::backend_name(plan.chosen)
+                   ? std::string("planner picked ") + cgp::core::backend_name(chosen)
                    : "Fisher-Yates reference"});
   }
   std::cout << "uniform permutation of " << cgp::fmt_count(n) << " items:\n";

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "rng/stream.hpp"
 
 namespace cgp::cgm {
@@ -24,12 +23,6 @@ void context::send_bytes(std::uint32_t dest, std::uint32_t tag,
   words_sent_ += words;
   step_words_out_ += words;
   ++messages_sent_;
-  {
-    static obs::counter& messages = obs::get_counter("cgm.messages");
-    static obs::counter& traffic = obs::get_counter("cgm.bytes_sent");
-    messages.add();
-    traffic.add(bytes.size());
-  }
   endpoint_->send(dest, tag, bytes);
 }
 
@@ -56,10 +49,6 @@ void context::sync() {
   step_ops_ = 0;
   step_words_out_ = 0;
   ++supersteps_;
-  {
-    static obs::counter& steps = obs::get_counter("cgm.supersteps");
-    steps.add();
-  }
   inbox_ = std::move(fresh);
 }
 

@@ -13,14 +13,15 @@
 // Everything else is exported in layers, facade first:
 //
 //   facade      cgp::context (core/context.hpp) -- owns profile,
-//               transport, registry access, seed discipline
-//   dispatch    core::shuffle / random_permutation (core/backend.hpp) --
-//               what the facade runs on; the one entry point taking fully
-//               explicit backend_options (an injected profile included)
+//               transport, registry access, seed discipline; the one
+//               call that runs a permutation (an injected profile goes in
+//               through context_options::engine.profile)
 //   planning    core::plan_permutation, machine_profile (core/plan.hpp);
-//               core::resolve_plan + the plan cache (core/registry.hpp)
-//   execution   core::executor and the per-backend executors
-//               (core/executor.hpp), engine registry (core/registry.hpp)
+//               core::resolve_plan (core/executor.hpp) + the plan cache
+//               (core/registry.hpp)
+//   execution   core::executor, the per-backend executors and
+//               make_executor (core/executor.hpp), engine registry
+//               (core/registry.hpp)
 //   transport   comm::transport / loopback / threaded (comm/transport.hpp)
 //   engines     smp::engine, em::async_em_shuffle, cgm::distributed_shuffle,
 //               prp::cipher, seq::* reference shuffles
@@ -41,9 +42,8 @@
 // --- the facade ----------------------------------------------------------
 #include "core/context.hpp"      // IWYU pragma: export
 
-// --- dispatch + plan/executor core ---------------------------------------
+// --- the plan/executor core ----------------------------------------------
 #include "core/apply.hpp"        // IWYU pragma: export
-#include "core/backend.hpp"      // IWYU pragma: export
 #include "core/executor.hpp"     // IWYU pragma: export
 #include "core/plan.hpp"         // IWYU pragma: export
 #include "core/registry.hpp"     // IWYU pragma: export

@@ -32,17 +32,18 @@
 // not run it concurrently with draws.  The profile and the transport are
 // fixed at construction.
 //
-// Underneath, every draw is core::shuffle / core::random_permutation
-// (core/backend.hpp) under the options execution_options() projects, so
-// a context plans through core::resolve_plan like every other caller.
+// Underneath, every draw runs core::resolve_plan, core::feedback_scope
+// and core::make_executor (core/executor.hpp) under the options
+// execution_options() projects -- the same three steps a service job
+// runs -- so a context plans like every other caller.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
-#include "core/backend.hpp"
 #include "core/executor.hpp"
 #include "core/plan.hpp"
 #include "core/registry.hpp"
@@ -62,15 +63,12 @@ struct context_options {
   std::uint64_t repetitions = 1;
   /// Base seed of the context's draw sequence.
   std::uint64_t seed = 0xC0A2537E5EEDull;
-  /// Measure the machine profile at construction (a few ms of probes)
-  /// instead of using detected defaults -- what servers should do once.
-  /// Ignored when engine.profile is set.
-  bool calibrate = false;
   /// Expert escape hatch: engine knobs (em geometry, smp/cgm/prp engine
   /// options) forwarded verbatim.  The curated fields above override
   /// their counterparts in here.  A set `engine.profile` is copied into
-  /// the context at construction and takes precedence over `calibrate`
-  /// and the shared profile (e.g. to pin plans in tests).
+  /// the context at construction and replaces the shared detected
+  /// profile: point it at a machine_profile::calibrate() result for
+  /// measured costs, or at a fixed profile to pin plans in tests.
   core::backend_options engine{};
 };
 
@@ -78,9 +76,7 @@ class context {
  public:
   explicit context(context_options opt = {})
       : opt_(opt),
-        profile_(opt.engine.profile != nullptr ? *opt.engine.profile
-                 : opt.calibrate               ? core::machine_profile::calibrate()
-                                               : core::shared_profile()),
+        profile_(opt.engine.profile != nullptr ? *opt.engine.profile : core::shared_profile()),
         seed_(opt.seed) {}
 
   context(const context&) = delete;
@@ -91,28 +87,41 @@ class context {
   /// Uses the next seed of the context's draw sequence.
   template <typename T>
   core::permutation_plan shuffle(std::span<T> data) {
-    return core::shuffle(data, execution_options(next_seed()));
+    return shuffle(data, next_seed());
   }
 
   /// Same, under an explicit seed (does not advance the draw sequence).
   /// `const`: safe to call concurrently on one shared context.
   template <typename T>
   core::permutation_plan shuffle(std::span<T> data, std::uint64_t seed) const {
-    return core::shuffle(data, execution_options(seed));
+    static_assert(std::is_trivially_copyable_v<T>);
+    const core::backend_options o = execution_options(seed);
+    const core::permutation_plan plan = core::resolve_plan(data.size(), sizeof(T), o);
+    const core::feedback_scope fb(plan, data.size(), sizeof(T));
+    core::make_executor(plan, o)->shuffle(data, seed);
+    return plan;
   }
 
-  /// Sample pi uniform over S_n (pi[i] = image of i), in the executor's
-  /// native fill mode.
+  /// Sample pi uniform over S_n (pi[i] = image of i).  The executor fills
+  /// pi in place -- iota + in-place shuffle for the RAM backends, a bulk
+  /// device read for em -- so there is no copy-in/copy-out round trip.
+  /// plan_for(n, 8) names the plan it runs.
   [[nodiscard]] std::vector<std::uint64_t> random_permutation(std::uint64_t n) {
-    return core::random_permutation(n, execution_options(next_seed()));
+    return random_permutation(n, next_seed());
   }
   [[nodiscard]] std::vector<std::uint64_t> random_permutation(std::uint64_t n,
                                                               std::uint64_t seed) const {
-    return core::random_permutation(n, execution_options(seed));
+    const core::backend_options o = execution_options(seed);
+    const core::permutation_plan plan = core::resolve_plan(n, sizeof(std::uint64_t), o);
+    std::vector<std::uint64_t> pi(n);
+    const core::feedback_scope fb(plan, n, sizeof(std::uint64_t));
+    core::make_executor(plan, o)->fill_random_permutation(std::span<std::uint64_t>(pi), seed);
+    return pi;
   }
 
   /// The plan a shuffle of `n` records of `elem_bytes` would run, without
-  /// running it (inspect plan.explain() for the evidence).
+  /// running it (inspect plan.explain() for the evidence).  resolve_plan
+  /// is deterministic, so this is the plan a draw of that shape runs.
   [[nodiscard]] core::permutation_plan plan_for(std::uint64_t n,
                                                std::uint32_t elem_bytes) const {
     return core::resolve_plan(n, elem_bytes, execution_options(seed_.load(std::memory_order_relaxed)));
@@ -122,9 +131,11 @@ class context {
   /// curated fields projected onto the expert engine options, plus the
   /// context's profile.  Public so a layer that schedules its own
   /// execution (svc::server) can run jobs through the identical
-  /// plan/executor path -- `core::shuffle(data, ctx.execution_options(s))`
-  /// is bit-for-bit `ctx.shuffle(data, s)` by construction.  The returned
-  /// options point at this context's profile; they must not outlive it.
+  /// plan/executor path: with `o = execution_options(s)`,
+  /// `make_executor(resolve_plan(n, sizeof(T), o), o)->shuffle(data, s)`
+  /// is bit-for-bit `shuffle(data, s)` (ContextFacade.
+  /// DrawsEqualTheExecutorPath).  The returned options point at this
+  /// context's profile; they must not outlive it.
   [[nodiscard]] core::backend_options execution_options(std::uint64_t seed) const {
     core::backend_options o = opt_.engine;
     o.which = opt_.which;
@@ -160,8 +171,8 @@ class context {
   }
 
  private:
-  /// Seed of draw k: the base seed verbatim first (so a context replays
-  /// the corresponding free-function call), then streams derived like
+  /// Seed of draw k: the base seed verbatim first (so draw 0 replays an
+  /// explicit-seed call with the base seed), then streams derived like
   /// core/repeat.hpp's permutation_stream -- mixing k through its own
   /// mix64 before xoring keeps contexts with ADJACENT base seeds on
   /// disjoint sequences (mix64(seed + k) would make seed 101's draw k

@@ -26,14 +26,32 @@
 // Executors are cheap per-call shells; the expensive state (thread
 // pools) comes from the process-wide registry (core/registry.hpp) unless
 // the caller hands in an engine explicitly.
+//
+// A draw is three steps, run by `cgp::context` (core/context.hpp) and by
+// the service layer's job runners (svc/server.cpp) alike:
+//
+//   resolve_plan  -->  feedback_scope  -->  make_executor(plan)->run
+//
+// Every backend but `prp` is exactly uniform (prp's law is a keyed cipher
+// family; see prp_executor).  They draw from differently keyed streams,
+// so equal seeds do *not* give equal permutations across backends (each
+// backend is individually bit-reproducible in its seed).  One designed
+// exception: `em` with memory >= n degenerates to a single in-memory
+// Fisher-Yates from the very stream `sequential` uses, so the two agree
+// bit for bit in that regime (tests/test_em_async.cpp).  And by
+// construction `automatic` agrees bit for bit with whichever backend the
+// plan names (tests/test_plan.cpp).
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -44,6 +62,8 @@
 #include "core/registry.hpp"
 #include "em/async_shuffle.hpp"
 #include "em/block_device.hpp"
+#include "obs/metrics.hpp"
+#include "obs/plan_feedback.hpp"
 #include "obs/trace.hpp"
 #include "prp/cipher.hpp"
 #include "rng/philox_batch.hpp"
@@ -51,10 +71,12 @@
 #include "seq/fisher_yates.hpp"
 #include "smp/engine.hpp"
 #include "util/assert.hpp"
+#include "util/stopwatch.hpp"
 
 namespace cgp::core {
 
-/// Options for the backend-dispatched entry points (core/backend.hpp).
+/// Per-call execution options: what resolve_plan and make_executor read.
+/// A context projects its own state onto them (context::execution_options).
 struct backend_options {
   backend which = backend::smp;
   /// Degree of parallelism: transport ranks (cgm) or worker threads
@@ -82,10 +104,6 @@ struct backend_options {
   /// Items per simulated device block, the B of the I/O model (em only).
   /// em_engine.memory_items must stay >= 4 * em_block_items.
   std::uint32_t em_block_items = 4096;
-  /// Transfer accounting of the run (em only); now includes the payload /
-  /// identity streaming onto and off the device, which the old poke/peek
-  /// path silently omitted.
-  em::async_report* em_report_out = nullptr;
   /// Cipher knobs of the prp backend (round count; the permutation is a
   /// function of them).
   prp::cipher_options prp_engine{};
@@ -105,8 +123,6 @@ struct backend_options {
   /// Machine profile for the planner; nullptr = machine_profile::detect().
   /// Point at a machine_profile::calibrate() result for measured costs.
   const machine_profile* profile = nullptr;
-  /// If set, receives the resolved plan (also for explicit backends).
-  permutation_plan* plan_out = nullptr;
 };
 
 namespace detail {
@@ -398,8 +414,10 @@ struct em_exec_config {
 /// accounted bulk item-range calls.
 class em_executor final : public executor {
  public:
+  /// `report_out`, if given, receives each run's transfer accounting,
+  /// including the payload / identity streaming onto and off the device.
   em_executor(em::async_options aopt, std::uint32_t block_items, smp::thread_pool& pool,
-              em::async_report* report_out)
+              em::async_report* report_out = nullptr)
       : aopt_(aopt), block_items_(block_items), pool_(pool), report_out_(report_out) {}
 
   [[nodiscard]] backend kind() const noexcept override { return backend::em; }
@@ -475,11 +493,11 @@ class em_executor final : public executor {
 };
 
 /// Resolve the plan for a request: explicit backends get a trivial plan
-/// mirroring their options (so plan_out is always populated and the em
-/// geometry is always visible); `automatic` asks the process-wide plan
-/// cache (core::cached_plan), which answers bit-identically to the
-/// cost-model planner and skips it for repeated shapes.  Every automatic
-/// request -- core::shuffle, cgp::context, a service job -- plans here.
+/// mirroring their options (so the em geometry and the real worker count
+/// are always visible); `automatic` asks the process-wide plan cache
+/// (core::cached_plan), which answers bit-identically to the cost-model
+/// planner and skips it for repeated shapes.  Every request -- a
+/// cgp::context draw, a service job -- plans here.
 [[nodiscard]] inline permutation_plan resolve_plan(std::uint64_t n, std::uint32_t elem_bytes,
                                                    const backend_options& opt) {
   if (opt.which == backend::automatic) {
@@ -492,7 +510,7 @@ class em_executor final : public executor {
     return cached_plan(w, opt.profile != nullptr ? *opt.profile : machine_profile::detect());
   }
   // Normalize 0 (= "default") to the count the executor will actually
-  // run with, so plan_out reports real worker counts for explicit
+  // run with, so the plan reports real worker counts for explicit
   // backends too.
   const auto hw_threads = [](std::uint32_t t) {
     if (t != 0) return t;
@@ -554,8 +572,7 @@ class em_executor final : public executor {
     }
     case backend::em: {
       const em_exec_config cfg = resolve_em_config(plan, opt);
-      return std::make_unique<em_executor>(cfg.aopt, cfg.block_items, *cfg.pool,
-                                           opt.em_report_out);
+      return std::make_unique<em_executor>(cfg.aopt, cfg.block_items, *cfg.pool);
     }
     case backend::prp:
       return std::make_unique<prp_executor>(opt.prp_engine);
@@ -565,5 +582,63 @@ class em_executor final : public executor {
       return std::make_unique<sequential_executor>();
   }
 }
+
+/// RAII scope around one executed draw: wall-clocks the run, collects the
+/// per-phase times the executors' obs::spans report on this thread, and
+/// on destruction files an obs::plan_feedback_record (prediction next to
+/// measurement) -- the raw material of plan::explain()'s
+/// predicted-vs-measured section.  Inert when obs is disabled
+/// (CGP_OBS_OFF): no collector, no clock, no record.  Each run also
+/// counts into `core.exec.<backend>`, a counter looked up once per
+/// backend and registered on that backend's first run, so a document
+/// never shows a backend that did not run.
+class feedback_scope {
+ public:
+  feedback_scope(const permutation_plan& plan, std::uint64_t n, std::uint32_t elem_bytes) {
+    if (!obs::enabled()) return;
+    active_ = true;
+    rec_.backend = backend_name(plan.chosen);
+    rec_.n = n;
+    rec_.elem_bytes = elem_bytes;
+    rec_.predicted_seconds = plan.predicted_seconds;
+    rec_.predicted_phases.reserve(plan.phases.size());
+    for (const auto& ph : plan.phases) rec_.predicted_phases.push_back({ph.label, ph.seconds});
+    exec_counter(plan.chosen).add();
+    collector_.emplace();
+    span_.emplace("execute", "exec");
+    sw_.reset();
+  }
+  feedback_scope(const feedback_scope&) = delete;
+  feedback_scope& operator=(const feedback_scope&) = delete;
+  ~feedback_scope() {
+    if (!active_) return;
+    rec_.measured_seconds = sw_.seconds();
+    span_.reset();  // flush the overall "execute" phase into the collector
+    rec_.measured_phases = collector_->phases();
+    collector_.reset();
+    obs::record_plan_feedback(std::move(rec_));
+  }
+
+ private:
+  static obs::counter& exec_counter(backend b) {
+    // Racing first runs of one backend both store the registry's one
+    // counter for the name, so the slot needs no lock.
+    static std::array<std::atomic<obs::counter*>, static_cast<std::size_t>(backend::automatic) + 1>
+        slots{};
+    std::atomic<obs::counter*>& slot = slots[static_cast<std::size_t>(b)];
+    obs::counter* c = slot.load(std::memory_order_acquire);
+    if (c == nullptr) {
+      c = &obs::get_counter(std::string("core.exec.") + backend_name(b));
+      slot.store(c, std::memory_order_release);
+    }
+    return *c;
+  }
+
+  bool active_ = false;
+  obs::plan_feedback_record rec_;
+  std::optional<obs::phase_collector> collector_;
+  std::optional<obs::span> span_;
+  stopwatch sw_;
+};
 
 }  // namespace cgp::core

@@ -436,9 +436,12 @@ class engine_state {
   // Fold the run's transfer accounting into the process-wide metrics
   // (obs/metrics.hpp): monotone totals across every em shuffle.
   if (obs::enabled()) {
-    obs::get_counter("em.shuffles").add();
-    obs::get_counter("em.block_transfers").add(report.block_transfers);
-    obs::get_counter("em.rng_words").add(report.rng_words);
+    static obs::counter& shuffles = obs::get_counter("em.shuffles");
+    static obs::counter& transfers = obs::get_counter("em.block_transfers");
+    static obs::counter& rng_words = obs::get_counter("em.rng_words");
+    shuffles.add();
+    transfers.add(report.block_transfers);
+    rng_words.add(report.rng_words);
   }
   return report;
 }

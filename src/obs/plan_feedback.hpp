@@ -4,11 +4,12 @@
 // (plan, measured phase times) per executed job, so plan::explain() can
 // print predicted-vs-measured deltas and flag mispredictions.  The obs
 // layer stays below core in the dependency order -- records hold plain
-// strings and doubles, never core types; core/backend.hpp converts its
-// permutation_plan into a record at the dispatch choke points.
+// strings and doubles, never core types; core::feedback_scope
+// (core/executor.hpp) converts a permutation_plan into a record around
+// every executed draw.
 //
 // Measured phase times come from obs::span via a thread-local
-// phase_collector: the dispatcher installs a collector, runs the
+// phase_collector: feedback_scope installs a collector, runs the
 // executor, and every span that finishes on that thread while it is
 // installed adds {label, seconds} to it.  Labels aggregate (a span
 // repeated per recursion level sums into one phase).  Worker threads

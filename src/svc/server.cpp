@@ -4,7 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "core/backend.hpp"
 #include "core/executor.hpp"
 #include "core/registry.hpp"
 #include "obs/metrics.hpp"
@@ -22,7 +21,6 @@ cgp::context_options context_options_of(const server_options& opt) {
   co.memory_budget_bytes = opt.memory_budget_bytes;
   co.repetitions = opt.repetitions;
   co.seed = opt.seed;
-  co.calibrate = opt.calibrate;
   co.engine = opt.engine;
   return co;
 }
@@ -33,19 +31,6 @@ scheduler_options scheduler_options_of(const server_options& opt) {
   so.queue_capacity = opt.queue_capacity;
   so.policy = opt.policy;
   return so;
-}
-
-/// A job's execution options: the context's projection under the job
-/// seed, with the per-call OUTPUT pointers nulled -- expert engine knobs
-/// forward verbatim, but plan_out / em_report_out name one caller-owned
-/// object, and concurrent jobs writing it from scheduler workers would
-/// race.  A job's resolved plan is delivered through its handle
-/// (job_handle::plan()) instead.
-core::backend_options job_options(const cgp::context& ctx, std::uint64_t seed) {
-  core::backend_options o = ctx.execution_options(seed);
-  o.plan_out = nullptr;
-  o.em_report_out = nullptr;
-  return o;
 }
 
 /// A latency histogram's section of metrics_snapshot().
@@ -199,7 +184,7 @@ void server::run(detail::job_state& st, Body&& body) {
   const obs::trace_scope trace_guard(st.trace);
   const obs::span sp("svc.job", "svc");
   try {
-    body(job_options(ctx_, st.seed));
+    body(ctx_.execution_options(st.seed));
     done_.fetch_add(1, std::memory_order_relaxed);
     note_done(st);
     st.finish(job_status::done);
@@ -213,9 +198,9 @@ void server::run(detail::job_state& st, Body&& body) {
 void server::run_shuffle(detail::job_state& st, void* data, std::uint32_t elem_bytes) {
   run(st, [&](const core::backend_options& o) {
     st.plan = core::resolve_plan(st.n, elem_bytes, o);
-    // Same measured-phase collection a direct core::shuffle gets: the
-    // service path drives the executor itself (the records are
-    // type-erased), so it installs its own feedback scope.
+    // Same measured-phase collection a context draw gets: the service
+    // path drives the executor itself (the records are type-erased), so
+    // it installs its own feedback scope.
     const core::feedback_scope fb(st.plan, st.n, elem_bytes);
     core::make_executor(st.plan, o)->shuffle_raw(data, st.n, elem_bytes, st.seed);
   });

@@ -61,7 +61,6 @@ struct server_options {
   std::uint32_t parallelism = 0;          ///< compute pool threads; 0 = default
   std::uint64_t memory_budget_bytes = 0;  ///< per-job RAM budget; 0 = unconstrained
   std::uint64_t repetitions = 1;          ///< expected draws per shape (planner hint)
-  bool calibrate = false;                 ///< measure the profile at startup
   core::backend_options engine{};         ///< expert engine knobs, forwarded (profile included)
 
   // --- scheduling + admission ------------------------------------------

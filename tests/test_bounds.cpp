@@ -232,22 +232,19 @@ TEST(EntryPointBounds, HypergeometricWordsPerDrawStayUnderThePapersBound) {
 // come back: 1,173 for the identity fill and 1,172 for level 0's reads.
 TEST(EntryPointBounds, EmFillAndShuffleStayWithinTheirTransferCounts) {
   constexpr std::uint64_t n = 300'007;
-  core::backend_options opt;
-  opt.which = core::backend::em;
-  opt.parallelism = 2;
-  opt.em_engine.memory_items = 16'384;
-  opt.em_block_items = 256;
+  em::async_options aopt;
+  aopt.memory_items = 16'384;
   em::async_report rep;
-  opt.em_report_out = &rep;
+  core::em_executor em(aopt, 256, core::shared_pool(2), &rep);
   std::vector<std::uint64_t> v(n);
 
-  core::make_executor(core::resolve_plan(n, 8, opt), opt)->fill_random_permutation(v, 0xB0D);
+  em.fill_random_permutation(v, 0xB0D);
   EXPECT_TRUE(stats::is_permutation_of_iota(v));
   EXPECT_LE(rep.block_transfers, 5'195u);  // 7,540 with the identity filled and read back
   EXPECT_EQ(rep.levels, 1u);
 
   std::iota(v.begin(), v.end(), 0);
-  core::make_executor(core::resolve_plan(n, 8, opt), opt)->shuffle_raw(v.data(), n, 8, 0xB0D);
+  em.shuffle_raw(v.data(), n, 8, 0xB0D);
   EXPECT_TRUE(stats::is_permutation_of_iota(v));
   EXPECT_LE(rep.block_transfers, 7'540u);  // unchanged: the payload is no identity
   EXPECT_EQ(rep.levels, 1u);

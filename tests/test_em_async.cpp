@@ -5,8 +5,8 @@
 // across worker counts, the O((n/B) log_K(n/M)) transfer bound and the gap
 // to the naive baseline, the identity-fused permutation against the
 // identity filled and shuffled, absolute content and count pins at
-// fan-out 256, and the core::backend::em dispatch including the designed
-// em == sequential agreement at M >= n.
+// fan-out 256, and the core::backend::em executor behind cgp::context,
+// including the designed em == sequential agreement at M >= n.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +18,9 @@
 #include <vector>
 
 #include "core/apply.hpp"
-#include "core/backend.hpp"
+#include "core/context.hpp"
 #include "core/executor.hpp"
+#include "core/registry.hpp"
 #include "em/async_shuffle.hpp"
 #include "em/block_device.hpp"
 #include "em/naive_shuffle.hpp"
@@ -305,55 +306,50 @@ TEST(AsyncEmIo, RngBudgetIsTwoLabelWordsPerItemPerLevelPlusLeaves) {
 TEST(BackendEm, AgreesWithSequentialWhenMemoryCoversInput) {
   // Designed contract: with M >= n the em backend is a single in-memory
   // Fisher-Yates from philox(seed, 0) -- the sequential backend's stream.
-  core::backend_options em_opt;
+  cgp::context_options em_opt;
   em_opt.which = core::backend::em;
-  em_opt.seed = 424242;
-  em_opt.em_block_items = 64;
-  em_opt.em_engine.memory_items = 1u << 16;  // >= n
+  em_opt.engine.em_block_items = 64;
+  em_opt.engine.em_engine.memory_items = 1u << 16;  // >= n
+  const cgp::context em(em_opt);
 
-  core::backend_options seq_opt;
+  cgp::context_options seq_opt;
   seq_opt.which = core::backend::sequential;
-  seq_opt.seed = 424242;
+  const cgp::context seq(seq_opt);
 
-  EXPECT_EQ(core::random_permutation(3000, em_opt), core::random_permutation(3000, seq_opt));
+  EXPECT_EQ(em.random_permutation(3000, 424242), seq.random_permutation(3000, 424242));
 
   // The agreement extends to arbitrary payloads through the index gather.
   std::vector<std::uint32_t> via_em(1000);
   for (std::uint32_t i = 0; i < 1000; ++i) via_em[i] = i * 7 + 3;
   std::vector<std::uint32_t> via_seq = via_em;
-  (void)core::shuffle(std::span<std::uint32_t>(via_em), em_opt);
-  (void)core::shuffle(std::span<std::uint32_t>(via_seq), seq_opt);
+  (void)em.shuffle(std::span<std::uint32_t>(via_em), 424242);
+  (void)seq.shuffle(std::span<std::uint32_t>(via_seq), 424242);
   EXPECT_EQ(via_em, via_seq);
 }
 
 TEST(BackendEm, OutOfCoreDispatchProducesValidPermutationAndReport) {
-  core::backend_options opt;
-  opt.which = core::backend::em;
-  opt.parallelism = 2;
-  opt.seed = 31337;
-  opt.em_block_items = 32;
-  opt.em_engine.memory_items = 512;  // n >> M: the real out-of-core path
+  em::async_options aopt;
+  aopt.memory_items = 512;  // n >> M: the real out-of-core path
   em::async_report report;
-  opt.em_report_out = &report;
-  const auto pi = core::random_permutation(20'000, opt);
+  std::vector<std::uint64_t> pi(20'000);
+  core::em_executor(aopt, 32, core::shared_pool(2), &report).fill_random_permutation(pi, 31337);
   EXPECT_TRUE(stats::is_permutation_of_iota(pi));
   EXPECT_GE(report.levels, 1u);
   EXPECT_GT(report.block_transfers, 0u);
 }
 
 TEST(BackendEm, DispatchMatchesDirectEngineOnSameSeed) {
-  core::backend_options opt;
-  opt.which = core::backend::em;
-  opt.parallelism = 2;
-  opt.seed = 99;
-  opt.em_block_items = 16;
-  opt.em_engine.memory_items = 256;
-  const auto via_dispatch = core::random_permutation(5000, opt);
+  cgp::context_options copt;
+  copt.which = core::backend::em;
+  copt.parallelism = 2;
+  copt.engine.em_block_items = 16;
+  copt.engine.em_engine.memory_items = 256;
+  const auto via_dispatch = cgp::context(copt).random_permutation(5000, 99);
 
   em::block_device dev(5000, 16);
   for (std::uint64_t i = 0; i < 5000; ++i) dev.poke(i, i);
   smp::thread_pool pool(2);
-  (void)em::async_em_shuffle(dev, 5000, 99, pool, opt.em_engine);
+  (void)em::async_em_shuffle(dev, 5000, 99, pool, copt.engine.em_engine);
   std::vector<std::uint64_t> direct(5000);
   for (std::uint64_t i = 0; i < 5000; ++i) direct[i] = dev.peek(i);
   EXPECT_EQ(via_dispatch, direct);
@@ -513,26 +509,22 @@ TEST(BackendEmApply, WideRecordShuffleMatchesIndexGatherOnB4096) {
   // under the same seed (value-independence), and the payload survives
   // bit for bit.
   const std::uint64_t n = 50'000;
-  core::backend_options opt;
-  opt.which = core::backend::em;
-  opt.parallelism = 2;
-  opt.seed = 24242424;
-  opt.em_block_items = 4096;
-  opt.em_engine.memory_items = 4 * 4096;  // M < n: forces distribution levels
+  const std::uint64_t seed = 24242424;
+  cgp::context_options copt;
+  copt.which = core::backend::em;
+  copt.parallelism = 2;
+  copt.engine.em_block_items = 4096;
+  copt.engine.em_engine.memory_items = 4 * 4096;  // M < n: forces distribution levels
   em::async_report report;
-  opt.em_report_out = &report;
 
   std::vector<rec24> recs(n);
   for (std::uint64_t i = 0; i < n; ++i) recs[i] = {i, i ^ 0xDEADBEEFull, i + 7};
   std::vector<rec24> shuffled = recs;
-  (void)core::shuffle(std::span<rec24>(shuffled), opt);
+  core::em_executor(copt.engine.em_engine, 4096, core::shared_pool(2), &report)
+      .shuffle(std::span<rec24>(shuffled), seed);
   EXPECT_GE(report.levels, 1u);
 
-  core::backend_options fopt = opt;
-  fopt.em_report_out = nullptr;
-  std::vector<std::uint64_t> pi(n);
-  core::make_executor(core::resolve_plan(n, 24, fopt), fopt)
-      ->fill_random_permutation(std::span<std::uint64_t>(pi), opt.seed);
+  const std::vector<std::uint64_t> pi = cgp::context(copt).random_permutation(n, seed);
   ASSERT_TRUE(stats::is_permutation_of_iota(pi));
   for (std::uint64_t i = 0; i < n; ++i) {
     ASSERT_EQ(shuffled[i].a, recs[pi[i]].a) << "record " << i;

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <tuple>
 
-#include "hyp/alias.hpp"
 #include "hyp/hin.hpp"
 #include "hyp/hrua.hpp"
 #include "hyp/pmf.hpp"
@@ -76,23 +75,6 @@ TEST_P(SamplerGrid, HruaMatchesExactPmf) {
 TEST_P(SamplerGrid, DispatcherMatchesExactPmf) {
   const auto res = gof_of(GetParam().p, which::dispatcher, 40000, 1003);
   EXPECT_GT(res.p_value, 1e-9) << GetParam().label << " chi2=" << res.statistic;
-}
-
-TEST_P(SamplerGrid, AliasTableMatchesExactPmf) {
-  const auto& p = GetParam().p;
-  engine_t e{rng::philox4x64(1004, 78)};
-  const auto table = hyp::alias_table::for_hypergeometric(p);
-  const auto probs = hyp::pmf_table(p);
-  std::vector<std::uint64_t> counts(probs.size(), 0);
-  const std::uint64_t lo = hyp::support_min(p);
-  for (int i = 0; i < 40000; ++i) {
-    const std::uint64_t k = table(e);
-    ASSERT_GE(k, lo);
-    ASSERT_LE(k, hyp::support_max(p));
-    ++counts[k - lo];
-  }
-  const auto res = stats::chi_square_gof(counts, probs);
-  EXPECT_GT(res.p_value, 1e-9) << GetParam().label;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -228,28 +210,6 @@ TEST(Policy, ThresholdSwitchesSampler) {
   e.reset_count();
   for (int i = 0; i < 500; ++i) (void)hyp::sample(e, p, pol);
   EXPECT_GT(e.count(), 500u);
-}
-
-TEST(AliasTable, DegenerateSinglePoint) {
-  const params p{4, 4, 0};  // forced: all whites drawn
-  const auto table = hyp::alias_table::for_hypergeometric(p);
-  engine_t e{rng::philox4x64(65, 0)};
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(table(e), 4u);
-}
-
-TEST(AliasTable, GenericWeights) {
-  const std::vector<double> w{1.0, 2.0, 3.0, 4.0};
-  const hyp::alias_table t(w, 100);
-  engine_t e{rng::philox4x64(66, 0)};
-  std::vector<std::uint64_t> counts(4, 0);
-  for (int i = 0; i < 100000; ++i) {
-    const auto v = t(e);
-    ASSERT_GE(v, 100u);
-    ASSERT_LT(v, 104u);
-    ++counts[v - 100];
-  }
-  const auto res = stats::chi_square_gof(counts, w);
-  EXPECT_GT(res.p_value, 1e-9);
 }
 
 }  // namespace

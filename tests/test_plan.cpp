@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/apply.hpp"
-#include "core/backend.hpp"
 #include "core/context.hpp"
 #include "core/executor.hpp"
 #include "core/plan.hpp"
@@ -120,80 +119,72 @@ TEST(Planner, ExplainNamesTheChoiceAndEveryCandidate) {
 
 // --- automatic == explicit, bit for bit --------------------------------------
 
+// A context that plans `automatic` under the fixed test profile.
+cgp::context_options automatic_under(const core::machine_profile& prof) {
+  cgp::context_options copt;
+  copt.engine.profile = &prof;
+  return copt;
+}
+
+// A context on one explicit backend.
+cgp::context_options explicit_backend(core::backend which) {
+  cgp::context_options copt;
+  copt.which = which;
+  return copt;
+}
+
 TEST(BackendAutomatic, MatchesSequentialAtTinyN) {
   const auto prof = test_profile();
-  core::backend_options auto_opt;
-  auto_opt.which = core::backend::automatic;
-  auto_opt.profile = &prof;
-  auto_opt.seed = 41;
-  core::permutation_plan plan;
-  auto_opt.plan_out = &plan;
+  const cgp::context via_auto(automatic_under(prof));
+  const cgp::context via_seq(explicit_backend(core::backend::sequential));
 
-  core::backend_options seq_opt;
-  seq_opt.which = core::backend::sequential;
-  seq_opt.seed = 41;
-
-  const auto via_auto = core::random_permutation(4096, auto_opt);
-  EXPECT_EQ(plan.chosen, core::backend::sequential);
-  EXPECT_EQ(via_auto, core::random_permutation(4096, seq_opt));
+  const auto pi = via_auto.random_permutation(4096, 41);
+  EXPECT_EQ(via_auto.plan_for(4096, 8).chosen, core::backend::sequential);
+  EXPECT_EQ(pi, via_seq.random_permutation(4096, 41));
 
   std::vector<std::uint32_t> via_auto_payload(4096);
   std::iota(via_auto_payload.begin(), via_auto_payload.end(), 7u);
   std::vector<std::uint32_t> via_seq_payload = via_auto_payload;
-  (void)core::shuffle(std::span<std::uint32_t>(via_auto_payload), auto_opt);
-  (void)core::shuffle(std::span<std::uint32_t>(via_seq_payload), seq_opt);
+  (void)via_auto.shuffle(std::span<std::uint32_t>(via_auto_payload), 41);
+  (void)via_seq.shuffle(std::span<std::uint32_t>(via_seq_payload), 41);
   EXPECT_EQ(via_auto_payload, via_seq_payload);
 }
 
 TEST(BackendAutomatic, MatchesSmpAtMidN) {
   const auto prof = test_profile();
-  core::backend_options auto_opt;
-  auto_opt.which = core::backend::automatic;
-  auto_opt.profile = &prof;
-  auto_opt.seed = 42;
-  core::permutation_plan plan;
-  auto_opt.plan_out = &plan;
+  const cgp::context via_auto(automatic_under(prof));
+  const cgp::context via_smp(explicit_backend(core::backend::smp));
 
-  core::backend_options smp_opt;
-  smp_opt.which = core::backend::smp;
-  smp_opt.seed = 42;
-
-  const auto via_auto = core::random_permutation(1'000'000, auto_opt);
-  EXPECT_EQ(plan.chosen, core::backend::smp);
-  EXPECT_EQ(via_auto, core::random_permutation(1'000'000, smp_opt));
+  const auto pi = via_auto.random_permutation(1'000'000, 42);
+  EXPECT_EQ(via_auto.plan_for(1'000'000, 8).chosen, core::backend::smp);
+  EXPECT_EQ(pi, via_smp.random_permutation(1'000'000, 42));
 }
 
 TEST(BackendAutomatic, MatchesEmUnderBudget) {
   const auto prof = test_profile();
-  core::backend_options auto_opt;
-  auto_opt.which = core::backend::automatic;
-  auto_opt.profile = &prof;
-  auto_opt.seed = 43;
+  cgp::context_options auto_opt = automatic_under(prof);
   auto_opt.memory_budget_bytes = 64 * 1024;  // << n * 8
-  core::permutation_plan plan;
-  auto_opt.plan_out = &plan;
+  const cgp::context via_auto(auto_opt);
 
-  const auto via_auto = core::random_permutation(100'000, auto_opt);
+  const auto pi = via_auto.random_permutation(100'000, 43);
+  const core::permutation_plan plan = via_auto.plan_for(100'000, 8);
   ASSERT_EQ(plan.chosen, core::backend::em);
-  EXPECT_TRUE(stats::is_permutation_of_iota(via_auto));
+  EXPECT_TRUE(stats::is_permutation_of_iota(pi));
 
   // Explicit em with the plan's geometry must reproduce it bit for bit.
-  core::backend_options em_opt;
-  em_opt.which = core::backend::em;
-  em_opt.seed = 43;
-  em_opt.em_engine.memory_items = plan.em_memory_items;
-  em_opt.em_block_items = plan.em_block_items;
-  EXPECT_EQ(via_auto, core::random_permutation(100'000, em_opt));
+  cgp::context_options em_opt = explicit_backend(core::backend::em);
+  em_opt.engine.em_engine.memory_items = plan.em_memory_items;
+  em_opt.engine.em_block_items = plan.em_block_items;
+  EXPECT_EQ(pi, cgp::context(em_opt).random_permutation(100'000, 43));
 }
 
-TEST(BackendAutomatic, PlanOutPopulatedForExplicitBackends) {
-  core::backend_options opt;
-  opt.which = core::backend::em;
-  opt.em_engine.memory_items = 512;
-  opt.em_block_items = 32;
-  core::permutation_plan plan;
-  opt.plan_out = &plan;
-  (void)core::random_permutation(10'000, opt);
+TEST(BackendAutomatic, ExplicitBackendPlansMirrorTheirOptions) {
+  cgp::context_options copt = explicit_backend(core::backend::em);
+  copt.engine.em_engine.memory_items = 512;
+  copt.engine.em_block_items = 32;
+  const cgp::context ctx(copt);
+  std::vector<std::uint64_t> v(10'000);
+  const core::permutation_plan plan = ctx.shuffle(std::span<std::uint64_t>(v), 45);
   EXPECT_EQ(plan.chosen, core::backend::em);
   EXPECT_EQ(plan.em_memory_items, 512u);
   EXPECT_EQ(plan.em_block_items, 32u);
@@ -201,17 +192,14 @@ TEST(BackendAutomatic, PlanOutPopulatedForExplicitBackends) {
 
 TEST(BackendAutomatic, ResolvesThroughThePlanCache) {
   const auto prof = test_profile();
-  core::backend_options opt;
-  opt.which = core::backend::automatic;
-  opt.profile = &prof;
-  opt.seed = 44;
+  const cgp::context ctx(automatic_under(prof));
   std::vector<std::uint64_t> v(4099);
   std::iota(v.begin(), v.end(), 0);
 
   const std::size_t lookups0 = core::plan_cache_lookups();
   const std::size_t hits0 = core::plan_cache_hits();
-  (void)core::shuffle(std::span<std::uint64_t>(v), opt);
-  (void)core::shuffle(std::span<std::uint64_t>(v), opt);
+  (void)ctx.shuffle(std::span<std::uint64_t>(v), 44);
+  (void)ctx.shuffle(std::span<std::uint64_t>(v), 44);
   EXPECT_EQ(core::plan_cache_lookups(), lookups0 + 2);
   EXPECT_GE(core::plan_cache_hits(), hits0 + 1);
 }
@@ -249,13 +237,10 @@ TEST(Planner, AdaptiveFanOutPinsTheEmTree) {
 // --- the context facade --------------------------------------------------------
 
 TEST(Context, InjectedProfileTakesPrecedence) {
-  // engine.profile wins over calibrate and the shared profile, so a
-  // context plans exactly like core::shuffle under the same profile.
+  // engine.profile replaces the shared detected profile, so a context
+  // plans exactly under the injected one.
   const auto prof = test_profile();
-  cgp::context_options copt;
-  copt.calibrate = true;
-  copt.engine.profile = &prof;
-  const cgp::context ctx(copt);
+  const cgp::context ctx(automatic_under(prof));
   EXPECT_EQ(ctx.profile().fingerprint(), prof.fingerprint());
   EXPECT_EQ(ctx.plan_for(1'000'000, 8).chosen, core::backend::smp);
 }
@@ -289,18 +274,17 @@ TEST(EmApply, PayloadShuffleEqualsGatherThroughIndexPermutation) {
   // The packed path's correctness argument: shuffling the payload on the
   // device is the same map as gathering through the index permutation the
   // same seed produces.
-  core::backend_options opt;
-  opt.which = core::backend::em;
-  opt.seed = 777;
-  opt.em_block_items = 32;
-  opt.em_engine.memory_items = 512;  // n >> M
+  cgp::context_options copt = explicit_backend(core::backend::em);
+  copt.engine.em_block_items = 32;
+  copt.engine.em_engine.memory_items = 512;  // n >> M
+  const cgp::context ctx(copt);
 
   std::vector<std::uint64_t> payload(20'000);
   for (std::uint64_t i = 0; i < payload.size(); ++i) payload[i] = i * 3 + 1;
   std::vector<std::uint64_t> shuffled = payload;
-  (void)core::shuffle(std::span<std::uint64_t>(shuffled), opt);
+  (void)ctx.shuffle(std::span<std::uint64_t>(shuffled), 777);
 
-  const auto pi = core::random_permutation(payload.size(), opt);
+  const auto pi = ctx.random_permutation(payload.size(), 777);
   for (std::size_t i = 0; i < payload.size(); ++i) {
     ASSERT_EQ(shuffled[i], payload[static_cast<std::size_t>(pi[i])]) << "i=" << i;
   }
@@ -313,18 +297,17 @@ TEST(EmApply, WideRecordsGatherStreamedOffDevice) {
     std::uint64_t extra;
   };
   static_assert(sizeof(wide) == 24);
-  core::backend_options opt;
-  opt.which = core::backend::em;
-  opt.seed = 778;
-  opt.em_block_items = 32;
-  opt.em_engine.memory_items = 512;
+  cgp::context_options copt = explicit_backend(core::backend::em);
+  copt.engine.em_block_items = 32;
+  copt.engine.em_engine.memory_items = 512;
+  const cgp::context ctx(copt);
 
   std::vector<wide> payload(10'000);
   for (std::uint64_t i = 0; i < payload.size(); ++i) payload[i] = {i, i * 7, ~i};
   std::vector<wide> shuffled = payload;
-  (void)core::shuffle(std::span<wide>(shuffled), opt);
+  (void)ctx.shuffle(std::span<wide>(shuffled), 778);
 
-  const auto pi = core::random_permutation(payload.size(), opt);
+  const auto pi = ctx.random_permutation(payload.size(), 778);
   for (std::size_t i = 0; i < payload.size(); ++i) {
     const wide& expect = payload[static_cast<std::size_t>(pi[i])];
     ASSERT_EQ(shuffled[i].key, expect.key);
@@ -340,14 +323,11 @@ TEST(EmApply, ReportCountsSetupAndReadbackTransfers) {
   // readback on top of the engine's own traffic.
   const std::uint64_t n = 20'000;
   const std::uint32_t b = 32;
-  core::backend_options opt;
-  opt.which = core::backend::em;
-  opt.seed = 779;
-  opt.em_block_items = b;
-  opt.em_engine.memory_items = 512;
+  em::async_options aopt;
+  aopt.memory_items = 512;
   em::async_report report;
-  opt.em_report_out = &report;
-  (void)core::random_permutation(n, opt);
+  std::vector<std::uint64_t> pi(n);
+  core::em_executor(aopt, b, core::shared_pool(), &report).fill_random_permutation(pi, 779);
   EXPECT_GE(report.block_transfers, 2ull * (n / b)) << "fill + readback must be visible";
   EXPECT_GE(report.levels, 1u);
 }
@@ -378,12 +358,12 @@ TEST(Registry, SharedPoolIsTheSharedEnginesPool) {
 }
 
 TEST(Registry, RepeatedDispatchDoesNotGrowTheRegistry) {
-  core::backend_options opt;
-  opt.which = core::backend::smp;
-  opt.parallelism = 2;
-  (void)core::random_permutation(100, opt);
+  cgp::context_options copt = explicit_backend(core::backend::smp);
+  copt.parallelism = 2;
+  cgp::context ctx(copt);
+  (void)ctx.random_permutation(100);
   const std::size_t count = core::registered_engine_count();
-  for (int i = 0; i < 5; ++i) (void)core::random_permutation(100, opt);
+  for (int i = 0; i < 5; ++i) (void)ctx.random_permutation(100);
   EXPECT_EQ(core::registered_engine_count(), count);
 }
 

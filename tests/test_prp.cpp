@@ -375,19 +375,19 @@ TEST(PrpCipher, EveryKernelPathMatchesScalarAtEveryWindowLength) {
 
 TEST(PrpBackend, ExecutorFillMatchesRawCipherAndShuffleGathers) {
   const std::uint64_t n = 4099;  // prime, walks
-  core::backend_options opt;
-  opt.which = core::backend::prp;
-  opt.seed = kSeed;
+  cgp::context_options copt;
+  copt.which = core::backend::prp;
+  const cgp::context ctx(copt);
 
   // fill_random_permutation == the raw cipher's eval_range.
   const std::vector<std::uint64_t> direct = eval_all(prp::cipher(kSeed, n));
-  std::vector<std::uint64_t> filled = core::random_permutation(n, opt);
+  std::vector<std::uint64_t> filled = ctx.random_permutation(n, kSeed);
   EXPECT_EQ(filled, direct);
 
   // Shuffling an iota span gathers through the same pi: identical output.
   std::vector<std::uint64_t> shuffled(n);
   std::iota(shuffled.begin(), shuffled.end(), 0);
-  core::shuffle(std::span<std::uint64_t>(shuffled), opt);
+  ctx.shuffle(std::span<std::uint64_t>(shuffled), kSeed);
   EXPECT_EQ(shuffled, direct);
 
   // And payloads follow positions: shuffling 16-byte records whose first
@@ -398,7 +398,7 @@ TEST(PrpBackend, ExecutorFillMatchesRawCipherAndShuffleGathers) {
   };
   std::vector<rec16> recs(n);
   for (std::uint64_t i = 0; i < n; ++i) recs[i] = {i, ~i};
-  core::shuffle(std::span<rec16>(recs), opt);
+  ctx.shuffle(std::span<rec16>(recs), kSeed);
   for (std::uint64_t i = 0; i < n; ++i) {
     ASSERT_EQ(recs[i].key, direct[i]) << "i=" << i;
     ASSERT_EQ(recs[i].tag, ~direct[i]) << "i=" << i;
@@ -412,30 +412,23 @@ TEST(PrpBackend, AutomaticWithSparseAccessPicksPrpAndAgreesBitForBit) {
   // backend choice bit for bit (the planner can never change bytes).
   const std::uint64_t n = std::uint64_t{1} << 16;
 
-  core::backend_options auto_opt;
-  auto_opt.which = core::backend::automatic;
-  auto_opt.seed = kSeed;
-  auto_opt.accessed_fraction = 0.001;
-  core::permutation_plan plan;
-  auto_opt.plan_out = &plan;
-  const std::vector<std::uint64_t> via_auto = core::random_permutation(n, auto_opt);
+  cgp::context_options auto_opt;
+  auto_opt.engine.accessed_fraction = 0.001;
+  const cgp::context via_auto(auto_opt);
+  const std::vector<std::uint64_t> pi = via_auto.random_permutation(n, kSeed);
 
+  const core::permutation_plan plan = via_auto.plan_for(n, 8);
   EXPECT_EQ(plan.chosen, core::backend::prp) << plan.explain();
   EXPECT_EQ(plan.accessed_fraction, 0.001);
 
-  core::backend_options explicit_opt;
+  cgp::context_options explicit_opt;
   explicit_opt.which = core::backend::prp;
-  explicit_opt.seed = kSeed;
-  EXPECT_EQ(via_auto, core::random_permutation(n, explicit_opt));
+  EXPECT_EQ(pi, cgp::context(explicit_opt).random_permutation(n, kSeed));
 
   // Dense default: prp sits out, the plan is whatever it always was.
-  core::backend_options dense_opt;
-  dense_opt.which = core::backend::automatic;
-  dense_opt.seed = kSeed;
-  core::permutation_plan dense_plan;
-  dense_opt.plan_out = &dense_plan;
-  (void)core::random_permutation(n, dense_opt);
-  EXPECT_NE(dense_plan.chosen, core::backend::prp);
+  const cgp::context dense;
+  (void)dense.random_permutation(n, kSeed);
+  EXPECT_NE(dense.plan_for(n, 8).chosen, core::backend::prp);
 }
 
 TEST(PrpBackend, ExplainPrintsWinConditionsAndCandidate) {

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "cgm/machine.hpp"
-#include "core/backend.hpp"
+#include "core/context.hpp"
 #include "core/driver.hpp"
 #include "core/plan.hpp"
 #include "obs/metrics.hpp"
@@ -208,16 +208,16 @@ TEST(SimdBackends, PermutationsBitIdenticalAcrossPaths) {
   const std::uint64_t seed = 0x51D7E57;
   for (const core::backend which :
        {core::backend::sequential, core::backend::smp, core::backend::em, core::backend::cgm}) {
-    core::backend_options opt;
-    opt.which = which;
-    opt.seed = seed;
+    cgp::context_options copt;
+    copt.which = which;
+    const cgp::context ctx(copt);
     rng::set_simd_override(rng::simd_path::scalar);
-    const auto scalar_pi = core::random_permutation(n, opt);
+    const auto scalar_pi = ctx.random_permutation(n, seed);
     EXPECT_TRUE(stats::is_permutation_of_iota(scalar_pi))
         << core::backend_name(which);
     for (const rng::simd_path path : runnable_paths()) {
       rng::set_simd_override(path);
-      const auto pi = core::random_permutation(n, opt);
+      const auto pi = ctx.random_permutation(n, seed);
       EXPECT_EQ(pi, scalar_pi) << "backend=" << core::backend_name(which)
                                << " path=" << rng::simd_path_name(path);
     }

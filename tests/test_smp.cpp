@@ -1,7 +1,7 @@
 // Tests for the native shared-memory execution engine (src/smp/): the
 // thread pool substrate, the parallel hypergeometric split, exhaustive
 // uniformity of the engine over S4/S5, bit-reproducibility across thread
-// counts, and the core/backend.hpp dispatch layer.
+// counts, and the smp executor behind cgp::context (core/executor.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "comm/transport.hpp"
-#include "core/backend.hpp"
+#include "core/context.hpp"
 #include "obs/metrics.hpp"
 #include "rng/philox.hpp"
 #include "rng/splitmix64.hpp"
@@ -319,15 +319,14 @@ TEST(SmpEngine, ConcurrentCallersLeaseTheirOwnScratch) {
 // --- backend dispatch --------------------------------------------------------
 
 TEST(Backend, SmpDispatchMatchesDirectEngineOnSameSeed) {
-  core::backend_options opt;
-  opt.which = core::backend::smp;
-  opt.parallelism = 2;
-  opt.seed = 77;
-  opt.smp_engine.fan_out = 8;
-  opt.smp_engine.cache_items = 128;
-  const auto via_dispatch = core::random_permutation(20'000, opt);
+  cgp::context_options copt;
+  copt.which = core::backend::smp;
+  copt.parallelism = 2;
+  copt.engine.smp_engine.fan_out = 8;
+  copt.engine.smp_engine.cache_items = 128;
+  const auto via_dispatch = cgp::context(copt).random_permutation(20'000, 77);
 
-  smp::engine_options eopt = opt.smp_engine;
+  smp::engine_options eopt = copt.engine.smp_engine;
   eopt.threads = 2;
   smp::engine eng(eopt);
   EXPECT_EQ(via_dispatch, eng.random_permutation(20'000, 77));
@@ -338,18 +337,17 @@ TEST(Backend, SmpDispatchReusesProvidedEngine) {
   eopt.threads = 2;
   eopt.cache_items = 64;
   smp::engine eng(eopt);
-  core::backend_options opt;
-  opt.which = core::backend::smp;
-  opt.engine = &eng;
-  opt.seed = 123;
-  EXPECT_EQ(core::random_permutation(5'000, opt), eng.random_permutation(5'000, 123));
+  cgp::context_options copt;
+  copt.which = core::backend::smp;
+  copt.engine.engine = &eng;
+  EXPECT_EQ(cgp::context(copt).random_permutation(5'000, 123),
+            eng.random_permutation(5'000, 123));
 }
 
 TEST(Backend, SequentialDispatchMatchesFisherYates) {
-  core::backend_options opt;
-  opt.which = core::backend::sequential;
-  opt.seed = 1234;
-  const auto via_dispatch = core::random_permutation(1'000, opt);
+  cgp::context_options copt;
+  copt.which = core::backend::sequential;
+  const auto via_dispatch = cgp::context(copt).random_permutation(1'000, 1234);
 
   rng::philox4x64 e(1234, 0);
   std::vector<std::uint64_t> direct(1'000);
@@ -450,12 +448,13 @@ TEST(Backend, OutputDigestsArePinnedAtAlignedAndOddAddresses) {
 TEST(Backend, AllBackendsProduceValidPermutations) {
   for (const auto b : {core::backend::prp, core::backend::smp, core::backend::em,
                        core::backend::cgm, core::backend::sequential}) {
-    core::backend_options opt;
-    opt.which = b;
-    opt.parallelism = 2;
-    opt.em_block_items = 64;  // keep the device tiny for n = 997
-    opt.em_engine.memory_items = 256;  // force the out-of-core path
-    const auto pi = core::random_permutation(997, opt);  // prime: uneven blocks everywhere
+    cgp::context_options copt;
+    copt.which = b;
+    copt.parallelism = 2;
+    copt.engine.em_block_items = 64;  // keep the device tiny for n = 997
+    copt.engine.em_engine.memory_items = 256;  // force the out-of-core path
+    cgp::context ctx(copt);
+    const auto pi = ctx.random_permutation(997);  // prime: uneven blocks everywhere
     EXPECT_TRUE(stats::is_permutation_of_iota(pi)) << core::backend_name(b);
   }
 }

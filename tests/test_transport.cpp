@@ -29,7 +29,6 @@
 #include "cgm/machine.hpp"
 #include "comm/socket_transport.hpp"
 #include "comm/transport.hpp"
-#include "core/backend.hpp"
 #include "core/context.hpp"
 #include "core/driver.hpp"
 #include "core/executor.hpp"
@@ -843,7 +842,7 @@ TEST(Transport, ConcurrentProgramsOnOneTransportWaitTheirTurn) {
       "two threads on socket_transport(4)");
 }
 
-// --- backend::cgm through the dispatch layer ---------------------------------
+// --- backend::cgm through the context ----------------------------------------
 
 TEST(CgmBackend, MatchesSequentialAtAndBelowLeaf) {
   // At or below the cache cutoff the whole input is one leaf drawn from
@@ -854,25 +853,24 @@ TEST(CgmBackend, MatchesSequentialAtAndBelowLeaf) {
     test_support::expect_bit_identical(
         4,
         [&](std::size_t variant) {
-          core::backend_options opt;
-          opt.seed = 1234;
+          context_options copt;
           switch (variant) {
             case 0:
-              opt.which = core::backend::sequential;
+              copt.which = core::backend::sequential;
               break;
             case 1:
-              opt.which = core::backend::cgm;  // parallelism 0 -> loopback
+              copt.which = core::backend::cgm;  // parallelism 0 -> loopback
               break;
             case 2:
-              opt.which = core::backend::cgm;
-              opt.parallelism = 1;
+              copt.which = core::backend::cgm;
+              copt.parallelism = 1;
               break;
             default:
-              opt.which = core::backend::cgm;
-              opt.parallelism = 4;  // still one leaf: still sequential
+              copt.which = core::backend::cgm;
+              copt.parallelism = 4;  // still one leaf: still sequential
               break;
           }
-          return core::random_permutation(n, opt);
+          return cgp::context(copt).random_permutation(n, 1234);
         },
         "backend::cgm == backend::sequential at/below the leaf");
   }
@@ -887,27 +885,21 @@ TEST(CgmBackend, ExplicitTransportAndRecordTypesDispatch) {
     std::uint64_t tag;
   };
   comm::threaded_transport tr(4);
-  core::backend_options opt;
-  opt.which = core::backend::cgm;
-  opt.transport = &tr;
-  opt.seed = 77;
-  opt.cgm_engine.engine.cache_items = 256;  // force distribution at n = 5000
+  context_options copt;
+  copt.which = core::backend::cgm;
+  copt.engine.transport = &tr;
+  copt.engine.cgm_engine.engine.cache_items = 256;  // force distribution at n = 5000
+  const cgp::context ctx(copt);
 
   const std::uint64_t n = 5000;
   std::vector<rec16> recs(n);
   for (std::uint64_t i = 0; i < n; ++i) recs[i] = {i, i ^ 0xABCDull};
-  core::permutation_plan plan;
-  opt.plan_out = &plan;
   std::vector<rec16> shuffled = recs;
-  (void)core::shuffle(std::span<rec16>(shuffled), opt);
+  const core::permutation_plan plan = ctx.shuffle(std::span<rec16>(shuffled), 77);
   EXPECT_EQ(plan.chosen, core::backend::cgm);
   EXPECT_EQ(plan.threads, 4u);
 
-  core::backend_options fopt = opt;
-  fopt.plan_out = nullptr;
-  std::vector<std::uint64_t> pi(n);
-  core::make_executor(core::resolve_plan(n, 8, fopt), fopt)
-      ->fill_random_permutation(std::span<std::uint64_t>(pi), 77);
+  const std::vector<std::uint64_t> pi = ctx.random_permutation(n, 77);
   for (std::uint64_t i = 0; i < n; ++i) {
     EXPECT_EQ(shuffled[i].key, pi[i]);
     EXPECT_EQ(shuffled[i].tag, pi[i] ^ 0xABCDull);
@@ -919,21 +911,20 @@ TEST(CgmBackend, BitIdenticalAcrossTransportsAndRankCounts) {
   // injected socket transport draws the same permutation as the threaded
   // transport and the default loopback, at ranks {1, 2, 4}.
   const std::uint64_t n = 5000;
-  core::backend_options base;
+  context_options base;
   base.which = core::backend::cgm;
-  base.seed = 77;
-  base.cgm_engine.engine.cache_items = 256;  // force distribution
+  base.engine.cgm_engine.engine.cache_items = 256;  // force distribution
 
-  const auto reference = core::random_permutation(n, base);  // loopback
+  const auto reference = cgp::context(base).random_permutation(n, 77);  // loopback
   for (const std::uint32_t p : {1u, 2u, 4u}) {
     comm::threaded_transport th(p);
-    core::backend_options opt = base;
-    opt.transport = &th;
-    EXPECT_EQ(core::random_permutation(n, opt), reference) << "threaded p=" << p;
+    context_options copt = base;
+    copt.engine.transport = &th;
+    EXPECT_EQ(cgp::context(copt).random_permutation(n, 77), reference) << "threaded p=" << p;
 
     comm::socket_transport so(p);
-    opt.transport = &so;
-    EXPECT_EQ(core::random_permutation(n, opt), reference) << "socket p=" << p;
+    copt.engine.transport = &so;
+    EXPECT_EQ(cgp::context(copt).random_permutation(n, 77), reference) << "socket p=" << p;
   }
 }
 
@@ -1022,22 +1013,19 @@ TEST(Planner, BudgetedWorkloadPicksCgmOverEmOnScaleOutProfile) {
 }
 
 TEST(Planner, AutomaticMatchesExplicitCgmBitForBit) {
-  core::machine_profile prof = scale_out_profile(8);
-  core::backend_options auto_opt;
-  auto_opt.which = core::backend::automatic;
+  const core::machine_profile prof = scale_out_profile(8);
+  context_options auto_opt;
   auto_opt.memory_budget_bytes = 1 << 20;
-  auto_opt.profile = &prof;
-  auto_opt.seed = 31337;
-  core::permutation_plan plan;
-  auto_opt.plan_out = &plan;
-  const auto via_auto = core::random_permutation(200'000, auto_opt);
+  auto_opt.engine.profile = &prof;
+  const cgp::context via_auto(auto_opt);
+  const auto pi = via_auto.random_permutation(200'000, 31337);
+  const core::permutation_plan plan = via_auto.plan_for(200'000, 8);
   ASSERT_EQ(plan.chosen, core::backend::cgm);
 
-  core::backend_options explicit_opt;
+  context_options explicit_opt;
   explicit_opt.which = core::backend::cgm;
   explicit_opt.parallelism = plan.threads;
-  explicit_opt.seed = 31337;
-  EXPECT_EQ(via_auto, core::random_permutation(200'000, explicit_opt));
+  EXPECT_EQ(pi, cgp::context(explicit_opt).random_permutation(200'000, 31337));
 }
 
 // --- the context facade ------------------------------------------------------
@@ -1064,12 +1052,9 @@ TEST(ContextFacade, ShuffleDrawsAreIndependentAndReproducible) {
   EXPECT_EQ(v1, w1);
   EXPECT_EQ(v2, w2);
 
-  // Draw 0 equals the old free-function call with the base seed: the
-  // facade is a shim-compatible superset.
-  core::backend_options legacy;
-  legacy.which = core::backend::sequential;
-  legacy.seed = 606;
-  EXPECT_EQ(v1, core::random_permutation(500, legacy));
+  // Draw 0 uses the base seed verbatim: it equals an explicit-seed draw
+  // under the base seed.
+  EXPECT_EQ(v1, a.random_permutation(500, 606));
 
   b.reseed(606);
   std::vector<std::uint64_t> w3(500);
@@ -1100,6 +1085,59 @@ TEST(ContextFacade, ExplicitCgmContextUsesTransportRanks) {
   cgm::transport_shuffle(core::shared_transport(4), std::span<std::uint64_t>(direct), 2026,
                          dopt);
   EXPECT_EQ(pi, direct);
+}
+
+// A record of N bytes whose first three bytes spell its index, so every
+// record of a 3,001-item array is distinct.
+template <std::size_t N>
+struct indexed_record {
+  unsigned char bytes[N];
+};
+
+template <std::size_t N>
+void expect_draws_equal_the_executor_path(const cgp::context& ctx, std::uint64_t n,
+                                          std::uint64_t seed) {
+  const core::backend_options o = ctx.execution_options(seed);
+  const char* name = core::backend_name(o.which);
+  std::vector<indexed_record<N>> recs(n);
+  for (std::uint64_t r = 0; r < n; ++r) {
+    for (std::size_t j = 0; j < N; ++j) {
+      recs[r].bytes[j] = static_cast<unsigned char>((r >> (8 * (j % 3))) + j);
+    }
+  }
+  std::vector<indexed_record<N>> via_exec = recs;
+  core::make_executor(core::resolve_plan(n, N, o), o)
+      ->shuffle_raw(via_exec.data(), n, static_cast<std::uint32_t>(N), seed);
+  const core::permutation_plan plan = ctx.shuffle(std::span<indexed_record<N>>(recs), seed);
+  EXPECT_EQ(plan.chosen, o.which) << name;
+  EXPECT_EQ(std::memcmp(recs.data(), via_exec.data(), n * N), 0)
+      << name << ", " << N << "-byte records";
+
+  std::vector<std::uint64_t> pi(n);
+  core::make_executor(core::resolve_plan(n, 8, o), o)->fill_random_permutation(pi, seed);
+  EXPECT_EQ(ctx.random_permutation(n, seed), pi) << name;
+}
+
+TEST(ContextFacade, DrawsEqualTheExecutorPath) {
+  // A context draw under seed s is resolve_plan -> make_executor -> run
+  // under execution_options(s), byte for byte: the path the service's job
+  // runners and perfbench's replays take.  3-byte records take the
+  // byte-wise fallbacks, 8- and 24-byte ones the typed kernels.
+  comm::threaded_transport tr(3);
+  for (const core::backend which : {core::backend::sequential, core::backend::smp,
+                                    core::backend::em, core::backend::cgm, core::backend::prp}) {
+    context_options copt;
+    copt.which = which;
+    copt.engine.smp_engine.cache_items = 256;        // smp: split levels at n = 3,001
+    copt.engine.em_engine.memory_items = 256;        // em: n >> M, the out-of-core path
+    copt.engine.em_block_items = 16;
+    copt.engine.transport = &tr;                     // cgm: three threaded ranks
+    copt.engine.cgm_engine.engine.cache_items = 256;  // cgm: force distribution
+    const cgp::context ctx(copt);
+    expect_draws_equal_the_executor_path<3>(ctx, 3001, 0xD4A3);
+    expect_draws_equal_the_executor_path<8>(ctx, 3001, 0xD4A3);
+    expect_draws_equal_the_executor_path<24>(ctx, 3001, 0xD4A3);
+  }
 }
 
 }  // namespace
