@@ -34,8 +34,9 @@
 //
 // Underneath, every draw runs core::resolve_plan, core::feedback_scope
 // and core::make_executor (core/executor.hpp) under the options
-// execution_options() projects -- the same three steps a service job
-// runs -- so a context plans like every other caller.
+// execution_options() projects.  A service shuffle job is a shuffle_raw
+// call on the server's context, and a service fill job runs the same
+// three steps, so a context plans like every other caller.
 #pragma once
 
 #include <atomic>
@@ -95,10 +96,19 @@ class context {
   template <typename T>
   core::permutation_plan shuffle(std::span<T> data, std::uint64_t seed) const {
     static_assert(std::is_trivially_copyable_v<T>);
-    const core::backend_options o = execution_options(seed);
-    const core::permutation_plan plan = core::resolve_plan(data.size(), sizeof(T), o);
-    const core::feedback_scope fb(plan, data.size(), sizeof(T));
-    core::make_executor(plan, o)->shuffle(data, seed);
+    return shuffle_raw(data.data(), data.size(), static_cast<std::uint32_t>(sizeof(T)), seed);
+  }
+
+  /// The type-erased draw behind shuffle<T>: permute n records of
+  /// elem_bytes each at `data` in place (any alignment).  The service
+  /// layer's shuffle jobs run through here, so a service shuffle is a
+  /// context draw by construction.
+  core::permutation_plan shuffle_raw(void* data, std::uint64_t n, std::uint32_t elem_bytes,
+                                     std::uint64_t seed) const {
+    const core::backend_options o = execution_options();
+    const core::permutation_plan plan = core::resolve_plan(n, elem_bytes, o);
+    const core::feedback_scope fb(plan, n, elem_bytes);
+    core::make_executor(plan, o)->shuffle_raw(data, n, elem_bytes, seed);
     return plan;
   }
 
@@ -111,7 +121,7 @@ class context {
   }
   [[nodiscard]] std::vector<std::uint64_t> random_permutation(std::uint64_t n,
                                                               std::uint64_t seed) const {
-    const core::backend_options o = execution_options(seed);
+    const core::backend_options o = execution_options();
     const core::permutation_plan plan = core::resolve_plan(n, sizeof(std::uint64_t), o);
     std::vector<std::uint64_t> pi(n);
     const core::feedback_scope fb(plan, n, sizeof(std::uint64_t));
@@ -124,25 +134,26 @@ class context {
   /// is deterministic, so this is the plan a draw of that shape runs.
   [[nodiscard]] core::permutation_plan plan_for(std::uint64_t n,
                                                std::uint32_t elem_bytes) const {
-    return core::resolve_plan(n, elem_bytes, execution_options(seed_.load(std::memory_order_relaxed)));
+    return core::resolve_plan(n, elem_bytes, execution_options());
   }
 
-  /// The exact per-call options a draw under `seed` executes with: the
-  /// curated fields projected onto the expert engine options, plus the
-  /// context's profile.  Public so a layer that schedules its own
-  /// execution (svc::server) can run jobs through the identical
-  /// plan/executor path: with `o = execution_options(s)`,
+  /// The exact options every draw executes with: the curated fields
+  /// projected onto the expert engine options, plus the context's
+  /// profile.  Public so a layer that schedules its own execution
+  /// (svc::server's fill jobs, perfbench's replays) can run the identical
+  /// plan/executor path: with `o = execution_options()`,
   /// `make_executor(resolve_plan(n, sizeof(T), o), o)->shuffle(data, s)`
   /// is bit-for-bit `shuffle(data, s)` (ContextFacade.
-  /// DrawsEqualTheExecutorPath).  The returned options point at this
-  /// context's profile; they must not outlive it.
-  [[nodiscard]] core::backend_options execution_options(std::uint64_t seed) const {
+  /// DrawsEqualTheExecutorPath).  The options carry no seed -- executors
+  /// take theirs per call -- so the parameter is unused; callers that
+  /// pass a draw's seed still compile.  The returned options point at
+  /// this context's profile; they must not outlive it.
+  [[nodiscard]] core::backend_options execution_options(std::uint64_t /*unused*/ = 0) const {
     core::backend_options o = opt_.engine;
     o.which = opt_.which;
     if (opt_.parallelism != 0) o.parallelism = opt_.parallelism;
     if (opt_.memory_budget_bytes != 0) o.memory_budget_bytes = opt_.memory_budget_bytes;
     o.repetitions = opt_.repetitions;
-    o.seed = seed;
     o.profile = &profile_;
     return o;
   }

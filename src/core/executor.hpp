@@ -27,8 +27,9 @@
 // pools) comes from the process-wide registry (core/registry.hpp) unless
 // the caller hands in an engine explicitly.
 //
-// A draw is three steps, run by `cgp::context` (core/context.hpp) and by
-// the service layer's job runners (svc/server.cpp) alike:
+// A draw is three steps, run by `cgp::context` (core/context.hpp), and by
+// the service layer's fill jobs (svc/server.cpp), which keep a streamed
+// permutation on its device or cipher instead of filling a vector:
 //
 //   resolve_plan  -->  feedback_scope  -->  make_executor(plan)->run
 //
@@ -44,7 +45,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -83,9 +83,8 @@ struct backend_options {
   /// (smp, em); 0 picks a default (1 rank / hardware concurrency).
   /// Ignored by `sequential` and by `automatic` (the planner chooses).
   std::uint32_t parallelism = 0;
-  std::uint64_t seed = 0xC0A2537E5EEDull;  ///< same default as cgm::machine
-  smp::engine_options smp_engine{};        ///< SMP engine knobs (threads is
-                                           ///< overridden by `parallelism`)
+  /// SMP engine knobs (threads is overridden by `parallelism`).
+  smp::engine_options smp_engine{};
   /// Transport the distributed cgm backend runs on; nullptr = the
   /// registry's shared transport for the resolved rank count (the
   /// loopback transport at one rank).  When set, it decides the rank
@@ -589,9 +588,8 @@ class em_executor final : public executor {
 /// measurement) -- the raw material of plan::explain()'s
 /// predicted-vs-measured section.  Inert when obs is disabled
 /// (CGP_OBS_OFF): no collector, no clock, no record.  Each run also
-/// counts into `core.exec.<backend>`, a counter looked up once per
-/// backend and registered on that backend's first run, so a document
-/// never shows a backend that did not run.
+/// counts into `core.exec.<backend>`, registered on that backend's first
+/// run, so a document never shows a backend that did not run.
 class feedback_scope {
  public:
   feedback_scope(const permutation_plan& plan, std::uint64_t n, std::uint32_t elem_bytes) {
@@ -603,7 +601,7 @@ class feedback_scope {
     rec_.predicted_seconds = plan.predicted_seconds;
     rec_.predicted_phases.reserve(plan.phases.size());
     for (const auto& ph : plan.phases) rec_.predicted_phases.push_back({ph.label, ph.seconds});
-    exec_counter(plan.chosen).add();
+    obs::get_counter(std::string("core.exec.") + rec_.backend).add();
     collector_.emplace();
     span_.emplace("execute", "exec");
     sw_.reset();
@@ -620,20 +618,6 @@ class feedback_scope {
   }
 
  private:
-  static obs::counter& exec_counter(backend b) {
-    // Racing first runs of one backend both store the registry's one
-    // counter for the name, so the slot needs no lock.
-    static std::array<std::atomic<obs::counter*>, static_cast<std::size_t>(backend::automatic) + 1>
-        slots{};
-    std::atomic<obs::counter*>& slot = slots[static_cast<std::size_t>(b)];
-    obs::counter* c = slot.load(std::memory_order_acquire);
-    if (c == nullptr) {
-      c = &obs::get_counter(std::string("core.exec.") + backend_name(b));
-      slot.store(c, std::memory_order_release);
-    }
-    return *c;
-  }
-
   bool active_ = false;
   obs::plan_feedback_record rec_;
   std::optional<obs::phase_collector> collector_;

@@ -184,7 +184,7 @@ void server::run(detail::job_state& st, Body&& body) {
   const obs::trace_scope trace_guard(st.trace);
   const obs::span sp("svc.job", "svc");
   try {
-    body(ctx_.execution_options(st.seed));
+    body(ctx_.execution_options());
     done_.fetch_add(1, std::memory_order_relaxed);
     note_done(st);
     st.finish(job_status::done);
@@ -196,13 +196,8 @@ void server::run(detail::job_state& st, Body&& body) {
 }
 
 void server::run_shuffle(detail::job_state& st, void* data, std::uint32_t elem_bytes) {
-  run(st, [&](const core::backend_options& o) {
-    st.plan = core::resolve_plan(st.n, elem_bytes, o);
-    // Same measured-phase collection a context draw gets: the service
-    // path drives the executor itself (the records are type-erased), so
-    // it installs its own feedback scope.
-    const core::feedback_scope fb(st.plan, st.n, elem_bytes);
-    core::make_executor(st.plan, o)->shuffle_raw(data, st.n, elem_bytes, st.seed);
+  run(st, [&](const core::backend_options&) {
+    st.plan = ctx_.shuffle_raw(data, st.n, elem_bytes, st.seed);
   });
 }
 

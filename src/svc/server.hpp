@@ -19,11 +19,12 @@
 // queue; reject or block when full), the SCHEDULER's workers drain the
 // queue in ticks -- small jobs batched into one pool dispatch, large jobs
 // run singly through the planner -- and every job executes through the
-// identical plan/executor path a bare context uses: core::resolve_plan
-// (whose process-wide PLAN CACHE skips planner recomputation for
-// repeated request shapes) and core::make_executor, on the process-wide
-// cached machine profile (core::shared_profile()) unless engine.profile
-// injects one.
+// identical plan/executor path a bare context uses: a shuffle job IS a
+// context::shuffle_raw call on the server's context, and a fill job runs
+// the same core::resolve_plan (whose process-wide PLAN CACHE skips
+// planner recomputation for repeated request shapes) and
+// core::make_executor, on the process-wide cached machine profile
+// (core::shared_profile()) unless engine.profile injects one.
 //
 // Determinism: job (client_id, ordinal) runs under
 // job_seed(server_seed, client_id, ordinal) -- `ordinal` counting that

@@ -232,10 +232,15 @@ TEST(EntryPointBounds, HypergeometricWordsPerDrawStayUnderThePapersBound) {
 // come back: 1,173 for the identity fill and 1,172 for level 0's reads.
 TEST(EntryPointBounds, EmFillAndShuffleStayWithinTheirTransferCounts) {
   constexpr std::uint64_t n = 300'007;
-  em::async_options aopt;
-  aopt.memory_items = 16'384;
+  core::backend_options opt;
+  opt.which = core::backend::em;
+  opt.parallelism = 2;
+  opt.em_engine.memory_items = 16'384;
+  opt.em_block_items = 256;
+  // The executor make_executor builds for these options, plus a report.
+  const auto cfg = core::resolve_em_config(core::resolve_plan(n, 8, opt), opt);
   em::async_report rep;
-  core::em_executor em(aopt, 256, core::shared_pool(2), &rep);
+  core::em_executor em(cfg.aopt, cfg.block_items, *cfg.pool, &rep);
   std::vector<std::uint64_t> v(n);
 
   em.fill_random_permutation(v, 0xB0D);

@@ -328,11 +328,16 @@ TEST(BackendEm, AgreesWithSequentialWhenMemoryCoversInput) {
 }
 
 TEST(BackendEm, OutOfCoreDispatchProducesValidPermutationAndReport) {
-  em::async_options aopt;
-  aopt.memory_items = 512;  // n >> M: the real out-of-core path
+  core::backend_options opt;
+  opt.which = core::backend::em;
+  opt.parallelism = 2;
+  opt.em_block_items = 32;
+  opt.em_engine.memory_items = 512;  // n >> M: the real out-of-core path
+  const auto cfg = core::resolve_em_config(core::resolve_plan(20'000, 8, opt), opt);
   em::async_report report;
   std::vector<std::uint64_t> pi(20'000);
-  core::em_executor(aopt, 32, core::shared_pool(2), &report).fill_random_permutation(pi, 31337);
+  core::em_executor(cfg.aopt, cfg.block_items, *cfg.pool, &report)
+      .fill_random_permutation(pi, 31337);
   EXPECT_TRUE(stats::is_permutation_of_iota(pi));
   EXPECT_GE(report.levels, 1u);
   EXPECT_GT(report.block_transfers, 0u);
@@ -515,16 +520,19 @@ TEST(BackendEmApply, WideRecordShuffleMatchesIndexGatherOnB4096) {
   copt.parallelism = 2;
   copt.engine.em_block_items = 4096;
   copt.engine.em_engine.memory_items = 4 * 4096;  // M < n: forces distribution levels
+  const cgp::context ctx(copt);
+  const core::backend_options o = ctx.execution_options();
+  const auto cfg = core::resolve_em_config(core::resolve_plan(n, 24, o), o);
   em::async_report report;
 
   std::vector<rec24> recs(n);
   for (std::uint64_t i = 0; i < n; ++i) recs[i] = {i, i ^ 0xDEADBEEFull, i + 7};
   std::vector<rec24> shuffled = recs;
-  core::em_executor(copt.engine.em_engine, 4096, core::shared_pool(2), &report)
+  core::em_executor(cfg.aopt, cfg.block_items, *cfg.pool, &report)
       .shuffle(std::span<rec24>(shuffled), seed);
   EXPECT_GE(report.levels, 1u);
 
-  const std::vector<std::uint64_t> pi = cgp::context(copt).random_permutation(n, seed);
+  const std::vector<std::uint64_t> pi = ctx.random_permutation(n, seed);
   ASSERT_TRUE(stats::is_permutation_of_iota(pi));
   for (std::uint64_t i = 0; i < n; ++i) {
     ASSERT_EQ(shuffled[i].a, recs[pi[i]].a) << "record " << i;

@@ -323,11 +323,15 @@ TEST(EmApply, ReportCountsSetupAndReadbackTransfers) {
   // readback on top of the engine's own traffic.
   const std::uint64_t n = 20'000;
   const std::uint32_t b = 32;
-  em::async_options aopt;
-  aopt.memory_items = 512;
+  core::backend_options opt;
+  opt.which = core::backend::em;
+  opt.em_block_items = b;
+  opt.em_engine.memory_items = 512;
+  const auto cfg = core::resolve_em_config(core::resolve_plan(n, 8, opt), opt);
   em::async_report report;
   std::vector<std::uint64_t> pi(n);
-  core::em_executor(aopt, b, core::shared_pool(), &report).fill_random_permutation(pi, 779);
+  core::em_executor(cfg.aopt, cfg.block_items, *cfg.pool, &report)
+      .fill_random_permutation(pi, 779);
   EXPECT_GE(report.block_transfers, 2ull * (n / b)) << "fill + readback must be visible";
   EXPECT_GE(report.levels, 1u);
 }

@@ -1097,7 +1097,7 @@ struct indexed_record {
 template <std::size_t N>
 void expect_draws_equal_the_executor_path(const cgp::context& ctx, std::uint64_t n,
                                           std::uint64_t seed) {
-  const core::backend_options o = ctx.execution_options(seed);
+  const core::backend_options o = ctx.execution_options();
   const char* name = core::backend_name(o.which);
   std::vector<indexed_record<N>> recs(n);
   for (std::uint64_t r = 0; r < n; ++r) {
@@ -1120,9 +1120,9 @@ void expect_draws_equal_the_executor_path(const cgp::context& ctx, std::uint64_t
 
 TEST(ContextFacade, DrawsEqualTheExecutorPath) {
   // A context draw under seed s is resolve_plan -> make_executor -> run
-  // under execution_options(s), byte for byte: the path the service's job
-  // runners and perfbench's replays take.  3-byte records take the
-  // byte-wise fallbacks, 8- and 24-byte ones the typed kernels.
+  // under execution_options() with s, byte for byte: the path the
+  // service's fill jobs and perfbench's replays take.  3-byte records take
+  // the byte-wise fallbacks, 8- and 24-byte ones the typed kernels.
   comm::threaded_transport tr(3);
   for (const core::backend which : {core::backend::sequential, core::backend::smp,
                                     core::backend::em, core::backend::cgm, core::backend::prp}) {
