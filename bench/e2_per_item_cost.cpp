@@ -7,10 +7,10 @@
 // arithmetic (one Philox word per label) and the scatter's random-access
 // memory traffic -- the two halves the paper's 60..100 cycles split into
 // "arithmetic" and "memory-bound".  This bench measures both halves before
-// and after the SIMD keystream optimizations, on the SAME timing harness
-// as e15 (cgp::best_of -- the old Google-Benchmark loop measured its own
-// overhead differently from every other bench, so its numbers were not
-// comparable):
+// and after the SIMD keystream optimizations.  Each pair of sides runs in
+// alternating trials, each run timed in the thread's CPU time, and is
+// compared by medians (cgp::alternating_medians): the gate then measures
+// the code, not how busy the host was while one side ran.
 //
 //   * keystream: raw philox4x64_batch words/ns, scalar kernel vs the active
 //     SIMD kernel (the pure-arithmetic half);
@@ -22,7 +22,7 @@
 //   * scatter: the split kernel's cursor scatter (the memory half).
 //
 // Output: a table on stdout plus BENCH_simd.json (one record per kernel:
-// seconds, ns_per_item, cycles_per_item; one summary record with the
+// median CPU seconds, ns_per_item, cycles_per_item; one summary record with the
 // speedups and the pass/fail verdict).  Exit 0 = vector path present and
 // batched labels >= 2x scalar; exit 2 = "measured, out of tolerance or
 // scalar-only hardware" (CI treats 2 as soft, like e15/e19/e20).
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   const bool small = mode == "small";
   const std::uint64_t n_words = small ? (1ull << 22) : (1ull << 24);  // keystream / label draws
   const std::uint64_t n_items = small ? (1ull << 21) : (1ull << 23);  // fisher-yates / scatter
-  const int reps = small ? 3 : 5;
+  const int trials = small ? 9 : 15;
   constexpr double kMinSpeedup = 2.0;
   constexpr std::uint32_t kFan = 16;  // the default split fan-out
 
@@ -78,12 +78,12 @@ int main(int argc, char** argv) {
   const rng::simd_path active = rng::active_simd_path();
   std::cout << "E2: per-item cost of the split kernels (paper intro: 60..100 cycles/item,\n"
             << "33..80% memory-bound).  simd: detected=" << rng::simd_path_name(hw)
-            << " active=" << rng::simd_path_name(active) << ", best of " << reps << "\n\n";
+            << " active=" << rng::simd_path_name(active) << ", thread CPU time, median of "
+            << trials << " alternating trials\n\n";
 
   std::vector<result> results;
   const auto add = [&](std::string kernel, std::uint64_t n, double seconds) {
     results.push_back({std::move(kernel), n, seconds});
-    return seconds;
   };
 
   // --- keystream: raw batch generation, scalar kernel vs active kernel ---
@@ -98,12 +98,11 @@ int main(int argc, char** argv) {
       ctr[0] += kBlocks;
     }
   };
-  const double key_scalar =
-      add("keystream scalar", n_words,
-          best_of(reps, [&](int) { keystream(rng::simd_path::scalar); }));
-  const double key_vector =
-      add(std::string("keystream ") + rng::simd_path_name(active), n_words,
-          best_of(reps, [&](int) { keystream(active); }));
+  const auto [key_scalar, key_vector] = alternating_medians(
+      trials, thread_cpu_seconds, [&](int) { keystream(rng::simd_path::scalar); },
+      [&](int) { keystream(active); });
+  add("keystream scalar", n_words, key_scalar);
+  add(std::string("keystream ") + rng::simd_path_name(active), n_words, key_vector);
 
   // --- label draws: scalar engine vs batched engine (acceptance metric) --
   const auto labels_scalar = [&](int r) {
@@ -118,20 +117,26 @@ int main(int argc, char** argv) {
     for (std::uint64_t i = 0; i < n_words; ++i) acc += e() & (kFan - 1);
     if (acc == 0xDEAD) std::cout << "";
   };
-  const double lab_scalar = add("labels scalar engine", n_words, best_of(reps, labels_scalar));
-  const double lab_batched = add("labels batched engine", n_words, best_of(reps, labels_batched));
+  const auto [lab_scalar, lab_batched] =
+      alternating_medians(trials, thread_cpu_seconds, labels_scalar, labels_batched);
+  add("labels scalar engine", n_words, lab_scalar);
+  add("labels batched engine", n_words, lab_batched);
 
   // --- fisher-yates: the full shuffle with each engine -------------------
   std::vector<std::uint64_t> data(static_cast<std::size_t>(n_items));
   std::iota(data.begin(), data.end(), 0);
-  const double fy_scalar = add("fisher-yates scalar engine", n_items, best_of(reps, [&](int r) {
-                                 rng::philox4x64 e(0xE2, static_cast<std::uint64_t>(r));
-                                 seq::fisher_yates(e, std::span<std::uint64_t>(data));
-                               }));
-  const double fy_batched = add("fisher-yates batched engine", n_items, best_of(reps, [&](int r) {
-                                  rng::batched_philox e(0xE2, static_cast<std::uint64_t>(r));
-                                  seq::fisher_yates(e, std::span<std::uint64_t>(data));
-                                }));
+  const auto [fy_scalar, fy_batched] = alternating_medians(
+      trials, thread_cpu_seconds,
+      [&](int r) {
+        rng::philox4x64 e(0xE2, static_cast<std::uint64_t>(r));
+        seq::fisher_yates(e, std::span<std::uint64_t>(data));
+      },
+      [&](int r) {
+        rng::batched_philox e(0xE2, static_cast<std::uint64_t>(r));
+        seq::fisher_yates(e, std::span<std::uint64_t>(data));
+      });
+  add("fisher-yates scalar engine", n_items, fy_scalar);
+  add("fisher-yates batched engine", n_items, fy_batched);
 
   // --- scatter: split-kernel cursor scatter ------------------------------
   std::vector<std::uint8_t> label(static_cast<std::size_t>(n_items));
@@ -145,7 +150,9 @@ int main(int argc, char** argv) {
   for (std::uint32_t j = 1; j < kFan; ++j) cursor_init[j] = cursor_init[j - 1] + counts[j - 1];
   std::vector<std::uint64_t> scratch(static_cast<std::size_t>(n_items));
   add("scatter", n_items,
-      best_of(reps, [&](int) { scatter_once(label, data, cursor_init, scratch); }));
+      alternating_medians(trials, thread_cpu_seconds, [&](int) {
+        scatter_once(label, data, cursor_init, scratch);
+      })[0]);
 
   // --- report ------------------------------------------------------------
   const double hz = estimated_cpu_hz();

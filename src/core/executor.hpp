@@ -45,6 +45,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -389,13 +390,15 @@ struct em_exec_config {
 /// identity streamed on and shuffled in place by the em engine
 /// would leave, built by em::async_em_permutation without writing the
 /// identity or reading it back -- the em executor's native fill mode up
-/// to (but not including) its final bulk readback.  `rep_out`, if given,
+/// to (but not including) its final bulk readback.  Its values are below
+/// n, so for n <= 2^32 it stores 4 bytes per item.  `rep_out`, if given,
 /// receives the engine report (the readback, if any, is the caller's to
 /// count).
 [[nodiscard]] inline std::unique_ptr<em::block_device> em_shuffled_identity_device(
     std::uint64_t n, std::uint64_t seed, const em_exec_config& cfg,
     em::async_report* rep_out = nullptr) {
-  auto dev = std::make_unique<em::block_device>(n, cfg.block_items);
+  auto dev = std::make_unique<em::block_device>(n, cfg.block_items,
+                                                em::item_bytes_for(n == 0 ? 0 : n - 1));
   em::async_report rep;
   {
     const obs::span sp("shuffle", "exec");
@@ -428,8 +431,11 @@ class em_executor final : public executor {
     em::async_report rep;
     if (words_per_record(elem_bytes) == 1) {
       // Records of <= 8 bytes: the payload itself streams onto the device
-      // one record per word, is shuffled there and streams back.
-      em::block_device dev(n, block_items_);
+      // one record per word, is shuffled there and streams back.  A record
+      // of <= 4 bytes fills only a little-endian word's low half, so the
+      // device stores it in 4.
+      const bool narrow = elem_bytes <= 4 && std::endian::native == std::endian::little;
+      em::block_device dev(n, block_items_, narrow ? 4 : 8);
       {
         const obs::span sp("fill", "exec");
         write_records_streamed(dev, base, n, elem_bytes, aopt_.memory_items);

@@ -56,7 +56,7 @@
 //
 // Devices: a level that reads its range scatters it onto the other
 // device of a ping-pong pair, the caller's and an n-item scratch device
-// of the same geometry.  The scratch device is created the first time a
+// of the same geometry and item width.  The scratch device is created the first time a
 // level needs it (level 0 of async_em_shuffle, or any level >= 1), so a
 // one-level permutation and any n <= M never allocate it.  Leaves read
 // whichever device holds their bucket and write the caller's.
@@ -245,7 +245,9 @@ class engine_state {
   block_device& scatter_target(block_device& cur, bool identity) {
     if (identity) return cur;
     if (&cur != &main_) return main_;
-    if (!scratch_) scratch_.emplace(main_.item_capacity(), main_.block_items());
+    if (!scratch_) {
+      scratch_.emplace(main_.item_capacity(), main_.block_items(), main_.item_bytes());
+    }
     return *scratch_;
   }
 
@@ -291,10 +293,11 @@ class engine_state {
     // Chunking: a block-aligned partition of the range, a few chunks per
     // worker.  The chunking CANNOT affect the output -- item i of label j
     // always lands at bucket_lo[j] + |{i' < i : label(i') = j}| -- it only
-    // spreads the two passes over the pool.  Each extra chunk pays up to
-    // two boundary RMWs per bucket, so a chunk must own enough blocks for
-    // streaming to dominate: ranges too small to amortize get fewer chunks
-    // (and the least parallelism, which is also where it matters least).
+    // spreads the scatter over the pool.  Each extra chunk pays up to two
+    // boundary RMWs per bucket and one K * B stage, so a chunk must own
+    // enough blocks for streaming to dominate: ranges too small to amortize
+    // get fewer chunks (and the least parallelism, which is also where it
+    // matters least).
     const std::uint64_t first_blk = lo / b;
     const std::uint64_t end_blk = (hi + b - 1) / b;
     const std::uint64_t nblocks = end_blk - first_blk;
@@ -310,22 +313,35 @@ class engine_state {
     };
 
     // --- counting pass: pure computation, zero I/O ---------------------
-    // counts[c * fan_ + j]: items of chunk c with label j.
-    std::vector<std::uint64_t> counts(nchunks * fan_, 0);
-    pool_.parallel_for(0, nchunks, [&](std::size_t c_lo, std::size_t c_hi) {
-      for (std::size_t c = c_lo; c < c_hi; ++c) {
-        const auto [blks, items] = chunk_bounds(c);
-        // Replay of the index-keyed label stream from word items.first - lo,
+    // It needs no staging, so it is not bound to the scatter's chunks:
+    // each chunk's index range is cut into `parts` pieces (a one-chunk
+    // level still counts on every worker), each counted into its own
+    // histogram, and counts[c * fan_ + j], the items of chunk c with label
+    // j, sums its chunk's pieces.
+    const std::size_t parts = std::max<std::size_t>(1, 2 * pool_.size() / nchunks);
+    std::vector<std::uint64_t> piece_counts(nchunks * parts * fan_, 0);
+    pool_.parallel_for(0, nchunks * parts, [&](std::size_t p_lo, std::size_t p_hi) {
+      for (std::size_t p = p_lo; p < p_hi; ++p) {
+        const auto [blks, items] = chunk_bounds(p / parts);
+        const std::uint64_t len = items.second - items.first;
+        const std::uint64_t i_lo = items.first + len * (p % parts) / parts;
+        const std::uint64_t i_hi = items.first + len * (p % parts + 1) / parts;
+        // Replay of the index-keyed label stream from word i_lo - lo,
         // generated kBatchBlocks at a time through the SIMD kernels -- this
         // pass is pure keystream + histogram, so it is where the vector win
         // shows up undiluted.
-        rng::batched_philox e(seed_, label_stream, items.first - lo);
-        std::uint64_t* hist = counts.data() + c * fan_;
-        for_each_label(e, items.second - items.first,
-                       [&](std::uint64_t w, std::uint64_t) { ++hist[w & mask]; });
-        rng_words_.fetch_add(items.second - items.first, std::memory_order_relaxed);
+        rng::batched_philox e(seed_, label_stream, i_lo - lo);
+        std::uint64_t* hist = piece_counts.data() + p * fan_;
+        for_each_label(e, i_hi - i_lo, [&](std::uint64_t w, std::uint64_t) { ++hist[w & mask]; });
+        rng_words_.fetch_add(i_hi - i_lo, std::memory_order_relaxed);
       }
     });
+    std::vector<std::uint64_t> counts(nchunks * fan_, 0);
+    for (std::size_t p = 0; p < nchunks * parts; ++p) {
+      const std::uint64_t* piece = piece_counts.data() + p * fan_;
+      std::uint64_t* hist = counts.data() + p / parts * fan_;
+      for (std::uint32_t j = 0; j < fan_; ++j) hist[j] += piece[j];
+    }
 
     // Bucket extents and per-(chunk, bucket) scatter offsets (column
     // prefixes, as in smp/parallel_split.hpp), in device coordinates.

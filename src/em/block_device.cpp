@@ -1,6 +1,7 @@
 #include "em/block_device.hpp"
 
 #include <algorithm>
+#include <mutex>
 
 #include "obs/metrics.hpp"
 
@@ -20,14 +21,71 @@ obs::counter& io_writes_counter() {
   return c;
 }
 
+// Namespace-scope and trivially destructible: a device may be freed at
+// exit, possibly after the metrics registry is gone.
+std::mutex g_device_mu;
+std::int64_t g_device_bytes = 0;
+bool g_gauge_gone = false;
+
+/// Mirror the bytes all live devices hold into the gauge `em.device_bytes`.
+void note_device_bytes(std::int64_t delta) {
+  const std::lock_guard<std::mutex> lock(g_device_mu);
+  g_device_bytes += delta;
+  if (g_gauge_gone) return;
+  // Built after the metrics registry, so destroyed before it; from then
+  // on the gauge is left alone.
+  static struct gauge_ref {
+    obs::gauge& g = obs::get_gauge("em.device_bytes");
+    ~gauge_ref() { g_gauge_gone = true; }
+  } ref;
+  ref.g.set(g_device_bytes);
+  ref.g.note_peak(g_device_bytes);
+}
+
 }  // namespace
 
-block_device::block_device(std::uint64_t item_capacity, std::uint32_t block_items)
+block_device::block_device(std::uint64_t item_capacity, std::uint32_t block_items,
+                           std::uint32_t item_bytes)
     : item_capacity_(item_capacity),
       block_items_(block_items),
       blocks_((item_capacity + block_items - 1) / block_items),
-      data_((item_capacity + block_items - 1) / block_items * block_items, 0) {
+      item_bytes_(item_bytes) {
   CGP_EXPECTS(block_items >= 1);
+  CGP_EXPECTS(item_bytes == 4 || item_bytes == 8);
+  const std::uint64_t items = blocks_ * block_items_;
+  if (item_bytes == 4) {
+    narrow_.assign(items, 0);
+  } else {
+    wide_.assign(items, 0);
+  }
+  note_device_bytes(static_cast<std::int64_t>(bytes()));
+}
+
+block_device::~block_device() { note_device_bytes(-static_cast<std::int64_t>(bytes())); }
+
+void block_device::load(std::uint64_t at, std::uint64_t* out,
+                        std::uint64_t count) const noexcept {
+  if (item_bytes_ == 8) {
+    std::copy_n(wide_.data() + at, count, out);
+    return;
+  }
+  const std::uint32_t* src = narrow_.data() + at;
+  for (std::uint64_t i = 0; i < count; ++i) out[i] = src[i];
+}
+
+std::uint64_t block_device::store(std::uint64_t at, const std::uint64_t* in,
+                                  std::uint64_t count) noexcept {
+  if (item_bytes_ == 8) {
+    std::copy_n(in, count, wide_.data() + at);
+    return 0;
+  }
+  std::uint32_t* dst = narrow_.data() + at;
+  std::uint64_t high = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    high |= in[i];
+    dst[i] = static_cast<std::uint32_t>(in[i]);
+  }
+  return high >> 32;
 }
 
 io_stats block_device::stats() const {
@@ -44,8 +102,7 @@ void block_device::read_block(std::uint64_t b, std::span<std::uint64_t> out) {
   CGP_EXPECTS(b < blocks_);
   CGP_EXPECTS(out.size() == block_items_);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto* src = data_.data() + b * block_items_;
-  std::copy(src, src + block_items_, out.begin());
+  load(b * block_items_, out.data(), block_items_);
   ++stats_.block_reads;
   io_reads_counter().add();
 }
@@ -54,7 +111,8 @@ void block_device::write_block(std::uint64_t b, std::span<const std::uint64_t> i
   CGP_EXPECTS(b < blocks_);
   CGP_EXPECTS(in.size() == block_items_);
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::copy(in.begin(), in.end(), data_.data() + b * block_items_);
+  const std::uint64_t high = store(b * block_items_, in.data(), block_items_);
+  CGP_EXPECTS(high == 0);  // every value fits the item width
   ++stats_.block_writes;
   io_writes_counter().add();
 }
@@ -68,8 +126,7 @@ void block_device::read_items(std::uint64_t item_lo, std::span<std::uint64_t> ou
     const std::uint64_t first = blk * block_items_;
     const std::uint64_t lo = std::max<std::uint64_t>(first, item_lo);
     const std::uint64_t up = std::min<std::uint64_t>(first + block_items_, hi);
-    std::copy(data_.data() + lo, data_.data() + up,
-              out.begin() + static_cast<std::ptrdiff_t>(lo - item_lo));
+    load(lo, out.data() + (lo - item_lo), up - lo);
     ++stats_.block_reads;
   }
   io_reads_counter().add((hi - 1) / block_items_ - item_lo / block_items_ + 1);
@@ -80,6 +137,7 @@ void block_device::write_items(std::uint64_t item_lo, std::span<const std::uint6
   const std::uint64_t hi = item_lo + in.size();
   CGP_EXPECTS(hi <= blocks_ * block_items_);
   const std::lock_guard<std::mutex> lock(mutex_);
+  std::uint64_t high = 0;
   for (std::uint64_t blk = item_lo / block_items_; blk * block_items_ < hi; ++blk) {
     const std::uint64_t first = blk * block_items_;
     const std::uint64_t lo = std::max<std::uint64_t>(first, item_lo);
@@ -91,21 +149,24 @@ void block_device::write_items(std::uint64_t item_lo, std::span<const std::uint6
       ++stats_.block_reads;
       io_reads_counter().add();
     }
-    std::copy(in.begin() + static_cast<std::ptrdiff_t>(lo - item_lo),
-              in.begin() + static_cast<std::ptrdiff_t>(up - item_lo), data_.data() + lo);
+    high |= store(lo, in.data() + (lo - item_lo), up - lo);
     ++stats_.block_writes;
   }
+  CGP_EXPECTS(high == 0);  // every value fits the item width
   io_writes_counter().add((hi - 1) / block_items_ - item_lo / block_items_ + 1);
 }
 
 void block_device::poke(std::uint64_t item, std::uint64_t value) noexcept {
   CGP_ASSERT(item < item_capacity_);
-  data_.data()[item] = value;
+  const std::uint64_t high = store(item, &value, 1);
+  CGP_EXPECTS(high == 0);  // the value fits the item width
 }
 
 std::uint64_t block_device::peek(std::uint64_t item) const noexcept {
   CGP_ASSERT(item < item_capacity_);
-  return data_.data()[item];
+  std::uint64_t value = 0;
+  load(item, &value, 1);
+  return value;
 }
 
 buffer_pool::buffer_pool(block_device& dev, std::uint32_t frames) : dev_(dev), frames_(frames) {

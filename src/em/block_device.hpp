@@ -12,6 +12,12 @@
 // are measured in *block transfers*, the currency of the Aggarwal-Vitter
 // I/O model.
 //
+// Item width: a device stores each item in 4 or 8 bytes, fixed by its
+// creator from the largest value it will hold (`item_bytes_for`); every
+// call still moves `u64` values, widened or narrowed in the copy loops
+// the calls already run.  Block geometry and transfer counts do not
+// depend on the width.  Writing a value that does not fit aborts.
+//
 // Thread safety: `read_block` / `write_block` / `read_items` /
 // `write_items` serialize on an internal mutex -- one transfer at a time
 // per device, like one disk arm -- and the partial-block read-modify-write
@@ -43,16 +49,31 @@ struct io_stats {
   [[nodiscard]] std::uint64_t transfers() const noexcept { return block_reads + block_writes; }
 };
 
+/// The item width, in bytes, of a device whose largest value is `largest`:
+/// 4 when it fits in 32 bits, else 8.
+[[nodiscard]] constexpr std::uint32_t item_bytes_for(std::uint64_t largest) noexcept {
+  return largest >> 32 == 0 ? 4 : 8;
+}
+
 /// A simulated disk of `u64` items grouped into blocks of `block_items`,
-/// stored zero-filled in RAM.  All access is whole-block; partial blocks at
-/// the end are materialized at full size (standard device behaviour).
+/// stored zero-filled in RAM at `item_bytes` (4 or 8) per item.  All access
+/// is whole-block; partial blocks at the end are materialized at full size
+/// (standard device behaviour).  The bytes every live device holds are
+/// summed in the obs gauge `em.device_bytes`.
 class block_device {
  public:
-  block_device(std::uint64_t item_capacity, std::uint32_t block_items);
+  block_device(std::uint64_t item_capacity, std::uint32_t block_items,
+               std::uint32_t item_bytes = 8);
+  ~block_device();
 
   [[nodiscard]] std::uint32_t block_items() const noexcept { return block_items_; }
   [[nodiscard]] std::uint64_t item_capacity() const noexcept { return item_capacity_; }
   [[nodiscard]] std::uint64_t block_count() const noexcept { return blocks_; }
+  [[nodiscard]] std::uint32_t item_bytes() const noexcept { return item_bytes_; }
+  /// The bytes the device holds: every block at full size.
+  [[nodiscard]] std::uint64_t bytes() const noexcept {
+    return blocks_ * block_items_ * item_bytes_;
+  }
   [[nodiscard]] io_stats stats() const;
   void reset_stats();
 
@@ -78,10 +99,19 @@ class block_device {
   [[nodiscard]] std::uint64_t peek(std::uint64_t item) const noexcept;
 
  private:
+  /// Copy the stored items [at, at + count) out to `out`, widened.
+  void load(std::uint64_t at, std::uint64_t* out, std::uint64_t count) const noexcept;
+  /// Store `count` values at item `at`, narrowed; returns the OR of their
+  /// bits above the item width (0 when every value fit).
+  [[nodiscard]] std::uint64_t store(std::uint64_t at, const std::uint64_t* in,
+                                    std::uint64_t count) noexcept;
+
   std::uint64_t item_capacity_;
   std::uint32_t block_items_;
   std::uint64_t blocks_;
-  std::vector<std::uint64_t> data_;
+  std::uint32_t item_bytes_;
+  std::vector<std::uint32_t> narrow_;  ///< the items, when item_bytes_ == 4
+  std::vector<std::uint64_t> wide_;    ///< the items, when item_bytes_ == 8
   io_stats stats_;
   mutable std::mutex mutex_;
 };

@@ -171,7 +171,8 @@ future<void> server::submit_shuffle_raw(std::uint64_t client_id, void* data, std
 /// The lifecycle every job kind shares: running, the trace, the "svc.job"
 /// span, and exactly one terminal transition with its counters.  `body`
 /// gets the job's execution options and does the kind-specific work; a
-/// throw fails the job.
+/// throw from it fails the job.  Only the body is inside the try, so a job
+/// whose body returned is counted done and never also failed.
 template <typename Body>
 void server::run(detail::job_state& st, Body&& body) {
   st.set_running();
@@ -185,14 +186,15 @@ void server::run(detail::job_state& st, Body&& body) {
   const obs::span sp("svc.job", "svc");
   try {
     body(ctx_.execution_options());
-    done_.fetch_add(1, std::memory_order_relaxed);
-    note_done(st);
-    st.finish(job_status::done);
   } catch (...) {
     failed_.fetch_add(1, std::memory_order_relaxed);
     note_failed(st);
     st.fail(std::current_exception());
+    return;
   }
+  done_.fetch_add(1, std::memory_order_relaxed);
+  note_done(st);
+  st.finish(job_status::done);
 }
 
 void server::run_shuffle(detail::job_state& st, void* data, std::uint32_t elem_bytes) {

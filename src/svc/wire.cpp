@@ -388,8 +388,9 @@ wire_client::wire_client(const std::string& host, std::uint16_t port)
   net::set_nodelay(fd_.get());
 }
 
-wire_client::reply wire_client::call(std::uint32_t opcode, std::uint64_t a, std::uint64_t b,
-                                     std::uint32_t c, std::span<const std::byte> body) {
+wire_client::answer wire_client::request(std::uint32_t opcode, std::uint64_t a,
+                                         std::uint64_t b, std::uint32_t c,
+                                         std::span<const std::byte> body) {
   // The round trip is a span, and its context rides the request: the
   // server installs {trace_id, span_id} before handling, so its
   // wire.<op> span -- and everything under it -- parents here.
@@ -419,30 +420,53 @@ wire_client::reply wire_client::call(std::uint32_t opcode, std::uint64_t a, std:
   if (rh.magic != kRespMagic || rh.body_bytes > kMaxBody) {
     throw std::runtime_error("svc wire: malformed response");
   }
-  reply r;
-  r.status = rh.status;
-  r.a = rh.a;
-  r.body.resize(static_cast<std::size_t>(rh.body_bytes));
-  if (!r.body.empty() && !net::read_exact(fd_.get(), r.body.data(), r.body.size())) {
+  if (rh.status != kOk) {
+    if (!discard_body(fd_.get(), rh.body_bytes)) {
+      throw std::runtime_error("svc wire: connection lost mid-response");
+    }
+    switch (rh.status) {
+      case kRejected: throw std::runtime_error("svc wire: job rejected");
+      case kFailed: throw std::runtime_error("svc wire: job failed");
+      default: throw std::runtime_error("svc wire: bad request");
+    }
+  }
+  return {rh.a, rh.body_bytes};
+}
+
+void wire_client::read_body(const answer& ans, void* dst) {
+  if (ans.body_bytes != 0 && !net::read_exact(fd_.get(), dst, ans.body_bytes)) {
     throw std::runtime_error("svc wire: connection lost mid-response");
   }
-  switch (r.status) {
-    case kOk: return r;
-    case kRejected: throw std::runtime_error("svc wire: job rejected");
-    case kFailed: throw std::runtime_error("svc wire: job failed");
-    default: throw std::runtime_error("svc wire: bad request");
+}
+
+void wire_client::refuse(const answer& ans, const char* what) {
+  // Drained, not read into anything, so the connection stays usable.
+  if (!discard_body(fd_.get(), ans.body_bytes)) {
+    throw std::runtime_error("svc wire: connection lost mid-response");
   }
+  throw std::runtime_error(what);
+}
+
+wire_client::reply wire_client::call(std::uint32_t opcode, std::uint64_t a, std::uint64_t b,
+                                     std::uint32_t c, std::span<const std::byte> body) {
+  const answer ans = request(opcode, a, b, c, body);
+  reply r;
+  r.a = ans.a;
+  r.body.resize(static_cast<std::size_t>(ans.body_bytes));
+  read_body(ans, r.body.data());
+  return r;
 }
 
 permutation wire_client::fetch_permutation(std::uint64_t client_id, std::uint64_t n,
                                            std::uint64_t* ordinal_out) {
-  const reply r = call(kOpPermutation, client_id, n, 0, {});
-  if (r.body.size() != n * sizeof(std::uint64_t)) {
-    throw std::runtime_error("svc wire: permutation size mismatch");
+  const answer ans = request(kOpPermutation, client_id, n, 0, {});
+  if (ans.body_bytes % sizeof(std::uint64_t) != 0 || ans.body_bytes / sizeof(std::uint64_t) != n) {
+    refuse(ans, "svc wire: permutation size mismatch");
   }
-  if (ordinal_out != nullptr) *ordinal_out = r.a;
+  // The body lands straight in the vector returned.
   permutation pi(static_cast<std::size_t>(n));
-  if (!pi.empty()) std::memcpy(pi.data(), r.body.data(), r.body.size());
+  read_body(ans, pi.data());
+  if (ordinal_out != nullptr) *ordinal_out = ans.a;
   return pi;
 }
 
@@ -498,13 +522,13 @@ std::string wire_client::telemetry(telemetry_form form) {
 std::size_t remote_stream::read(std::span<std::uint64_t> out) {
   CGP_EXPECTS(c_ != nullptr && !closed_);
   if (out.empty()) return 0;
-  const wire_client::reply r = c_->call(kOpStreamPull, id_, out.size(), 0, {});
-  const auto got = static_cast<std::size_t>(r.a);
-  if (r.body.size() != got * sizeof(std::uint64_t) || got > out.size()) {
-    throw std::runtime_error("svc wire: malformed stream_pull response");
+  const wire_client::answer ans = c_->request(kOpStreamPull, id_, out.size(), 0, {});
+  // A body is read only once it is known to fit: straight into `out`.
+  if (ans.a > out.size() || ans.body_bytes != ans.a * sizeof(std::uint64_t)) {
+    c_->refuse(ans, "svc wire: malformed stream_pull response");
   }
-  if (got != 0) std::memcpy(out.data(), r.body.data(), r.body.size());
-  return got;
+  c_->read_body(ans, out.data());
+  return static_cast<std::size_t>(ans.a);
 }
 
 void remote_stream::close() {

@@ -211,12 +211,26 @@ class wire_client {
  private:
   friend class remote_stream;
 
+  /// An ok response whose body is still on the socket.
+  struct answer {
+    std::uint64_t a = 0;
+    std::uint64_t body_bytes = 0;
+  };
+  /// Send one request and read its response header.  Throws on transport
+  /// failure, a malformed header or a non-ok status (whose body is read
+  /// and dropped first); the caller reads or refuses the body.
+  answer request(std::uint32_t opcode, std::uint64_t a, std::uint64_t b, std::uint32_t c,
+                 std::span<const std::byte> body);
+  /// Read the body of `ans` into `dst`, which holds at least its bytes.
+  void read_body(const answer& ans, void* dst);
+  /// Drop the body of `ans` and throw `what`: the response does not match
+  /// its request.
+  [[noreturn]] void refuse(const answer& ans, const char* what);
   struct reply {
-    std::uint32_t status = 0;
     std::uint64_t a = 0;
     std::vector<std::byte> body;
   };
-  /// One round trip; throws on transport failure or non-ok status.
+  /// One round trip whose body lands in a fresh vector.
   reply call(std::uint32_t opcode, std::uint64_t a, std::uint64_t b, std::uint32_t c,
              std::span<const std::byte> body);
 

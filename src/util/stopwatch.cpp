@@ -1,5 +1,7 @@
 #include "util/stopwatch.hpp"
 
+#include <ctime>
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
 #define CGP_HAVE_RDTSC 1
@@ -51,7 +53,17 @@ double measure_hz() noexcept {
 
 #endif
 
+double clock_seconds(clockid_t id) noexcept {
+  timespec ts{};
+  clock_gettime(id, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 }  // namespace
+
+double thread_cpu_seconds() noexcept { return clock_seconds(CLOCK_THREAD_CPUTIME_ID); }
+
+double process_cpu_seconds() noexcept { return clock_seconds(CLOCK_PROCESS_CPUTIME_ID); }
 
 double estimated_cpu_hz() noexcept {
   static const double hz = measure_hz();

@@ -1,9 +1,9 @@
 // Count ratchets at the entry point: what one cgp::context::shuffle on
 // backend::cgm puts on a socket transport's wire, the page faults of a
 // warm one on backend::cgm over sockets and on backend::smp and of a
-// one-level em permutation build, the random words per hypergeometric
-// draw of the engines' split plan, and the block transfers of
-// backend::em's permutation fill and 8-byte shuffle.
+// one-level em permutation build, the bytes an em stream's device holds,
+// the random words per hypergeometric draw of the engines' split plan, and
+// the block transfers of backend::em's permutation fill and 8-byte shuffle.
 // Every wire count is a pure function of (seed, n, p, engine options), so
 // each is pinned at the value the engine reaches today: a change that
 // moves more bytes per item, cuts more frames, posts more messages or adds
@@ -33,6 +33,7 @@
 #include "smp/parallel_split.hpp"
 #include "smp/thread_pool.hpp"
 #include "support/perm_check.hpp"
+#include "svc/server.hpp"
 
 namespace {
 
@@ -150,14 +151,16 @@ TEST(EntryPointBounds, WarmCgmShuffleOverSocketMapsNoMessageBuffers) {
 
 // A one-level em permutation writes its level-0 buckets in place: no level
 // reads one device and writes another, so no scratch device is made and
-// the build touches one device.  2^23 items (64 MiB, above glibc's
-// 32 MiB mmap ceiling, so every call maps fresh pages) with M = 2 Mi and
-// B = 4,096 build one level of K = 256 buckets of ~2^15 items.  The bound
-// is a multiple of the faults one fresh zero-filled 2^23-word buffer takes
-// in this process, so sanitizer shadow pages count on both sides; the
-// slack above 1 covers the 8.4 MB scatter stage and the leaf buffers.  With
-// a scratch device the build faulted in two devices (ratio 2.1 in the
-// plain build).  A fault count is a count, not a clock.
+// the build touches one device, which stores its values (all below 2^23)
+// in 4 bytes each.  2^23 items with M = 2 Mi and B = 4,096 build one level
+// of K = 256 buckets of ~2^15 items.  The bound is a multiple of the
+// faults one fresh zero-filled 2^23-word buffer (64 MiB, above glibc's
+// 32 MiB mmap ceiling, so every call maps fresh pages) takes in this
+// process, so sanitizer shadow pages count on both sides: the device is
+// half such a buffer, and the slack above 0.5 covers the 8.4 MB scatter
+// stage and the leaf buffers.  An 8-byte device faulted in 1.00-1.13
+// buffers, and one with a scratch device 2.1 (plain build).  A fault count
+// is a count, not a clock.
 TEST(EntryPointBounds, OneLevelEmPermutationFaultsInOneDevice) {
   // With transparent hugepages "always", both 64 MiB buffers fault in
   // 2 MiB pages (~32 faults each), and a few small-page faults elsewhere
@@ -187,8 +190,34 @@ TEST(EntryPointBounds, OneLevelEmPermutationFaultsInOneDevice) {
   const long faults = minor_faults() - f1;
 
   EXPECT_EQ(rep.levels, 1u);
-  EXPECT_LE(static_cast<double>(faults), 1.5 * static_cast<double>(one_buffer))
+  EXPECT_LE(static_cast<double>(faults), 0.75 * static_cast<double>(one_buffer))
       << faults << " faults; one fresh " << n << "-word buffer faults " << one_buffer;
+}
+
+// What a wire stream's job holds: a budgeted server serves a 3,000,000-item
+// stream from an em device that stays alive until the stream is dropped.
+// Its values are below 2^32, so it holds its block-rounded capacity at 4
+// bytes per item (12,009,472 bytes at B = 4,096; 8 bytes per item held
+// twice that), read from the em.device_bytes gauge while the stream lives,
+// and it gives them back when the stream goes.  Bytes, not a clock.
+TEST(EntryPointBounds, EmStreamDeviceHoldsFourBytesPerItem) {
+  obs::set_enabled(true);
+  const obs::gauge& held = obs::get_gauge("em.device_bytes");
+  constexpr std::uint64_t n = 3'000'000;
+  svc::server_options sopt;
+  sopt.memory_budget_bytes = std::uint64_t{16} << 20;  // 24 MB of u64 does not fit
+  svc::server srv(sopt);
+  const std::int64_t before = held.value();
+  {
+    svc::stream st = srv.submit_stream(1, n);
+    ASSERT_EQ(st.wait(), svc::job_status::done);
+    ASSERT_EQ(st.plan().chosen, core::backend::em);
+    const std::uint64_t b = st.plan().em_block_items;
+    EXPECT_EQ(held.value() - before, static_cast<std::int64_t>((n + b - 1) / b * b * 4))
+        << "B = " << b;
+    EXPECT_GE(held.peak(), held.value());
+  }
+  EXPECT_EQ(held.value(), before);
 }
 
 // Hypergeometric words per draw at the engines' default law: the split

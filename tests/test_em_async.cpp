@@ -67,15 +67,19 @@ TEST(BlockDeviceItems, WriteItemsBlindWritesFullBlocksAndMergesEdges) {
 // over a few blocks, round after round, with the slice lengths shifting
 // every round so the shared boundaries move; after each round every item
 // must hold its writer's value, and at the end the device must have
-// counted exactly the transfers its calls imply.
-TEST(BlockDeviceItems, ConcurrentWritersComposeOnSharedBoundaryBlocks) {
+// counted exactly the transfers its calls imply.  Both item widths run:
+// 8-byte values carry the round and writer above bit 32, 4-byte ones
+// below it.
+void concurrent_writers_compose(std::uint32_t item_bytes) {
+  SCOPED_TRACE("item_bytes " + std::to_string(item_bytes));
   constexpr std::uint32_t b = 8;
   constexpr std::uint64_t n = 256;
   constexpr unsigned writers = 4;
   constexpr std::uint64_t rounds = 5000;
-  em::block_device dev(n, b);
-  const auto value = [](std::uint64_t round, std::uint64_t t, std::uint64_t i) {
-    return (round << 40) | (t << 32) | i;
+  em::block_device dev(n, b, item_bytes);
+  const unsigned shift = item_bytes == 8 ? 32 : 8;
+  const auto value = [shift](std::uint64_t round, std::uint64_t t, std::uint64_t i) {
+    return (round << (shift + 8)) | (t << shift) | i;
   };
   // Slice s of the current round is [bounds[s], bounds[s + 1]) and belongs
   // to writer s % writers.
@@ -128,6 +132,45 @@ TEST(BlockDeviceItems, ConcurrentWritersComposeOnSharedBoundaryBlocks) {
   EXPECT_EQ(wrong_items, 0u) << "a boundary merge lost a concurrent writer's items";
   EXPECT_EQ(dev.stats().block_reads, want_reads);
   EXPECT_EQ(dev.stats().block_writes, want_writes);
+}
+
+TEST(BlockDeviceItems, ConcurrentWritersComposeOnSharedBoundaryBlocks) {
+  concurrent_writers_compose(8);
+  concurrent_writers_compose(4);
+}
+
+// A 4-byte device holds each item in half the bytes and returns what was
+// written, at every API; a value of 2^32 or more does not fit and aborts,
+// whichever call writes it and wherever it sits in the call's span.
+TEST(BlockDeviceItems, FourByteItemsRoundTripAndRefuseWideValues) {
+  EXPECT_EQ(em::item_bytes_for(0xFFFF'FFFFull), 4u);
+  EXPECT_EQ(em::item_bytes_for(0x1'0000'0000ull), 8u);
+  em::block_device narrow(20, 8, 4);
+  em::block_device wide(20, 8);
+  EXPECT_EQ(narrow.bytes(), 24u * 4);
+  EXPECT_EQ(wide.bytes(), 24u * 8);
+  std::vector<std::uint64_t> in(13);
+  for (std::uint64_t i = 0; i < in.size(); ++i) in[i] = 0xFFFF'FFF0ull + i % 16;
+  narrow.write_items(5, in);
+  narrow.write_block(2, std::vector<std::uint64_t>(8, 0xFFFF'FFFFull));
+  narrow.poke(2, 7);
+  std::vector<std::uint64_t> got(13);
+  narrow.read_items(5, got);
+  EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.begin() + 11),
+            std::vector<std::uint64_t>(in.begin(), in.begin() + 11));
+  std::vector<std::uint64_t> block(8);
+  narrow.read_block(2, block);
+  EXPECT_EQ(block, std::vector<std::uint64_t>(8, 0xFFFF'FFFFull));
+  EXPECT_EQ(narrow.peek(2), 7u);
+  EXPECT_EQ(narrow.peek(0), 0u);
+
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  in[12] = std::uint64_t{1} << 32;
+  EXPECT_DEATH(narrow.write_items(5, in), "precondition");
+  EXPECT_DEATH(narrow.write_block(0, std::vector<std::uint64_t>(8, ~0ull)), "precondition");
+  EXPECT_DEATH(narrow.poke(3, std::uint64_t{1} << 63), "precondition");
+  wide.write_items(5, in);  // 8 bytes hold it
+  EXPECT_EQ(wide.peek(17), std::uint64_t{1} << 32);
 }
 
 // --- async engine: correctness and uniformity --------------------------------
@@ -463,6 +506,52 @@ TEST(AsyncEmPermutation, FanOut256ContentAndCountsArePinned) {
       EXPECT_EQ(rep.levels, pin.levels) << where;
       EXPECT_EQ(rep.rng_words, pin.rng_words) << where;
       EXPECT_EQ(rep.block_transfers, pin.transfers[w]) << where;
+    }
+  }
+}
+
+// A device's item width changes what it holds, never what the engine does:
+// both entry points on 4-byte and 8-byte devices leave equal content and
+// count equal transfers, levels and rng words -- at one level (K = 8), at
+// two levels with a scratch device (which takes its pair's width), and at
+// K = 256.  The shuffled payload is 32-bit, so both widths hold it.
+TEST(AsyncEmPermutation, FourAndEightByteDevicesAgree) {
+  const struct {
+    std::uint64_t n;
+    std::uint64_t m;
+    std::uint32_t b;
+    std::uint32_t levels;
+  } shapes[] = {
+      {5003, 1024, 64, 1},    // K = 8 buckets of ~625 <= M
+      {20'011, 512, 32, 2},   // buckets of ~2,500 > M split once more
+      {100'003, 2064, 8, 1},  // K = 256 buckets of ~391 <= M
+  };
+  smp::thread_pool pool(3);
+  for (const auto& shape : shapes) {
+    for (const bool identity : {true, false}) {
+      em::async_options opt;
+      opt.memory_items = shape.m;
+      const std::uint64_t seed = 0x4B8 ^ shape.n;
+      std::vector<std::uint64_t> content[2];
+      em::async_report rep[2];
+      for (const std::uint32_t w : {0u, 1u}) {
+        em::block_device dev(shape.n, shape.b, w == 0 ? 8 : 4);
+        if (identity) {
+          rep[w] = em::async_em_permutation(dev, shape.n, seed, pool, opt);
+        } else {
+          for (std::uint64_t i = 0; i < shape.n; ++i) dev.poke(i, rng::mix64(i) >> 32);
+          rep[w] = em::async_em_shuffle(dev, shape.n, seed, pool, opt);
+        }
+        content[w].resize(shape.n);
+        for (std::uint64_t i = 0; i < shape.n; ++i) content[w][i] = dev.peek(i);
+      }
+      const std::string where = std::string(identity ? "permutation" : "shuffle") +
+                                " n=" + std::to_string(shape.n);
+      EXPECT_EQ(content[1], content[0]) << where;
+      EXPECT_EQ(rep[1].block_transfers, rep[0].block_transfers) << where;
+      EXPECT_EQ(rep[1].levels, rep[0].levels) << where;
+      EXPECT_EQ(rep[1].rng_words, rep[0].rng_words) << where;
+      EXPECT_EQ(rep[0].levels, shape.levels) << where;
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -489,6 +490,78 @@ TEST(WireServer, BodiesTheOpcodeCannotCarryAllocateNothing) {
   // Nine handler threads map their stacks and malloc arenas (well under
   // 1.5 GiB); one 2 GiB body would not fit.
   EXPECT_LT(vm_peak - vm0, 1536.0) << "VmSize grew " << vm_peak - vm0 << " MiB";
+}
+
+// The client reads a pull's body straight into the caller's span and a
+// permutation's into the vector it returns, so a response whose size does
+// not match its request must be refused before any of its bytes is read.
+// A scripted server answers one connection: a 4-item permutation with 5
+// items, then a good one; a stream open; pulls of 4 items that claim 5
+// items, or 3 items with 4 items' bytes, then a good pull; a failed status
+// with a body, then a good pull.  Every bad answer throws and leaves the
+// caller's buffer untouched, and every good one after it still parses:
+// the refused bodies were drained, so the connection stays in step.
+TEST(WireClient, MismatchedResponsesAreRefusedBeforeTheyLand) {
+  struct raw_response {  // the response header's wire layout
+    std::uint32_t magic = 0x41504743u;
+    std::uint32_t status = 0;
+    std::uint64_t a = 0;
+    std::uint64_t body_bytes = 0;
+  };
+  static_assert(sizeof(raw_response) == 24);
+  struct scripted {
+    std::uint32_t status;
+    std::uint64_t a;
+    std::vector<std::uint64_t> body;
+  };
+  const std::vector<scripted> script = {
+      {0, 0, {0, 1, 2, 3, 4}},  // permutation of 4: 5 items
+      {0, 9, {3, 1, 0, 2}},     // permutation of 4
+      {0, 1, {0}},              // stream open: id 1, ordinal 0
+      {0, 5, {1, 2, 3, 4, 5}},  // pull of 4: claims 5
+      {0, 3, {1, 2, 3, 4}},     // pull of 4: claims 3, sends 4
+      {0, 2, {7, 9}},           // pull of 4: 2 items
+      {2, 0, {8}},              // failed, with a body
+      {0, 1, {11}},             // pull of 4: 1 item
+  };
+  comm::net::listener lis = comm::net::listen_tcp("127.0.0.1", 0);
+  // Joined on every way out: a client that throws early closes its
+  // socket first, and the server's next read then fails.
+  const std::jthread server([&] {
+    const comm::net::socket_fd fd = comm::net::accept_tcp(lis.fd.get());
+    ASSERT_TRUE(fd.valid());
+    comm::net::set_nodelay(fd.get());
+    for (const scripted& r : script) {
+      std::array<std::byte, 40> req;  // every scripted request has no body
+      ASSERT_TRUE(comm::net::read_exact(fd.get(), req.data(), req.size()));
+      raw_response h;
+      h.status = r.status;
+      h.a = r.a;
+      h.body_bytes = r.body.size() * sizeof(std::uint64_t);
+      ASSERT_TRUE(comm::net::write_all(fd.get(), &h, sizeof(h)));
+      ASSERT_TRUE(comm::net::write_all(fd.get(), r.body.data(), h.body_bytes));
+    }
+  });
+  svc::wire_client cl("127.0.0.1", lis.port);
+  EXPECT_THROW((void)cl.fetch_permutation(1, 4), std::runtime_error);
+  std::uint64_t ordinal = 0;
+  EXPECT_EQ(cl.fetch_permutation(1, 4, &ordinal), (std::vector<std::uint64_t>{3, 1, 0, 2}));
+  EXPECT_EQ(ordinal, 9u);
+
+  svc::remote_stream rs = cl.open_stream(1, 100);
+  constexpr std::uint64_t kUntouched = 0xABABABABABABABABull;
+  std::vector<std::uint64_t> buf(6, kUntouched);
+  const std::span<std::uint64_t> out = std::span(buf).first(4);
+  EXPECT_THROW((void)rs.read(out), std::runtime_error);
+  EXPECT_THROW((void)rs.read(out), std::runtime_error);
+  EXPECT_EQ(buf, std::vector<std::uint64_t>(6, kUntouched));
+  EXPECT_EQ(rs.read(out), 2u);
+  EXPECT_EQ(buf, (std::vector<std::uint64_t>{7, 9, kUntouched, kUntouched, kUntouched,
+                                             kUntouched}));
+  EXPECT_THROW((void)rs.read(out), std::runtime_error);
+  EXPECT_EQ(buf[2], kUntouched);
+  EXPECT_EQ(rs.read(out), 1u);
+  EXPECT_EQ(buf[0], 11u);
 }
 
 TEST(WireRpc, ZeroLengthJobsRoundTrip) {
