@@ -33,7 +33,7 @@
 // fixed at construction.
 //
 // Underneath, every draw runs core::resolve_plan, core::feedback_scope
-// and core::make_executor (core/executor.hpp) under the options
+// (core/registry.hpp) and core::make_executor under the options
 // execution_options() projects.  A service shuffle job is a shuffle_raw
 // call on the server's context, and a service fill job runs the same
 // three steps, so a context plans like every other caller.
@@ -107,7 +107,7 @@ class context {
                                      std::uint64_t seed) const {
     const core::backend_options o = execution_options();
     const core::permutation_plan plan = core::resolve_plan(n, elem_bytes, o);
-    const core::feedback_scope fb(plan, n, elem_bytes);
+    const core::feedback_scope fb(plan);
     core::make_executor(plan, o)->shuffle_raw(data, n, elem_bytes, seed);
     return plan;
   }
@@ -124,7 +124,7 @@ class context {
     const core::backend_options o = execution_options();
     const core::permutation_plan plan = core::resolve_plan(n, sizeof(std::uint64_t), o);
     std::vector<std::uint64_t> pi(n);
-    const core::feedback_scope fb(plan, n, sizeof(std::uint64_t));
+    const core::feedback_scope fb(plan);
     core::make_executor(plan, o)->fill_random_permutation(std::span<std::uint64_t>(pi), seed);
     return pi;
   }
@@ -162,10 +162,11 @@ class context {
   [[nodiscard]] const core::machine_profile& profile() const noexcept { return profile_; }
 
   /// The transport the distributed cgm backend runs on: the injected one,
-  /// else the registry's shared transport for the context's rank count.
+  /// else the registry's shared transport for the rank count the draws
+  /// execute with (execution_options().parallelism; 0 means one rank).
   [[nodiscard]] comm::transport& transport() {
-    if (opt_.engine.transport != nullptr) return *opt_.engine.transport;
-    return core::shared_transport(opt_.parallelism != 0 ? opt_.parallelism : 1);
+    const core::backend_options o = execution_options();
+    return o.transport != nullptr ? *o.transport : core::shared_transport(o.parallelism);
   }
 
   /// Restart the draw sequence at `seed`.  Exclusive: not safe to run
@@ -183,16 +184,15 @@ class context {
 
  private:
   /// Seed of draw k: the base seed verbatim first (so draw 0 replays an
-  /// explicit-seed call with the base seed), then streams derived like
-  /// core/repeat.hpp's permutation_stream -- mixing k through its own
-  /// mix64 before xoring keeps contexts with ADJACENT base seeds on
-  /// disjoint sequences (mix64(seed + k) would make seed 101's draw k
-  /// collide with seed 100's draw k+1).  The fetch_add reserves the call
-  /// index, so concurrent sequence draws never reuse a seed.
+  /// explicit-seed call with the base seed), then rng::mix_in(seed, k),
+  /// the fold core/repeat.hpp's permutation_stream keys its draws with,
+  /// which keeps contexts with ADJACENT base seeds on disjoint sequences.
+  /// The fetch_add reserves the call index, so concurrent sequence draws
+  /// never reuse a seed.
   [[nodiscard]] std::uint64_t next_seed() noexcept {
     const std::uint64_t k = draws_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t s = seed_.load(std::memory_order_relaxed);
-    return k == 0 ? s : rng::mix64(s ^ rng::mix64(k + 0x9E3779B97F4A7C15ull));
+    return k == 0 ? s : rng::mix_in(s, k);
   }
 
   const context_options opt_;

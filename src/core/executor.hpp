@@ -33,6 +33,8 @@
 //
 //   resolve_plan  -->  feedback_scope  -->  make_executor(plan)->run
 //
+// (feedback_scope lives beside the feedback rows, in core/registry.hpp.)
+//
 // Every backend but `prp` is exactly uniform (prp's law is a keyed cipher
 // family; see prp_executor).  They draw from differently keyed streams,
 // so equal seeds do *not* give equal permutations across backends (each
@@ -50,7 +52,6 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -63,8 +64,6 @@
 #include "core/registry.hpp"
 #include "em/async_shuffle.hpp"
 #include "em/block_device.hpp"
-#include "obs/metrics.hpp"
-#include "obs/plan_feedback.hpp"
 #include "obs/trace.hpp"
 #include "prp/cipher.hpp"
 #include "rng/philox_batch.hpp"
@@ -72,7 +71,6 @@
 #include "seq/fisher_yates.hpp"
 #include "smp/engine.hpp"
 #include "util/assert.hpp"
-#include "util/stopwatch.hpp"
 
 namespace cgp::core {
 
@@ -587,48 +585,5 @@ class em_executor final : public executor {
       return std::make_unique<sequential_executor>();
   }
 }
-
-/// RAII scope around one executed draw: wall-clocks the run, collects the
-/// per-phase times the executors' obs::spans report on this thread, and
-/// on destruction files an obs::plan_feedback_record (prediction next to
-/// measurement) -- the raw material of plan::explain()'s
-/// predicted-vs-measured section.  Inert when obs is disabled
-/// (CGP_OBS_OFF): no collector, no clock, no record.  Each run also
-/// counts into `core.exec.<backend>`, registered on that backend's first
-/// run, so a document never shows a backend that did not run.
-class feedback_scope {
- public:
-  feedback_scope(const permutation_plan& plan, std::uint64_t n, std::uint32_t elem_bytes) {
-    if (!obs::enabled()) return;
-    active_ = true;
-    rec_.backend = backend_name(plan.chosen);
-    rec_.n = n;
-    rec_.elem_bytes = elem_bytes;
-    rec_.predicted_seconds = plan.predicted_seconds;
-    rec_.predicted_phases.reserve(plan.phases.size());
-    for (const auto& ph : plan.phases) rec_.predicted_phases.push_back({ph.label, ph.seconds});
-    obs::get_counter(std::string("core.exec.") + rec_.backend).add();
-    collector_.emplace();
-    span_.emplace("execute", "exec");
-    sw_.reset();
-  }
-  feedback_scope(const feedback_scope&) = delete;
-  feedback_scope& operator=(const feedback_scope&) = delete;
-  ~feedback_scope() {
-    if (!active_) return;
-    rec_.measured_seconds = sw_.seconds();
-    span_.reset();  // flush the overall "execute" phase into the collector
-    rec_.measured_phases = collector_->phases();
-    collector_.reset();
-    obs::record_plan_feedback(std::move(rec_));
-  }
-
- private:
-  bool active_ = false;
-  obs::plan_feedback_record rec_;
-  std::optional<obs::phase_collector> collector_;
-  std::optional<obs::span> span_;
-  stopwatch sw_;
-};
 
 }  // namespace cgp::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <sstream>
@@ -11,7 +12,6 @@
 
 #include "core/registry.hpp"
 #include "em/async_shuffle.hpp"
-#include "obs/plan_feedback.hpp"
 #include "prp/cipher.hpp"
 #include "rng/philox_batch.hpp"
 #include "rng/splitmix64.hpp"
@@ -194,37 +194,34 @@ machine_profile machine_profile::calibrate(std::uint64_t small_n, std::uint64_t 
 }
 
 std::uint64_t machine_profile::fingerprint() const noexcept {
-  // Chain every plan-relevant field through the same mix discipline the
-  // seed derivations use; doubles enter as their bit patterns, so any
+  // Chain every plan-relevant field through rng::mix_in, the fold the seed
+  // derivations use; doubles enter as their bit patterns, so any
   // recalibration that moves a rate by one ulp already re-keys the cache.
-  const auto mix_in = [](std::uint64_t h, std::uint64_t v) {
-    return rng::mix64(h ^ rng::mix64(v + 0x9E3779B97F4A7C15ull));
-  };
   const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
   std::uint64_t h = 0x50524F46ull;  // 'PROF'
-  h = mix_in(h, threads);
-  h = mix_in(h, cache_items);
-  h = mix_in(h, hit_bytes);
-  h = mix_in(h, miss_bytes);
-  h = mix_in(h, far_bytes);
-  h = mix_in(h, bits(seq_ns_hit));
-  h = mix_in(h, bits(seq_ns_miss));
-  h = mix_in(h, bits(seq_ns_far));
-  h = mix_in(h, bits(split_ns));
-  h = mix_in(h, bits(level_overhead_ns));
-  h = mix_in(h, bits(dispatch_overhead_ns));
-  h = mix_in(h, bits(em_ns_per_item_pass));
-  h = mix_in(h, comm_ranks);
-  h = mix_in(h, bits(comm_g_ns_per_word));
-  h = mix_in(h, bits(comm_l_ns));
-  h = mix_in(h, bits(prp_eval_ns));
+  h = rng::mix_in(h, threads);
+  h = rng::mix_in(h, cache_items);
+  h = rng::mix_in(h, hit_bytes);
+  h = rng::mix_in(h, miss_bytes);
+  h = rng::mix_in(h, far_bytes);
+  h = rng::mix_in(h, bits(seq_ns_hit));
+  h = rng::mix_in(h, bits(seq_ns_miss));
+  h = rng::mix_in(h, bits(seq_ns_far));
+  h = rng::mix_in(h, bits(split_ns));
+  h = rng::mix_in(h, bits(level_overhead_ns));
+  h = rng::mix_in(h, bits(dispatch_overhead_ns));
+  h = rng::mix_in(h, bits(em_ns_per_item_pass));
+  h = rng::mix_in(h, comm_ranks);
+  h = rng::mix_in(h, bits(comm_g_ns_per_word));
+  h = rng::mix_in(h, bits(comm_l_ns));
+  h = rng::mix_in(h, bits(prp_eval_ns));
   // The build's cipher depth, not a field: a binary compiled with a
   // different kDefaultRounds prices the prp candidate differently (and
   // produces different permutations), so its cached plans must re-key.
-  h = mix_in(h, prp::cipher::kDefaultRounds);
+  h = rng::mix_in(h, prp::cipher::kDefaultRounds);
   // Runtime, not a field: re-keys cached plans whenever the profile moves
   // to a host with a different ISA (or CGP_SIMD flips the path).
-  h = mix_in(h, static_cast<std::uint64_t>(rng::active_simd_path()));
+  h = rng::mix_in(h, static_cast<std::uint64_t>(rng::active_simd_path()));
   return h;
 }
 
@@ -437,9 +434,8 @@ std::string permutation_plan::explain() const {
   }
 
   // --- predicted vs measured (ROADMAP-5 feedback loop) -------------------
-  // The obs layer logs (plan, measured phase times) for every executed job
-  // (core::feedback_scope); aggregate what it has seen for this backend.
-  const obs::backend_feedback fb = obs::plan_feedback_for(backend_name(chosen));
+  // core::feedback_scope sums every executed draw into its backend's row.
+  const backend_feedback fb = feedback_for(chosen);
   if (fb.jobs == 0) {
     os << "feedback: no executed jobs recorded for backend=" << backend_name(chosen) << "\n";
     return os.str();
@@ -462,7 +458,7 @@ std::string permutation_plan::explain() const {
   for (const auto& m : fb.measured_phases) {
     os << "  " << m.label << ": measured=" << fmt_seconds(m.seconds / jobs);
     for (const auto& p : fb.predicted_phases) {
-      if (p.label != m.label) continue;
+      if (std::strcmp(p.label, m.label) != 0) continue;
       os << " predicted=" << fmt_seconds(p.seconds / jobs);
       if (p.seconds > 0.0 && m.seconds > 0.0) {
         os << " (x" << fmt_ratio(m.seconds / p.seconds) << ")";

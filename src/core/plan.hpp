@@ -163,9 +163,9 @@ struct machine_profile {
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };
 
-/// One line of the plan's cost breakdown.
+/// One line of the plan's cost breakdown.  Labels are string literals.
 struct phase_estimate {
-  std::string label;
+  const char* label = "";
   double seconds = 0.0;
 };
 

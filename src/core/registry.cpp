@@ -2,10 +2,12 @@
 
 #include <array>
 #include <bit>
+#include <cstring>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -61,6 +63,16 @@ struct transport_node {
 // profile fingerprint (a different profile re-keys every entry).
 using plan_key = std::array<std::uint64_t, 6>;
 
+// One backend's feedback, summed in place under its own mutex.  `exec` is
+// the backend's `core.exec.<backend>` counter, registered by its first
+// draw, so no later draw builds the name or takes the metrics registry's
+// mutex.
+struct feedback_row {
+  std::mutex mutex;
+  backend_feedback sums;
+  obs::counter* exec = nullptr;
+};
+
 struct registry {
   std::mutex mutex;
   std::list<engine_node> engines;
@@ -74,6 +86,9 @@ struct registry {
   std::map<plan_key, permutation_plan> plans;
   std::size_t plan_lookups = 0;
   std::size_t plan_hits = 0;
+
+  // Indexed by backend; the `automatic` row stays empty (no plan runs it).
+  std::array<feedback_row, static_cast<std::size_t>(backend::automatic) + 1> feedback;
 };
 
 constexpr std::size_t kPlanCacheCapacity = 4096;
@@ -192,6 +207,38 @@ std::size_t plan_cache_hits() {
   registry& reg = instance();
   const std::lock_guard<std::mutex> lock(reg.plan_mutex);
   return reg.plan_hits;
+}
+
+backend_feedback feedback_for(backend which) {
+  feedback_row& row = instance().feedback[static_cast<std::size_t>(which)];
+  const std::lock_guard<std::mutex> lock(row.mutex);
+  return row.sums;
+}
+
+void clear_feedback() {
+  for (feedback_row& row : instance().feedback) {
+    const std::lock_guard<std::mutex> lock(row.mutex);
+    row.sums = {};
+  }
+}
+
+feedback_scope::~feedback_scope() {
+  if (plan_ == nullptr) return;
+  span_.reset();  // report the "execute" phase to the collector
+  feedback_row& row = instance().feedback[static_cast<std::size_t>(plan_->chosen)];
+  const std::lock_guard<std::mutex> lock(row.mutex);
+  if (row.exec == nullptr) {
+    row.exec = &obs::get_counter(std::string("core.exec.") + backend_name(plan_->chosen));
+  }
+  row.exec->add();
+  backend_feedback& f = row.sums;
+  ++f.jobs;
+  f.predicted_seconds += plan_->predicted_seconds;
+  for (const phase_estimate& p : plan_->phases) obs::add_phase(f.predicted_phases, p.label, p.seconds);
+  for (const obs::phase_time& p : collector_->phases()) {
+    obs::add_phase(f.measured_phases, p.label, p.seconds);
+    if (std::strcmp(p.label, "execute") == 0) f.measured_seconds += p.seconds;
+  }
 }
 
 }  // namespace cgp::core

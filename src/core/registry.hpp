@@ -26,12 +26,19 @@
 // machine_profile::detect()) and the plan cache behind
 // core::resolve_plan (so repeated request shapes skip
 // core::plan_permutation, keyed by workload + profile fingerprint).
+// Beside the plan cache it keeps one plan-feedback row per backend, which
+// core::feedback_scope sums every executed draw into and
+// permutation_plan::explain() reads back.
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <vector>
 
 #include "comm/transport.hpp"
 #include "core/plan.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "smp/engine.hpp"
 
 namespace cgp::core {
@@ -76,5 +83,47 @@ namespace cgp::core {
 /// cached_plan calls were made, and how many were answered from the cache.
 [[nodiscard]] std::size_t plan_cache_lookups();
 [[nodiscard]] std::size_t plan_cache_hits();
+
+/// One backend's plan feedback: every draw a feedback_scope ran on it since
+/// process start or the last clear_feedback(), summed.
+struct backend_feedback {
+  std::uint64_t jobs = 0;
+  double predicted_seconds = 0.0;
+  double measured_seconds = 0.0;                  ///< the draws' "execute" phase
+  std::vector<obs::phase_time> predicted_phases;  ///< the plans' estimates, by label
+  std::vector<obs::phase_time> measured_phases;   ///< the collected spans, by label
+};
+
+/// A copy of `which`'s feedback row.
+[[nodiscard]] backend_feedback feedback_for(backend which);
+
+/// Zero every feedback row (tests).  The `core.exec.*` counters stay:
+/// counters are monotone.
+void clear_feedback();
+
+/// RAII scope around one executed draw of `plan` (which must outlive it):
+/// an "execute" span times the draw and a phase collector gathers what the
+/// executors' spans report on this thread.  On exit the draw is added into
+/// its backend's feedback row and counted into `core.exec.<backend>`, a
+/// counter the row registers on that backend's first draw, so a document
+/// never shows a backend that did not run.  Inert when obs is disabled
+/// (CGP_OBS_OFF): no collector, no span, no clock.
+class feedback_scope {
+ public:
+  explicit feedback_scope(const permutation_plan& plan) {
+    if (!obs::enabled()) return;
+    plan_ = &plan;
+    collector_.emplace();
+    span_.emplace("execute", "exec");
+  }
+  feedback_scope(const feedback_scope&) = delete;
+  feedback_scope& operator=(const feedback_scope&) = delete;
+  ~feedback_scope();
+
+ private:
+  const permutation_plan* plan_ = nullptr;  ///< null when obs was off at entry
+  std::optional<obs::phase_collector> collector_;
+  std::optional<obs::span> span_;
+};
 
 }  // namespace cgp::core

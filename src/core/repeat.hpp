@@ -36,10 +36,8 @@ class permutation_stream {
   [[nodiscard]] std::vector<std::uint64_t> next(cgm::run_stats* stats_out = nullptr) {
     // Key separation per draw: deterministic, independent of how many
     // draws preceded on other stream objects with different seeds.
-    const std::uint64_t draw_seed =
-        rng::mix64(seed_ ^ rng::mix64(counter_ + 0x9E3779B97F4A7C15ull));
+    mach_.reseed(rng::mix_in(seed_, counter_));
     ++counter_;
-    mach_.reseed(draw_seed);
     return random_permutation_global(mach_, n_, opt_, stats_out);
   }
 

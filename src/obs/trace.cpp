@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -110,6 +111,13 @@ std::uint64_t next_id() noexcept {
 
 thread_local trace_context t_trace{};
 
+thread_local phase_collector* t_collector = nullptr;
+
+// The phases of every collector installed on this thread, innermost last:
+// a collector owns the tail from its begin_, so nesting needs no storage
+// of its own.
+thread_local std::vector<phase_time> t_phases;
+
 // -1 = not yet resolved from the environment.
 std::atomic<int> g_tracing{-1};
 
@@ -163,6 +171,36 @@ void set_tracing(bool on) noexcept {
   // overwrite the explicit choice (and CGP_TRACE still registers its dump).
   static_cast<void>(tracing());
   g_tracing.store(on ? 1 : 0, std::memory_order_relaxed);
+}
+
+void add_phase(std::vector<phase_time>& phases, const char* label, double seconds,
+               std::size_t from) {
+  for (std::size_t i = from; i < phases.size(); ++i) {
+    if (std::strcmp(phases[i].label, label) == 0) {
+      phases[i].seconds += seconds;
+      return;
+    }
+  }
+  phases.push_back({label, seconds});
+}
+
+phase_collector::phase_collector() noexcept : prev_(t_collector), begin_(t_phases.size()) {
+  t_collector = this;
+}
+
+phase_collector::~phase_collector() {
+  t_phases.resize(begin_);
+  t_collector = prev_;
+}
+
+std::span<const phase_time> phase_collector::phases() const noexcept {
+  return std::span<const phase_time>(t_phases).subspan(begin_);
+}
+
+bool phase_collector_active() noexcept { return t_collector != nullptr; }
+
+void note_phase(const char* label, double seconds) noexcept {
+  if (t_collector != nullptr) add_phase(t_phases, label, seconds, t_collector->begin_);
 }
 
 trace_context current_trace() noexcept { return t_trace; }

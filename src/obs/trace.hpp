@@ -38,20 +38,63 @@
 // steady-clock epoch to the shared wall clock (see wall_epoch_ns()).
 //
 // Spans also feed the plan-feedback loop: when the current thread has a
-// phase_collector installed (obs/plan_feedback.hpp), a finished span
-// reports {name, seconds} to it even with tracing off.  That is how
-// measured phase times reach plan::explain() without the executors knowing
-// about plans.
+// phase_collector installed, a finished span reports {name, seconds} to it
+// even with tracing off.  core::feedback_scope (core/registry.hpp)
+// installs one around every executed draw, which is how measured phase
+// times reach plan::explain() without the executors knowing about plans.
+// Worker threads spawned by an engine have no collector, so a backend's
+// measured phases are what its *calling* thread observes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
 
-#include "obs/plan_feedback.hpp"
-
 namespace cgp::obs {
+
+/// One named phase with a duration in seconds.  Labels are string
+/// literals, like span names.
+struct phase_time {
+  const char* label = "";
+  double seconds = 0.0;
+};
+
+/// Add `seconds` to the phase labelled `label` (labels compare by content)
+/// among phases[from..], appending the phase when it is new.
+void add_phase(std::vector<phase_time>& phases, const char* label, double seconds,
+               std::size_t from = 0);
+
+/// RAII scope that captures {label, seconds} from every obs::span finishing
+/// on this thread, summed by label in first-seen order.  Nesting replaces
+/// the outer collector until the inner one is destroyed (the inner job
+/// owns its phases).  Collected phases live in a thread-local buffer that
+/// keeps its capacity, so a warm thread collects without allocating.
+class phase_collector {
+ public:
+  phase_collector() noexcept;
+  ~phase_collector();
+  phase_collector(const phase_collector&) = delete;
+  phase_collector& operator=(const phase_collector&) = delete;
+
+  /// Phases seen so far; valid until the next phase is noted on this
+  /// thread or this collector is destroyed.
+  [[nodiscard]] std::span<const phase_time> phases() const noexcept;
+
+ private:
+  friend void note_phase(const char* label, double seconds) noexcept;
+  phase_collector* prev_;
+  std::size_t begin_;  ///< this collector's first phase in the thread's buffer
+};
+
+/// Does the calling thread have a phase_collector installed?
+[[nodiscard]] bool phase_collector_active() noexcept;
+
+/// Add `seconds` to phase `label` of the calling thread's innermost
+/// collector; no-op without one.  Called by obs::span on destruction.
+void note_phase(const char* label, double seconds) noexcept;
 
 /// Is span recording into the ring buffer active?
 [[nodiscard]] bool tracing() noexcept;

@@ -27,6 +27,15 @@ namespace cgp::rng {
   return z ^ (z >> 31);
 }
 
+/// Fold word `v` into hash `h`.  Mixing v through its own mix64 before the
+/// xor keeps chains from adjacent starting values apart: mix64(h + v) would
+/// make (h + 1, v) collide with (h, v + 1).  Keys a context's draw
+/// sequence, a permutation_stream's draws and a machine profile's
+/// fingerprint.
+[[nodiscard]] constexpr std::uint64_t mix_in(std::uint64_t h, std::uint64_t v) noexcept {
+  return mix64(h ^ mix64(v + 0x9E3779B97F4A7C15ull));
+}
+
 /// splitmix64 as a standard uniform random bit generator.
 class splitmix64 {
  public:

@@ -207,7 +207,7 @@ void server::run_fill(detail::job_state& st, bool streamed) {
   run(st, [&](const core::backend_options& o) {
     st.plan = core::resolve_plan(st.n, sizeof(std::uint64_t), o);
     if (st.n == 0) return;
-    const core::feedback_scope fb(st.plan, st.n, sizeof(std::uint64_t));
+    const core::feedback_scope fb(st.plan);
     if (streamed && st.plan.chosen == core::backend::prp) {
       // Cipher-backed stream: nothing is materialized -- the stream
       // evaluates pi on demand through the same (seed, n, options)

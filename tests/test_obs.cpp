@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <span>
 #include <sstream>
@@ -16,8 +18,8 @@
 #include <vector>
 
 #include "core/context.hpp"
+#include "core/registry.hpp"
 #include "obs/metrics.hpp"
-#include "obs/plan_feedback.hpp"
 #include "obs/trace.hpp"
 #include "rng/philox.hpp"
 #include "svc/server.hpp"
@@ -405,16 +407,124 @@ TEST(ObsTrace, ChromeDumpCarriesAnchorAndSummary) {
 
 TEST(ObsDeterminism, FeedbackIsRecordedAndHarmless) {
   obs::set_enabled(true);
-  obs::clear_plan_feedback();
+  core::clear_feedback();
   std::vector<std::uint64_t> v(4096);
   for (std::uint64_t i = 0; i < v.size(); ++i) v[i] = i;
   cgp::context ctx;
   (void)ctx.shuffle(std::span<std::uint64_t>(v), 7);
   bool any = false;
-  for (const char* b : {"seq", "smp", "em"}) {
-    if (obs::plan_feedback_for(b).jobs > 0) any = true;
+  for (const core::backend b : {core::backend::sequential, core::backend::smp, core::backend::em}) {
+    if (core::feedback_for(b).jobs > 0) any = true;
   }
   EXPECT_TRUE(any);
+}
+
+// ---------------------------------------------------------------------------
+// Plan feedback rows (core/registry.hpp): core::feedback_scope sums every
+// draw into its backend's row under the row's mutex and counts it into
+// `core.exec.<backend>`.
+
+// 400 draws from 8 threads on one shared context: the seq row and
+// core.exec.seq each grow by exactly 400.  The CI tsan job runs this.
+TEST(PlanFeedback, ConcurrentDrawsSumIntoOneRow) {
+  constexpr int kThreads = 8;
+  constexpr int kDraws = 50;
+  obs::set_enabled(true);
+  context_options copt;
+  copt.which = core::backend::sequential;
+  const cgp::context ctx(copt);
+  obs::counter& exec = obs::get_counter("core.exec.seq");
+  const std::uint64_t jobs0 = core::feedback_for(core::backend::sequential).jobs;
+  const std::uint64_t exec0 = exec.value();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&ctx, t] {
+      std::vector<std::uint64_t> v(256);
+      for (int d = 0; d < kDraws; ++d) {
+        (void)ctx.shuffle(std::span<std::uint64_t>(v), std::uint64_t(t * kDraws + d));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  constexpr std::uint64_t kTotal = kThreads * kDraws;
+  EXPECT_EQ(core::feedback_for(core::backend::sequential).jobs - jobs0, kTotal);
+  EXPECT_EQ(exec.value() - exec0, kTotal);
+}
+
+// clear_feedback() zeroes every row; a draw made with obs off adds nothing
+// to any row or core.exec.* counter.
+TEST(PlanFeedback, ClearZeroesEveryRowAndObsOffAddsNothing) {
+  const std::array backends = {core::backend::sequential, core::backend::smp,
+                               core::backend::em, core::backend::cgm, core::backend::prp};
+  const auto draw_on_every_backend = [&] {
+    std::vector<std::uint64_t> v(4096);
+    for (const core::backend b : backends) {
+      context_options copt;
+      copt.which = b;
+      (void)cgp::context(copt).shuffle(std::span<std::uint64_t>(v), 11);
+    }
+  };
+  const auto expect_empty_rows = [&](const char* when) {
+    for (const core::backend b : backends) {
+      const core::backend_feedback fb = core::feedback_for(b);
+      EXPECT_EQ(fb.jobs, 0u) << when << " " << core::backend_name(b);
+      EXPECT_EQ(fb.predicted_seconds, 0.0) << when << " " << core::backend_name(b);
+      EXPECT_EQ(fb.measured_seconds, 0.0) << when << " " << core::backend_name(b);
+      EXPECT_TRUE(fb.predicted_phases.empty()) << when << " " << core::backend_name(b);
+      EXPECT_TRUE(fb.measured_phases.empty()) << when << " " << core::backend_name(b);
+    }
+  };
+  obs::set_enabled(true);
+  core::clear_feedback();
+  draw_on_every_backend();
+  for (const core::backend b : backends) EXPECT_EQ(core::feedback_for(b).jobs, 1u);
+  core::clear_feedback();
+  expect_empty_rows("after clear");
+
+  std::vector<std::uint64_t> exec0;
+  for (const core::backend b : backends) {
+    exec0.push_back(obs::get_counter(std::string("core.exec.") + core::backend_name(b)).value());
+  }
+  obs::set_enabled(false);
+  draw_on_every_backend();
+  obs::set_enabled(true);
+  expect_empty_rows("after an obs-off draw");
+  for (std::size_t i = 0; i < backends.size(); ++i) {
+    EXPECT_EQ(obs::get_counter(std::string("core.exec.") + core::backend_name(backends[i])).value(),
+              exec0[i]);
+  }
+}
+
+// A row's measured total is the sum of its "execute" phase, and explain()
+// prints the row next to the plan's prediction.
+TEST(PlanFeedback, MeasuredTotalIsTheExecutePhaseAndExplainPrintsTheRow) {
+  obs::set_enabled(true);
+  core::clear_feedback();
+  context_options copt;
+  copt.which = core::backend::sequential;
+  cgp::context ctx(copt);
+  std::vector<std::uint64_t> v(4096);
+  core::permutation_plan plan;
+  for (int d = 0; d < 3; ++d) plan = ctx.shuffle(std::span<std::uint64_t>(v));
+  const core::backend_feedback fb = core::feedback_for(core::backend::sequential);
+  ASSERT_EQ(fb.jobs, 3u);
+  double execute = 0.0;
+  bool fisher_yates = false;
+  for (const obs::phase_time& p : fb.measured_phases) {
+    if (std::strcmp(p.label, "execute") == 0) execute = p.seconds;
+    if (std::strcmp(p.label, "fisher-yates") == 0) fisher_yates = true;
+  }
+  EXPECT_GT(execute, 0.0);
+  EXPECT_EQ(fb.measured_seconds, execute);
+  EXPECT_TRUE(fisher_yates);
+  EXPECT_DOUBLE_EQ(fb.predicted_seconds, 3 * plan.predicted_seconds);
+
+  const std::string text = plan.explain();
+  EXPECT_NE(text.find("feedback (3 executed jobs, backend=seq, per-job averages):"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("  execute: measured="), std::string::npos) << text;
+  EXPECT_NE(text.find("  fisher-yates: measured="), std::string::npos) << text;
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 // per-element uniformity, and independence between successive draws.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "core/context.hpp"
+#include "core/plan.hpp"
 #include "core/repeat.hpp"
+#include "rng/philox_batch.hpp"
 #include "stats/chisq.hpp"
 #include "stats/lehmer.hpp"
 
@@ -83,6 +87,34 @@ TEST(PermutationStream, StatsPlumbing) {
   (void)stream.next(&stats);
   EXPECT_EQ(stats.per_proc.size(), 4u);
   EXPECT_GT(stats.total_compute(), 0u);
+}
+
+// One seed fold keys a context's draw sequence, a permutation_stream's
+// draws and the plan cache's profile fingerprint; these literals pin all
+// three, so a change to the fold shows here first.
+TEST(SeedFold, DrawSeedsAndProfileFingerprintArePinned) {
+  context_options copt;
+  copt.which = core::backend::sequential;
+  copt.seed = 2029;
+  cgp::context draws(copt);
+  const cgp::context ref(copt);
+  for (const std::uint64_t s : {std::uint64_t{2029}, std::uint64_t{0xe386e840d8b7b70bull},
+                                std::uint64_t{0x0afbe05a92c68172ull}}) {
+    EXPECT_EQ(draws.random_permutation(64), ref.random_permutation(64, s)) << s;
+  }
+
+  core::permutation_stream stream(2, 64, 47);
+  for (const std::uint64_t s : {0xdaf5f6828d6210b5ull, 0x5f3fe51ef19e764eull,
+                                0x5be0a8cef4a524ceull}) {
+    cgm::machine mach(2, s);
+    EXPECT_EQ(stream.next(), core::random_permutation_global(mach, 64)) << s;
+  }
+
+  // The active SIMD path enters the fingerprint; pin it on the scalar path
+  // every host runs.
+  rng::set_simd_override(rng::simd_path::scalar);
+  EXPECT_EQ(core::machine_profile{}.fingerprint(), 0x2f7d32b6a2763f0cull);
+  rng::clear_simd_override();
 }
 
 }  // namespace

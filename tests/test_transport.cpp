@@ -1087,6 +1087,19 @@ TEST(ContextFacade, ExplicitCgmContextUsesTransportRanks) {
   EXPECT_EQ(pi, direct);
 }
 
+// The rank count may come from the expert options alone; transport()
+// must still name the transport the draws run on.
+TEST(ContextFacade, EngineParallelismSetsTheContextTransport) {
+  context_options copt;
+  copt.which = core::backend::cgm;
+  copt.engine.parallelism = 4;
+  copt.seed = 2026;
+  cgp::context ctx(copt);
+  EXPECT_EQ(ctx.plan_for(100'000, 8).threads, 4u);
+  EXPECT_EQ(&ctx.transport(), &core::shared_transport(4));
+  EXPECT_EQ(ctx.transport().size(), 4u);
+}
+
 // A record of N bytes whose first three bytes spell its index, so every
 // record of a 3,001-item array is distinct.
 template <std::size_t N>
