@@ -18,22 +18,34 @@
 // The speedup over naive must grow ~linearly in B (items per block) --
 // exactly the I/O-model gap the outlook predicts.
 //
+// One more row times the engine where a service spends it: the wire
+// streams' build, core::em_shuffled_identity_device of 3,000,000 items at
+// M = 2 Mi and B = 4,096 (one level, K = 256) on a 4-worker pool.  It
+// reports the process CPU time per item of 15 builds (median and
+// quartiles, after 2 warm-ups; the device is freed outside the timed
+// window) with the build's transfers and random words.  This is the em
+// layer's number for the wire_tenants workload, whose traced
+// `em.ns_per_item` samples only two replays.
+//
 // Output: the paper-style table on stdout plus machine-readable
 // BENCH_em.json records so the out-of-core perf trajectory is trackable
 // across commits.
 //
 // Usage: e12_external_memory [json_path]
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "core/executor.hpp"
 #include "em/async_shuffle.hpp"
 #include "em/block_device.hpp"
 #include "em/naive_shuffle.hpp"
 #include "rng/philox.hpp"
 #include "smp/thread_pool.hpp"
 #include "util/json.hpp"
+#include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -41,6 +53,53 @@ using namespace cgp;
 
 void fill_iota(em::block_device& dev, std::uint64_t n) {
   for (std::uint64_t i = 0; i < n; ++i) dev.poke(i, i);
+}
+
+/// The wire-stream row: process CPU ns/item of 15 permutation builds.
+json_record stream_row() {
+  constexpr std::uint64_t n = 3'000'000;
+  constexpr int trials = 15;
+  smp::thread_pool pool(4);
+  core::em_exec_config cfg;
+  cfg.aopt.memory_items = std::uint64_t{1} << 21;
+  cfg.block_items = 4096;
+  cfg.pool = &pool;
+  em::async_report rep;
+  for (int w = 0; w < 2; ++w) (void)core::em_shuffled_identity_device(n, 0xE12, cfg, &rep);
+  std::vector<double> ns;
+  for (int t = 0; t < trials; ++t) {
+    em::async_report r;
+    const double t0 = process_cpu_seconds();
+    auto dev = core::em_shuffled_identity_device(n, 0xE12, cfg, &r);
+    ns.push_back((process_cpu_seconds() - t0) * 1e9 / static_cast<double>(n));
+    dev.reset();
+    CGP_ASSERT(r.block_transfers == rep.block_transfers && r.rng_words == rep.rng_words);
+  }
+  std::sort(ns.begin(), ns.end());
+  const double q1 = ns[trials / 4];
+  const double median = ns[trials / 2];
+  const double q3 = ns[3 * trials / 4];
+  std::cout << "\nWire-stream build (n = 3,000,000, M = 2 Mi, B = 4,096, K = 256, 4 workers):\n"
+            << "  process CPU ns/item median " << fmt(median, 2) << " [" << fmt(q1, 2) << ", "
+            << fmt(q3, 2) << "] over " << trials << " builds; " << rep.levels << " level, "
+            << rep.block_transfers << " transfers, " << rep.rng_words << " random words\n";
+  json_record rec;
+  rec.add("bench", "e12_external_memory")
+      .add("engine", "em_permutation_stream")
+      .add("n", n)
+      .add("block_items", cfg.block_items)
+      .add("memory_items", cfg.aopt.memory_items)
+      .add("pool", std::uint32_t{4})
+      .add("trials", trials)
+      .add("cpu_ns_per_item_median", median)
+      .add("cpu_ns_per_item_q1", q1)
+      .add("cpu_ns_per_item_q3", q3)
+      .add("block_transfers", rep.block_transfers)
+      .add("levels", rep.levels)
+      .add("rng_words", rep.rng_words)
+      .add("transfers_per_item",
+           static_cast<double>(rep.block_transfers) / static_cast<double>(n));
+  return rec;
 }
 
 }  // namespace
@@ -105,9 +164,10 @@ int main(int argc, char** argv) {
 
   std::cout << "\nShape checks: the async engine needs ~2-3 transfers per block per pass\n"
                "(no label device: labels are Philox functions of (seed, level, bucket,\n"
-               "index) and are recomputed, never stored), the naive baseline ~2 per ITEM\n"
-               "once n >> M -- so async/naive grows ~linearly with B, the I/O-model gap\n"
-               "between Theta(n) and O((n/B) log_{M/B}(n/M)).\n";
+               "index), so no label ever costs a transfer), the naive baseline ~2 per\n"
+               "ITEM once n >> M -- so async/naive grows ~linearly with B, the I/O-model\n"
+               "gap between Theta(n) and O((n/B) log_{M/B}(n/M)).\n";
+  out.push_back(stream_row());
   if (write_json_records(json_path, out)) {
     std::cout << "\nwrote " << out.size() << " records to " << json_path << "\n";
   }

@@ -12,19 +12,22 @@
 //  1. *Index-keyed labels.*  Every bucket label is drawn from a Philox
 //     stream keyed (seed, level, bucket) at counter position `index`, so
 //     the label of item i is a pure function of (seed, level, bucket, i).
-//     Consequences: the counting pass needs NO I/O at all (labels are
-//     recomputed, never stored, so no label device and no extra scan
-//     passes exist), and any worker can seek to any index of the stream
-//     in O(1) (rng::batched_philox's word-index constructor), so label
-//     generation parallelizes without hand-off.
+//     Consequences: the counting pass needs NO I/O at all (no label
+//     device and no extra scan passes exist), and any worker can seek to
+//     any index of the stream in O(1) (rng::batched_philox's word-index
+//     constructor), so label generation parallelizes without hand-off.
+//     A level that reads its range replays its labels in the scatter; a
+//     level that reads nothing (identity input) keeps them, one byte each,
+//     when they fit in 4 * K * B bytes, and draws each word once.
 //  2. *Staged scatter straight to the device.*  Each worker reads its
 //     chunk a block at a time into one B-item buffer, and stages bucket
 //     output in bucket_stage (a block-sized slot per bucket), whose
 //     block-aligned pieces go to the target device's write_items straight
-//     from the slot.  Everything, compute and transfers, runs on the
-//     caller's smp::thread_pool; the only lock is the device's mutex
-//     (em/block_device.hpp), which serializes each device's transfers
-//     like one disk arm and makes a shared boundary block's
+//     from the slot.  Items stay at the device's width throughout: u32 on
+//     a 4-byte device, else u64.  Everything, compute and transfers, runs
+//     on the caller's smp::thread_pool; the only lock is the device's
+//     mutex (em/block_device.hpp), which serializes each device's
+//     transfers like one disk arm and makes a shared boundary block's
 //     read-modify-write atomic.
 //  3. *Deterministic parallel decomposition.*  The scatter is organized
 //     like smp/parallel_split.hpp: per-chunk label histograms and
@@ -62,12 +65,14 @@
 // whichever device holds their bucket and write the caller's.
 //
 // Memory budget (simulated, not enforced): one worker's scatter working
-// set is K * B staged items + a B-item read buffer, which K = M/B - 2
-// keeps within M; with p pool workers the aggregate is ~p * M (the I/O
-// model's M is per scan process).  Leaves materialize at most M items
-// each, in one buffer per pool part.  The scratch device adds n items
-// only once a level that needs it runs, and lives until the call returns.
-// Nothing is kept past the call.
+// set is K * B staged items + a B-item read buffer, at the device's item
+// width, which K = M/B - 2 keeps within M; with p pool workers the
+// aggregate is ~p * M (the I/O model's M is per scan process).  A level
+// that keeps its labels adds at most 4 * K * B bytes: on a 4-byte device,
+// what its stage saves against an 8-byte one.  Leaves materialize at most
+// M items each, in one buffer per pool part.  The scratch device adds n
+// items only once a level that needs it runs, and lives until the call
+// returns.  Nothing is kept past the call.
 #pragma once
 
 #include <algorithm>
@@ -135,11 +140,12 @@ inline void for_each_label(rng::batched_philox& e, std::uint64_t count, Body&& b
   }
 }
 
-/// One worker's scatter staging: a slot of B items per bucket, all K
-/// slots in one array at a padded stride (so they do not all start on one
-/// cache set), never value-initialized.  At K = 256 and B = 4,096 the
-/// slots span 8.4 MB, past any L2, so every push prefetches its slot a
-/// few lines ahead: without it each new line of a slot is a demand miss.
+/// One worker's scatter staging: a slot of B items per bucket, at the
+/// device's width T, all K slots in one array at a padded stride (so they
+/// do not all start on one cache set), never value-initialized.  At K =
+/// 256 and B = 4,096 the slots span 4.2 MB at 4 bytes (8.4 MB at 8), past
+/// any L2, so every push prefetches its slot a few lines ahead: without it
+/// each new line of a slot is a demand miss.
 /// In a chunk, bucket j's items go to the device run [dest_j, dest_j +
 /// count_j).  They leave the slot in pieces, each written straight from
 /// the slot by one write_items call:
@@ -148,13 +154,14 @@ inline void for_each_label(rng::batched_philox& e, std::uint64_t count, Body&& b
 /// tail; a run shorter than a block leaves whole.  So a run pays at most
 /// two read-modify-write boundary blocks, and a worker stages at most
 /// K * B items -- within the K = M/B - 2 frame budget.
+template <typename T>
 class bucket_stage {
  public:
   bucket_stage(block_device& dev, std::uint32_t fan, std::uint32_t block_items)
       : dev_(dev),
         b_(block_items),
         stride_(std::size_t{block_items} + kPad),
-        slots_(std::make_unique_for_overwrite<std::uint64_t[]>(fan * stride_ + kAhead)),
+        slots_(std::make_unique_for_overwrite<T[]>(fan * stride_ + kAhead)),
         cursor_(fan),
         run_(fan) {}
 
@@ -167,7 +174,7 @@ class bucket_stage {
     }
   }
 
-  void push(std::uint64_t j, std::uint64_t v) {
+  void push(std::uint64_t j, T v) {
     cursor& c = cursor_[j];
     // On every push: a branch for "first item of a line" mispredicts and
     // costs more than the redundant prefetches it saves.
@@ -177,13 +184,13 @@ class bucket_stage {
   }
 
  private:
-  static constexpr std::size_t kPad = 8;  ///< one cache line of items
+  static constexpr std::size_t kPad = 64 / sizeof(T);  ///< one cache line of items
   /// Prefetch distance in items; the array is padded by as much, so the
   /// prefetched address is always inside it.
   static constexpr std::size_t kAhead = 32;
 
   struct cursor {
-    std::uint64_t* at;
+    T* at;
     std::uint64_t left;  ///< items until the current piece is complete
   };
   struct run {
@@ -191,14 +198,12 @@ class bucket_stage {
     std::uint64_t remaining;  ///< items of the run not yet written
   };
 
-  [[nodiscard]] std::uint64_t* slot(std::size_t j) const noexcept {
-    return slots_.get() + j * stride_;
-  }
+  [[nodiscard]] T* slot(std::size_t j) const noexcept { return slots_.get() + j * stride_; }
 
   void emit(std::uint64_t j) {
-    std::uint64_t* s = slot(j);
+    T* s = slot(j);
     const auto staged = static_cast<std::uint64_t>(cursor_[j].at - s);
-    dev_.write_items(run_[j].pos, std::span<const std::uint64_t>(s, staged));
+    dev_.write_items(run_[j].pos, std::span<const T>(s, staged));
     run_[j].pos += staged;
     run_[j].remaining -= staged;
     cursor_[j] = {s, std::min<std::uint64_t>(b_, run_[j].remaining)};
@@ -207,11 +212,15 @@ class bucket_stage {
   block_device& dev_;
   std::uint64_t b_;
   std::size_t stride_;
-  std::unique_ptr<std::uint64_t[]> slots_;
+  std::unique_ptr<T[]> slots_;
   std::vector<cursor> cursor_;
   std::vector<run> run_;
 };
 
+/// One run of the engine over devices whose items are T (u32 on a 4-byte
+/// device, else u64): the stage, the read buffer and the leaf buffers hold
+/// T, so items cross no widening or narrowing copy.
+template <typename T>
 class engine_state {
  public:
   engine_state(block_device& main, smp::thread_pool& pool, std::uint64_t seed,
@@ -258,12 +267,12 @@ class engine_state {
   /// leaf then reads and writes its own range, and concurrent leaves share
   /// at most boundary blocks, whose merges the device makes atomic.
   void leaf(block_device& cur, std::uint64_t lo, std::uint64_t hi, std::uint32_t level,
-            std::uint64_t ordinal, bool identity, std::span<std::uint64_t> mem) {
+            std::uint64_t ordinal, bool identity, std::span<T> mem) {
     const std::uint64_t size = hi - lo;
     if (size == 0) return;
-    const std::span<std::uint64_t> items = mem.first(size);
+    const std::span<T> items = mem.first(size);
     if (identity) {
-      std::iota(items.begin(), items.end(), lo);
+      std::iota(items.begin(), items.end(), static_cast<T>(lo));
     } else {
       cur.read_items(lo, items);
     }
@@ -273,7 +282,7 @@ class engine_state {
     rng::batched_philox e(seed_, level == 0 ? 0 : rng::nested_stream(level, ordinal, kLeafSalt));
     const std::uint64_t words = seq::fisher_yates_batched(e, items);
     rng_words_.fetch_add(words, std::memory_order_relaxed);
-    main_.write_items(lo, items);
+    main_.write_items(lo, std::span<const T>(items));
   }
 
   void shuffle_range(block_device& cur, std::uint64_t lo, std::uint64_t hi, std::uint32_t level,
@@ -281,7 +290,7 @@ class engine_state {
     const std::uint64_t size = hi - lo;
     report_.levels = std::max(report_.levels, level);
     if (size <= leaf_cut_) {
-      const auto mem = std::make_unique_for_overwrite<std::uint64_t[]>(size);
+      const auto mem = std::make_unique_for_overwrite<T[]>(size);
       leaf(cur, lo, hi, level, ordinal, identity, std::span(mem.get(), size));
       return;
     }
@@ -289,6 +298,16 @@ class engine_state {
     const std::uint32_t b = cur.block_items();
     const std::uint64_t label_stream = rng::nested_stream(level, ordinal, kLabelSalt);
     const std::uint64_t mask = fan_ - 1;
+    // A level that reads nothing (identity input) keeps the labels its
+    // counting pass draws, one byte each (K <= 256), and scatters from
+    // them instead of drawing them again -- if they fit in the 4 * K * B
+    // bytes a 4-byte stage saves against an 8-byte one.  The rule reads
+    // only (size, K, B), so the report does not depend on the width.  A
+    // level that reads its range replays its labels: it reads every block
+    // anyway.
+    const std::unique_ptr<std::uint8_t[]> labels =
+        identity && size <= 4ull * fan_ * b ? std::make_unique_for_overwrite<std::uint8_t[]>(size)
+                                            : nullptr;
 
     // Chunking: a block-aligned partition of the range, a few chunks per
     // worker.  The chunking CANNOT affect the output -- item i of label j
@@ -332,7 +351,18 @@ class engine_state {
         // shows up undiluted.
         rng::batched_philox e(seed_, label_stream, i_lo - lo);
         std::uint64_t* hist = piece_counts.data() + p * fan_;
-        for_each_label(e, i_hi - i_lo, [&](std::uint64_t w, std::uint64_t) { ++hist[w & mask]; });
+        if (labels) {
+          std::uint8_t* kept = labels.get() + (i_lo - lo);
+          for_each_label(e, i_hi - i_lo, [hist, kept, mask](std::uint64_t w, std::uint64_t k) {
+            const auto j = static_cast<std::uint8_t>(w & mask);
+            kept[k] = j;
+            ++hist[j];
+          });
+        } else {
+          for_each_label(e, i_hi - i_lo, [hist, mask](std::uint64_t w, std::uint64_t) {
+            ++hist[w & mask];
+          });
+        }
         rng_words_.fetch_add(i_hi - i_lo, std::memory_order_relaxed);
       }
     });
@@ -364,33 +394,42 @@ class engine_state {
 
     // --- scatter pass: block reads, staged writes -----------------------
     // Identity input (level 0 of a fused permutation) reads nothing: item
-    // i's value is i, and the buckets are written in place.
+    // i's value is i, its label is the kept one if the level kept them,
+    // and the buckets are written in place.
     block_device& dst = scatter_target(cur, identity);
     {
       const obs::span sp("scatter-level", "scatter");
       pool_.parallel_for(0, nchunks, [&](std::size_t c_lo, std::size_t c_hi) {
-        bucket_stage stage(dst, fan_, b);
-        const auto buf = identity ? nullptr : std::make_unique_for_overwrite<std::uint64_t[]>(b);
+        bucket_stage<T> stage(dst, fan_, b);
+        const auto buf = identity ? nullptr : std::make_unique_for_overwrite<T[]>(b);
         for (std::size_t c = c_lo; c < c_hi; ++c) {
           const auto [blks, items] = chunk_bounds(c);
-          rng::batched_philox e(seed_, label_stream, items.first - lo);
+          const std::uint64_t len = items.second - items.first;
           stage.begin(dest.data() + c * fan_, counts.data() + c * fan_);
+          if (labels) {
+            const std::uint8_t* kept = labels.get() + (items.first - lo);
+            for (std::uint64_t k = 0; k < len; ++k) {
+              stage.push(kept[k], static_cast<T>(items.first + k));
+            }
+            continue;
+          }
+          rng::batched_philox e(seed_, label_stream, items.first - lo);
           if (identity) {
-            for_each_label(e, items.second - items.first, [&](std::uint64_t w, std::uint64_t k) {
-              stage.push(w & mask, items.first + k);
+            for_each_label(e, len, [&](std::uint64_t w, std::uint64_t k) {
+              stage.push(w & mask, static_cast<T>(items.first + k));
             });
           } else {
             // One read per block: the chunk's items of that block.
             for (std::uint64_t blk = blks.first; blk < blks.second; ++blk) {
               const std::uint64_t i_lo = std::max<std::uint64_t>(blk * b, items.first);
               const std::uint64_t i_hi = std::min<std::uint64_t>((blk + 1) * b, items.second);
-              cur.read_items(i_lo, std::span<std::uint64_t>(buf.get(), i_hi - i_lo));
+              cur.read_items(i_lo, std::span<T>(buf.get(), i_hi - i_lo));
               for_each_label(e, i_hi - i_lo, [&](std::uint64_t w, std::uint64_t k) {
                 stage.push(w & mask, buf[k]);
               });
             }
           }
-          rng_words_.fetch_add(items.second - items.first, std::memory_order_relaxed);
+          rng_words_.fetch_add(len, std::memory_order_relaxed);
         }
       });
     }
@@ -415,7 +454,7 @@ class engine_state {
         for (std::size_t l = l_lo; l < l_hi; ++l) {
           most = std::max(most, bucket_lo[leaves[l] + 1] - bucket_lo[leaves[l]]);
         }
-        const auto mem = std::make_unique_for_overwrite<std::uint64_t[]>(most);
+        const auto mem = std::make_unique_for_overwrite<T[]>(most);
         for (std::size_t l = l_lo; l < l_hi; ++l) {
           const std::uint32_t j = leaves[l];
           leaf(dst, bucket_lo[j], bucket_lo[j + 1], level + 1, ordinal * fan_ + j, false,
@@ -436,6 +475,16 @@ class engine_state {
   std::atomic<std::uint64_t> rng_words_{0};
 };
 
+/// Run an engine_state<T> over `dev` and return its report.
+template <typename T>
+[[nodiscard]] async_report run_at_width(block_device& dev, std::uint64_t n, std::uint64_t seed,
+                                        smp::thread_pool& pool, std::uint64_t memory_items,
+                                        bool identity) {
+  engine_state<T> state(dev, pool, seed, memory_items);
+  state.run(n, identity);
+  return state.take_report();
+}
+
 /// Both entry points: run the engine and fold its report into the
 /// process-wide metrics.
 [[nodiscard]] inline async_report run_engine(block_device& dev, std::uint64_t n,
@@ -443,12 +492,12 @@ class engine_state {
                                              const async_options& opt, bool identity) {
   CGP_EXPECTS(n <= dev.item_capacity());
   CGP_EXPECTS(opt.memory_items >= 4ull * dev.block_items());
-  async_report report;
-  {
-    engine_state state(dev, pool, seed, opt.memory_items);
-    state.run(n, identity);
-    report = state.take_report();
-  }
+  // Identity values 0..n-1 must fit the device's items.
+  CGP_EXPECTS(!identity || n == 0 || item_bytes_for(n - 1) <= dev.item_bytes());
+  const async_report report =
+      dev.item_bytes() == 4
+          ? run_at_width<std::uint32_t>(dev, n, seed, pool, opt.memory_items, identity)
+          : run_at_width<std::uint64_t>(dev, n, seed, pool, opt.memory_items, identity);
   // Fold the run's transfer accounting into the process-wide metrics
   // (obs/metrics.hpp): monotone totals across every em shuffle.
   if (obs::enabled()) {

@@ -1,6 +1,7 @@
 #include "em/block_device.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <mutex>
 
 #include "obs/metrics.hpp"
@@ -88,6 +89,16 @@ std::uint64_t block_device::store(std::uint64_t at, const std::uint64_t* in,
   return high >> 32;
 }
 
+void block_device::load(std::uint64_t at, std::uint32_t* out, std::uint64_t count) const noexcept {
+  std::memcpy(out, narrow_.data() + at, count * sizeof(std::uint32_t));
+}
+
+std::uint64_t block_device::store(std::uint64_t at, const std::uint32_t* in,
+                                  std::uint64_t count) noexcept {
+  std::memcpy(narrow_.data() + at, in, count * sizeof(std::uint32_t));
+  return 0;
+}
+
 io_stats block_device::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
@@ -117,7 +128,8 @@ void block_device::write_block(std::uint64_t b, std::span<const std::uint64_t> i
   io_writes_counter().add();
 }
 
-void block_device::read_items(std::uint64_t item_lo, std::span<std::uint64_t> out) {
+template <typename T>
+void block_device::read_range(std::uint64_t item_lo, std::span<T> out) {
   if (out.empty()) return;  // no phantom transfers on empty ranges
   const std::uint64_t hi = item_lo + out.size();
   CGP_EXPECTS(hi <= blocks_ * block_items_);
@@ -132,7 +144,8 @@ void block_device::read_items(std::uint64_t item_lo, std::span<std::uint64_t> ou
   io_reads_counter().add((hi - 1) / block_items_ - item_lo / block_items_ + 1);
 }
 
-void block_device::write_items(std::uint64_t item_lo, std::span<const std::uint64_t> in) {
+template <typename T>
+void block_device::write_range(std::uint64_t item_lo, std::span<const T> in) {
   if (in.empty()) return;  // no phantom transfers on empty ranges
   const std::uint64_t hi = item_lo + in.size();
   CGP_EXPECTS(hi <= blocks_ * block_items_);
@@ -154,6 +167,24 @@ void block_device::write_items(std::uint64_t item_lo, std::span<const std::uint6
   }
   CGP_EXPECTS(high == 0);  // every value fits the item width
   io_writes_counter().add((hi - 1) / block_items_ - item_lo / block_items_ + 1);
+}
+
+void block_device::read_items(std::uint64_t item_lo, std::span<std::uint64_t> out) {
+  read_range(item_lo, out);
+}
+
+void block_device::read_items(std::uint64_t item_lo, std::span<std::uint32_t> out) {
+  CGP_EXPECTS(item_bytes_ == 4);
+  read_range(item_lo, out);
+}
+
+void block_device::write_items(std::uint64_t item_lo, std::span<const std::uint64_t> in) {
+  write_range(item_lo, in);
+}
+
+void block_device::write_items(std::uint64_t item_lo, std::span<const std::uint32_t> in) {
+  CGP_EXPECTS(item_bytes_ == 4);
+  write_range(item_lo, in);
 }
 
 void block_device::poke(std::uint64_t item, std::uint64_t value) noexcept {

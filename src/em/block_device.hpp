@@ -13,10 +13,13 @@
 // I/O model.
 //
 // Item width: a device stores each item in 4 or 8 bytes, fixed by its
-// creator from the largest value it will hold (`item_bytes_for`); every
-// call still moves `u64` values, widened or narrowed in the copy loops
-// the calls already run.  Block geometry and transfer counts do not
-// depend on the width.  Writing a value that does not fit aborts.
+// creator from the largest value it will hold (`item_bytes_for`).  The
+// `u64` calls serve either width, widening or narrowing in their copy
+// loops, and writing a value that does not fit aborts.  A 4-byte device
+// also serves `read_items` / `write_items` over `u32` spans, which copy
+// with memcpy: the out-of-core engine (em/async_shuffle.hpp) keeps its
+// items at the device's width end to end.  Block geometry and transfer
+// counts depend on neither the width nor the call's item type.
 //
 // Thread safety: `read_block` / `write_block` / `read_items` /
 // `write_items` serialize on an internal mutex -- one transfer at a time
@@ -84,14 +87,18 @@ class block_device {
   void write_block(std::uint64_t b, std::span<const std::uint64_t> in);
 
   /// Read the item range [item_lo, item_lo + out.size()) through whole-block
-  /// transfers: one read per covered block.
+  /// transfers: one read per covered block.  The `u32` form needs a 4-byte
+  /// device.
   void read_items(std::uint64_t item_lo, std::span<std::uint64_t> out);
+  void read_items(std::uint64_t item_lo, std::span<std::uint32_t> out);
 
   /// Write the item range [item_lo, item_lo + in.size()): fully covered
   /// blocks are written blind (one write); the at-most-two partial boundary
   /// blocks are merge-written (read + patch + write) ATOMICALLY per block,
-  /// so concurrent writers of disjoint item ranges compose correctly.
+  /// so concurrent writers of disjoint item ranges compose correctly.  The
+  /// `u32` form needs a 4-byte device.
   void write_items(std::uint64_t item_lo, std::span<const std::uint64_t> in);
+  void write_items(std::uint64_t item_lo, std::span<const std::uint32_t> in);
 
   /// Test helpers: bulk item access WITHOUT I/O accounting (used by tests
   /// to load/verify content, never by algorithms).
@@ -101,10 +108,18 @@ class block_device {
  private:
   /// Copy the stored items [at, at + count) out to `out`, widened.
   void load(std::uint64_t at, std::uint64_t* out, std::uint64_t count) const noexcept;
+  void load(std::uint64_t at, std::uint32_t* out, std::uint64_t count) const noexcept;
   /// Store `count` values at item `at`, narrowed; returns the OR of their
   /// bits above the item width (0 when every value fit).
   [[nodiscard]] std::uint64_t store(std::uint64_t at, const std::uint64_t* in,
                                     std::uint64_t count) noexcept;
+  [[nodiscard]] std::uint64_t store(std::uint64_t at, const std::uint32_t* in,
+                                    std::uint64_t count) noexcept;
+  /// The item-range transfers behind both widths of read_items/write_items.
+  template <typename T>
+  void read_range(std::uint64_t item_lo, std::span<T> out);
+  template <typename T>
+  void write_range(std::uint64_t item_lo, std::span<const T> in);
 
   std::uint64_t item_capacity_;
   std::uint32_t block_items_;

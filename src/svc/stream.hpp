@@ -17,8 +17,12 @@
 // jobs the planner sent out of core keep the permutation ON the block
 // device the em engine shuffled (the executor's native fill mode, minus
 // its final bulk readback), and every pull is an accounted
-// `read_items` range read -- no full-n vector ever materializes, the
-// resident footprint stays O(M).  Cipher-planned (prp) jobs -- including
+// `read_items` range read -- no full-n u64 vector ever materializes.  The
+// device itself lives in RAM at 4 bytes per item (n <= 2^32), so the
+// stream holds ~4n bytes until it is dropped: 12,009,472 for 3,000,000
+// items at B = 4,096 (EntryPointBounds.EmStreamDeviceHoldsFourBytesPerItem).
+// A file-backed device would bound it (ROADMAP item 3).  Cipher-planned
+// (prp) jobs -- including
 // server::submit_shard windows -- store NOTHING: every pull evaluates
 // pi(shard_base + cursor ..) through the O(1)-state prp::cipher.
 //

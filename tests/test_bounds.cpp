@@ -11,6 +11,7 @@
 // pins when the engine gets leaner (sending runs instead of (pos, value)
 // pairs halves the bytes).  No clock is read.
 #include <gtest/gtest.h>
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <cstdint>
@@ -157,10 +158,10 @@ TEST(EntryPointBounds, WarmCgmShuffleOverSocketMapsNoMessageBuffers) {
 // faults one fresh zero-filled 2^23-word buffer (64 MiB, above glibc's
 // 32 MiB mmap ceiling, so every call maps fresh pages) takes in this
 // process, so sanitizer shadow pages count on both sides: the device is
-// half such a buffer, and the slack above 0.5 covers the 8.4 MB scatter
-// stage and the leaf buffers.  An 8-byte device faulted in 1.00-1.13
-// buffers, and one with a scratch device 2.1 (plain build).  A fault count
-// is a count, not a clock.
+// half such a buffer, and the slack above 0.5 covers the 4.2 MB scatter
+// stage (4-byte slots, like the device) and the leaf buffers.  An 8-byte
+// device faulted in 1.00-1.13 buffers, and one with a scratch device 2.1
+// (plain build).  A fault count is a count, not a clock.
 TEST(EntryPointBounds, OneLevelEmPermutationFaultsInOneDevice) {
   // With transparent hugepages "always", both 64 MiB buffers fault in
   // 2 MiB pages (~32 faults each), and a few small-page faults elsewhere
@@ -191,6 +192,53 @@ TEST(EntryPointBounds, OneLevelEmPermutationFaultsInOneDevice) {
 
   EXPECT_EQ(rep.levels, 1u);
   EXPECT_LE(static_cast<double>(faults), 0.75 * static_cast<double>(one_buffer))
+      << faults << " faults; one fresh " << n << "-word buffer faults " << one_buffer;
+}
+
+// A one-level em permutation of n = 4 * K * B = 2^22 items (M = 2 Mi,
+// B = 4,096, K = 256) keeps its level-0 labels, one byte per item, and
+// stages its scatter in 4-byte slots: the device (2^24 bytes), the stage
+// (K slots of B + 16 u32, 4.2 MB) and the labels (4 MiB) must together
+// fault no more than the device and the 8-byte stage (8.4 MB) did when
+// every level replayed its labels and staged u64.  Counted as
+// OneLevelEmPermutationFaultsInOneDevice counts, against one fresh
+// 2^22-word buffer (32 MiB, mapped fresh on every call).  The heap may
+// hold freed pages from the tests before this one, so malloc_trim hands
+// them back first: every buffer the build takes then faults in, whether
+// glibc maps it or carves it from the heap.  The replaying 8-byte stage
+// read 0.751 of the buffer alone and 0.767 after this file's other tests;
+// held at 0.78.  Kept labels beside an 8-byte stage read 0.88, and labels
+// kept in 8 bytes each 1.63.  A fault count is a count, not a clock.
+TEST(EntryPointBounds, KeptLabelsFaultNoMoreThanTheWideStageTheyReplace) {
+  std::string thp;
+  std::getline(std::ifstream("/sys/kernel/mm/transparent_hugepage/enabled"), thp);
+  if (thp.find("[always]") != std::string::npos) GTEST_SKIP() << "THP is " << thp;
+  constexpr std::uint64_t n = std::uint64_t{1} << 22;
+  smp::thread_pool pool(4);
+  core::em_exec_config cfg;
+  cfg.aopt.memory_items = std::uint64_t{1} << 21;
+  cfg.block_items = 4096;
+  cfg.pool = &pool;
+  ASSERT_EQ(em::adaptive_fan_out(cfg.aopt.memory_items, cfg.block_items), 256u);
+  em::async_report rep;
+  (void)core::em_shuffled_identity_device(n, 0x1AB, cfg);  // warm: stacks, arenas
+
+  const long f0 = minor_faults();
+  {
+    std::vector<std::uint64_t> one(n);
+    asm volatile("" : : "g"(one.data()) : "memory");  // the zero fill must happen
+  }
+  const long one_buffer = minor_faults() - f0;
+  malloc_trim(0);  // free heap pages go back: whatever the build takes, it faults in
+  const long f1 = minor_faults();
+  {
+    const auto dev = core::em_shuffled_identity_device(n, 0x1AB, cfg, &rep);
+  }
+  const long faults = minor_faults() - f1;
+
+  EXPECT_EQ(rep.levels, 1u);
+  EXPECT_LT(rep.rng_words, 5 * n / 2) << "n label words and ~n leaf words: labels kept";
+  EXPECT_LE(static_cast<double>(faults), 0.78 * static_cast<double>(one_buffer))
       << faults << " faults; one fresh " << n << "-word buffer faults " << one_buffer;
 }
 

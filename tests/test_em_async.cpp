@@ -59,6 +59,51 @@ TEST(BlockDeviceItems, WriteItemsBlindWritesFullBlocksAndMergesEdges) {
   EXPECT_EQ(dev.stats().block_writes, 3u);
 }
 
+// The u32 item calls of a 4-byte device are the u64 calls without the
+// widening and narrowing: on every range shape -- block-aligned, a partial
+// head, a partial tail, both, inside one block, empty -- a u32 write
+// leaves what the u64 write of the same values leaves, a u32 read returns
+// what the u64 read returns, and both count the same block transfers.
+TEST(BlockDeviceItems, NarrowItemCallsMatchTheWideCalls) {
+  constexpr std::uint32_t b = 8;
+  constexpr std::uint64_t n = 64;
+  const struct {
+    std::uint64_t lo;
+    std::uint64_t len;
+  } ranges[] = {{8, 24}, {5, 11}, {16, 13}, {6, 20}, {17, 5}, {40, 8}, {9, 0}, {63, 1}};
+  for (const auto& r : ranges) {
+    const std::string where = "[" + std::to_string(r.lo) + ", +" + std::to_string(r.len) + ")";
+    em::block_device wide_calls(n, b, 4);
+    em::block_device narrow_calls(n, b, 4);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      wide_calls.poke(i, 0xA000'0000u + i);
+      narrow_calls.poke(i, 0xA000'0000u + i);
+    }
+    std::vector<std::uint64_t> in64(r.len);
+    std::vector<std::uint32_t> in32(r.len);
+    for (std::uint64_t k = 0; k < r.len; ++k) {
+      in32[k] = 0xFFFF'0000u + static_cast<std::uint32_t>(k * 7);
+      in64[k] = in32[k];
+    }
+    wide_calls.write_items(r.lo, in64);
+    narrow_calls.write_items(r.lo, std::span<const std::uint32_t>(in32));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(narrow_calls.peek(i), wide_calls.peek(i)) << where << " item " << i;
+    }
+    EXPECT_EQ(narrow_calls.stats().block_reads, wide_calls.stats().block_reads) << where;
+    EXPECT_EQ(narrow_calls.stats().block_writes, wide_calls.stats().block_writes) << where;
+
+    std::vector<std::uint64_t> out64(r.len);
+    std::vector<std::uint32_t> out32(r.len);
+    wide_calls.read_items(r.lo, out64);
+    narrow_calls.read_items(r.lo, std::span<std::uint32_t>(out32));
+    EXPECT_EQ(std::vector<std::uint64_t>(out32.begin(), out32.end()), out64) << where;
+    EXPECT_EQ(out64, in64) << where;
+    EXPECT_EQ(narrow_calls.stats().block_reads, wide_calls.stats().block_reads) << where;
+    EXPECT_EQ(narrow_calls.stats().block_writes, wide_calls.stats().block_writes) << where;
+  }
+}
+
 // The engine's scatter and leaves write disjoint item slices of one device
 // from every pool worker, and adjacent slices share boundary blocks: the
 // device must make each boundary read-modify-write atomic, or one writer's
@@ -67,11 +112,13 @@ TEST(BlockDeviceItems, WriteItemsBlindWritesFullBlocksAndMergesEdges) {
 // over a few blocks, round after round, with the slice lengths shifting
 // every round so the shared boundaries move; after each round every item
 // must hold its writer's value, and at the end the device must have
-// counted exactly the transfers its calls imply.  Both item widths run:
-// 8-byte values carry the round and writer above bit 32, 4-byte ones
-// below it.
+// counted exactly the transfers its calls imply.  Both item widths run,
+// and the 4-byte device runs under both widths of write_items (T): 8-byte
+// values carry the round and writer above bit 32, 4-byte ones below it.
+template <typename T>
 void concurrent_writers_compose(std::uint32_t item_bytes) {
-  SCOPED_TRACE("item_bytes " + std::to_string(item_bytes));
+  SCOPED_TRACE("item_bytes " + std::to_string(item_bytes) + ", " +
+               std::to_string(8 * sizeof(T)) + "-bit calls");
   constexpr std::uint32_t b = 8;
   constexpr std::uint64_t n = 256;
   constexpr unsigned writers = 4;
@@ -79,7 +126,7 @@ void concurrent_writers_compose(std::uint32_t item_bytes) {
   em::block_device dev(n, b, item_bytes);
   const unsigned shift = item_bytes == 8 ? 32 : 8;
   const auto value = [shift](std::uint64_t round, std::uint64_t t, std::uint64_t i) {
-    return (round << (shift + 8)) | (t << shift) | i;
+    return static_cast<T>((round << (shift + 8)) | (t << shift) | i);
   };
   // Slice s of the current round is [bounds[s], bounds[s + 1]) and belongs
   // to writer s % writers.
@@ -116,12 +163,12 @@ void concurrent_writers_compose(std::uint32_t item_bytes) {
   std::vector<std::thread> threads;
   for (unsigned t = 0; t < writers; ++t) {
     threads.emplace_back([&, t] {
-      std::vector<std::uint64_t> in;
+      std::vector<T> in;
       for (std::uint64_t r = 0; r < rounds; ++r) {
         for (std::size_t s = t; s + 1 < bounds.size(); s += writers) {
           in.resize(bounds[s + 1] - bounds[s]);
           for (std::uint64_t k = 0; k < in.size(); ++k) in[k] = value(round, t, bounds[s] + k);
-          dev.write_items(bounds[s], in);
+          dev.write_items(bounds[s], std::span<const T>(in));
         }
         sync.arrive_and_wait();
       }
@@ -135,8 +182,9 @@ void concurrent_writers_compose(std::uint32_t item_bytes) {
 }
 
 TEST(BlockDeviceItems, ConcurrentWritersComposeOnSharedBoundaryBlocks) {
-  concurrent_writers_compose(8);
-  concurrent_writers_compose(4);
+  concurrent_writers_compose<std::uint64_t>(8);
+  concurrent_writers_compose<std::uint64_t>(4);
+  concurrent_writers_compose<std::uint32_t>(4);
 }
 
 // A 4-byte device holds each item in half the bytes and returns what was
@@ -510,11 +558,71 @@ TEST(AsyncEmPermutation, FanOut256ContentAndCountsArePinned) {
   }
 }
 
+// Absolute pins where a permutation keeps its level-0 labels: one level
+// whose range fits in 4 * K * B one-byte labels -- n = 100,003 at M =
+// 65,536 and B = 256 (K = 128), and n = 8,192 = 4 * K * B at M = 2,064 and
+// B = 8 (K = 256) -- and, one item past that bound, n = 8,193, which
+// replays its labels as every level did before labels were kept.  All on
+// 4-byte devices, the width em_shuffled_identity_device gives a
+// permutation, at pools of 1 and 3.  Content, levels and transfers are
+// the replaying engine's, pinned before labels were kept; rng_words drops
+// by exactly n where the labels are kept (299,881, 24,320 and 24,323
+// words replaying).  The shuffle of the first shape reads its range, so it
+// keeps nothing: it pins the 4-byte reads and stage of a reading level.
+TEST(AsyncEmPermutation, KeptLabelsContentAndCountsArePinned) {
+  const struct {
+    std::uint64_t n;
+    std::uint64_t m;
+    std::uint32_t b;
+    bool identity;  ///< async_em_permutation, else async_em_shuffle of mix64(i) >> 32
+    std::uint64_t digest;
+    std::uint64_t rng_words;
+    std::uint64_t transfers;  ///< at pools of 1 and 3: one chunk either way
+  } pins[] = {
+      {100'003, 65'536, 256, true, 0x666AE0E90CD25BC1ull, 199'878, 2064},
+      {100'003, 65'536, 256, false, 0x90D40710FA1CF5B1ull, 299'881, 2455},
+      {8192, 2064, 8, true, 0x4C50A5CA25315F75ull, 16'128, 4668},
+      {8193, 2064, 8, true, 0xAFA7D0AFBEE96975ull, 24'323, 4659},
+  };
+  for (const auto& pin : pins) {
+    for (const unsigned workers : {1u, 3u}) {
+      smp::thread_pool pool(workers);
+      em::async_options opt;
+      opt.memory_items = pin.m;
+      const std::uint64_t seed = 0x3A7 ^ pin.n;
+      em::block_device dev(pin.n, pin.b, 4);
+      em::async_report rep;
+      if (pin.identity) {
+        rep = em::async_em_permutation(dev, pin.n, seed, pool, opt);
+      } else {
+        for (std::uint64_t i = 0; i < pin.n; ++i) dev.poke(i, rng::mix64(i) >> 32);
+        rep = em::async_em_shuffle(dev, pin.n, seed, pool, opt);
+      }
+      std::uint64_t h = 0xCBF29CE484222325ull;
+      for (std::uint64_t i = 0; i < pin.n; ++i) {
+        const std::uint64_t v = dev.peek(i);
+        for (unsigned k = 0; k < 8; ++k) {
+          h ^= (v >> (8 * k)) & 0xFF;
+          h *= 0x100000001B3ull;
+        }
+      }
+      const std::string where = std::string(pin.identity ? "permutation" : "shuffle") +
+                                " n=" + std::to_string(pin.n) +
+                                " workers=" + std::to_string(workers);
+      EXPECT_EQ(h, pin.digest) << where << " digest 0x" << std::hex << h;
+      EXPECT_EQ(rep.levels, 1u) << where;
+      EXPECT_EQ(rep.rng_words, pin.rng_words) << where;
+      EXPECT_EQ(rep.block_transfers, pin.transfers) << where;
+    }
+  }
+}
+
 // A device's item width changes what it holds, never what the engine does:
 // both entry points on 4-byte and 8-byte devices leave equal content and
 // count equal transfers, levels and rng words -- at one level (K = 8), at
 // two levels with a scratch device (which takes its pair's width), and at
-// K = 256.  The shuffled payload is 32-bit, so both widths hold it.
+// K = 256, once where the permutation keeps its labels.  The shuffled
+// payload is 32-bit, so both widths hold it.
 TEST(AsyncEmPermutation, FourAndEightByteDevicesAgree) {
   const struct {
     std::uint64_t n;
@@ -525,6 +633,7 @@ TEST(AsyncEmPermutation, FourAndEightByteDevicesAgree) {
       {5003, 1024, 64, 1},    // K = 8 buckets of ~625 <= M
       {20'011, 512, 32, 2},   // buckets of ~2,500 > M split once more
       {100'003, 2064, 8, 1},  // K = 256 buckets of ~391 <= M
+      {8192, 2064, 8, 1},     // n = 4 * K * B: the permutation keeps its labels
   };
   smp::thread_pool pool(3);
   for (const auto& shape : shapes) {

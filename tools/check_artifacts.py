@@ -24,9 +24,48 @@ def load(path):
 
 
 def check_parses(path):
-    """BENCH_e1_scaling.json, BENCH_em.json, BENCH_plan.json: well-formed
-    JSON."""
+    """BENCH_e1_scaling.json, BENCH_plan.json: well-formed JSON."""
     load(path)
+
+
+def check_em(path):
+    """e12's naive/async transfer table, with async ahead of naive in
+    every cell, and its one wire-stream row: the CPU quartiles of a
+    3,000,000-item permutation build at M = 2 Mi, B = 4,096 on 4 workers,
+    one level, the ~0.00133 transfers per item traced wire_tenants reads
+    as em.transfers_per_item (0.0013287; the boundary merges move it a
+    little with the seed), and n label words plus the leaves' ~n (the
+    level keeps its labels)."""
+    em = load(path)
+    table = [r for r in em if r.get('engine') in
+             ('naive_em_fisher_yates', 'em_async')]
+    stream = [r for r in em if r.get('engine') == 'em_permutation_stream']
+    assert len(table) + len(stream) == len(em), \
+        f"unknown engines: {sorted({r.get('engine') for r in em})}"
+    assert table, 'no transfer-table records'
+    for r in table:
+        for k in ('bench', 'engine', 'n', 'block_items', 'memory_items',
+                  'block_transfers', 'levels', 'rng_words',
+                  'transfers_per_item', 'speedup_vs_naive'):
+            assert k in r, f'record missing {k}: {r}'
+        assert r['bench'] == 'e12_external_memory', r
+        if r['engine'] == 'em_async':
+            assert r['speedup_vs_naive'] > 1, f'async behind naive: {r}'
+    assert len(stream) == 1, f'{len(stream)} wire-stream rows'
+    r = stream[0]
+    for k in ('bench', 'engine', 'n', 'block_items', 'memory_items', 'pool',
+              'trials', 'cpu_ns_per_item_median', 'cpu_ns_per_item_q1',
+              'cpu_ns_per_item_q3', 'block_transfers', 'levels', 'rng_words',
+              'transfers_per_item'):
+        assert k in r, f'wire-stream row missing {k}: {r}'
+    assert (r['n'], r['block_items'], r['memory_items'], r['pool'],
+            r['trials']) == (3000000, 4096, 1 << 21, 4, 15), r
+    assert 0 < r['cpu_ns_per_item_q1'] <= r['cpu_ns_per_item_median'] \
+        <= r['cpu_ns_per_item_q3'], r
+    assert r['levels'] == 1, r
+    assert 0.0013 <= r['transfers_per_item'] <= 0.00135, r
+    assert r['n'] <= r['rng_words'] < 2.5 * r['n'], \
+        f"{r['rng_words']} random words: the level replays its labels"
 
 
 def check_simd(path):
@@ -195,7 +234,7 @@ def check_wire_metrics(path):
 
 VALIDATORS = {
     'BENCH_e1_scaling.json': check_parses,
-    'BENCH_em.json': check_parses,
+    'BENCH_em.json': check_em,
     'BENCH_plan.json': check_parses,
     'BENCH_simd.json': check_simd,
     'BENCH_prp.json': check_prp,
